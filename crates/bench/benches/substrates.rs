@@ -1,5 +1,5 @@
 //! Substrate throughput benchmarks: how fast the simulator itself runs —
-//! event kernel, network fabric, serverless cluster, data plane.
+//! network fabric, serverless cluster, data plane.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hivemind_faas::cluster::{Cluster, ClusterParams};
@@ -7,33 +7,8 @@ use hivemind_faas::dataplane::{DataPlane, ExchangeProtocol};
 use hivemind_faas::types::{AppId, AppProfile, Invocation};
 use hivemind_net::fabric::{Fabric, Transfer};
 use hivemind_net::topology::{Node, Topology, TopologyParams};
-use hivemind_sim::engine::{Context, Engine, Model};
 use hivemind_sim::rng::RngForge;
-use hivemind_sim::time::{SimDuration, SimTime};
-
-struct PingPong {
-    left: u64,
-}
-impl Model for PingPong {
-    type Event = ();
-    fn handle(&mut self, ctx: &mut Context<()>, _ev: ()) {
-        if self.left > 0 {
-            self.left -= 1;
-            ctx.schedule_after(SimDuration::from_micros(1), ());
-        }
-    }
-}
-
-fn bench_event_kernel(c: &mut Criterion) {
-    c.bench_function("des_kernel_10k_events", |b| {
-        b.iter(|| {
-            let mut engine = Engine::new(PingPong { left: 10_000 });
-            engine.schedule_at(SimTime::ZERO, ());
-            engine.run_to_completion();
-            engine.events_processed()
-        })
-    });
-}
+use hivemind_sim::time::SimTime;
 
 fn bench_fabric(c: &mut Criterion) {
     c.bench_function("fabric_1k_uplink_transfers", |b| {
@@ -108,8 +83,7 @@ criterion_group! {
     config = Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_event_kernel,
-        bench_fabric,
+    targets = bench_fabric,
         bench_cluster,
         bench_dataplane
 }

@@ -7,9 +7,8 @@
 //! Set `HIVEMIND_FULL=1` (or pass `--full`) for paper-length runs (120 s
 //! jobs, 10 repeats, swarm sweep to 8192 devices). Pass `--smoke` to
 //! forward smoke mode to every figure (the seconds-scale deterministic
-//! slice the golden tests and perf baseline use). Pass `--trace <path>`
-//! to collect event traces
-//! from every figure; each figure gets its own trace family
+//! slice the golden tests use). Pass `--trace <path>` to collect event
+//! traces from every figure; each figure gets its own trace family
 //! (`<stem>.fig01.<ext>`, `<stem>.fig03.<ext>`, ...) so the figures never
 //! overwrite each other's files.
 

@@ -34,8 +34,8 @@
 //! concatenates batches in shard order, a shard that consumes one
 //! lookahead past the epoch horizon, a replay session without watermark
 //! dedup, a controller that skips reconnect grace) must each produce a
-//! minimal counterexample that replays through the DES engine to the
-//! identical violation.
+//! minimal counterexample that replays, step by step, to the identical
+//! violation.
 //!
 //! The checker is a pure function of the model — FNV-fingerprint dedup,
 //! canonical action order, no wall clock — so every number and schedule
@@ -91,9 +91,9 @@ fn stats_row(name: &str, stats: &McStats) -> [String; 7] {
 }
 
 /// Checks one planted bug: the violation is found, its counterexample
-/// replays through the DES engine to the identical violation at the
-/// final step, and the fixed twin survives the exact same schedule
-/// (the protocols share their action vocabulary with their mutants).
+/// replays to the identical violation at the final step, and the fixed
+/// twin survives the exact same schedule (the protocols share their
+/// action vocabulary with their mutants).
 /// Returns the rendered report.
 fn catch<M: McModel>(
     name: &str,
@@ -119,6 +119,8 @@ fn catch<M: McModel>(
         "{name}: replay must fail at the final step with the same message"
     );
     check_fixed(&v.schedule);
+    // The wording, "replayed through the DES engine" included, is
+    // pinned by the `mc_sweep --smoke` golden.
     format!(
         "{name}\n  violation: {}\n  minimal counterexample ({} steps):\n{}\
          \n  replayed through the DES engine: step {step}, same violation; \

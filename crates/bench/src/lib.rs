@@ -26,8 +26,8 @@
 //! Every figure binary accepts `--smoke` (or `HIVEMIND_SMOKE=1`): a
 //! seconds-scale deterministic slice of the figure — short durations,
 //! two repeats, a three-workload set — used by the golden snapshot tests
-//! (`tests/golden_smoke.rs`) and the `perf_smoke` baseline harness. The
-//! default (no flag) output is untouched by smoke mode.
+//! (`tests/golden_smoke.rs`). The default (no flag) output is untouched
+//! by smoke mode.
 //!
 //! `chaos_sweep` is the odd one out: instead of reproducing a figure it
 //! sweeps the unified fault plane (function-fault rate × packet loss,
@@ -154,16 +154,16 @@ pub fn single_app_duration_secs() -> f64 {
 /// Whether full-fidelity mode is requested (`--full` on the command
 /// line or `HIVEMIND_FULL=1`). Delegates to the shared [`cli`] parser.
 pub fn full_fidelity() -> bool {
-    cli::Cli::from_env().full()
+    cli::Cli::flags_from_env().full()
 }
 
 /// Whether smoke mode is requested (`--smoke` on the command line or
 /// `HIVEMIND_SMOKE=1` in the environment). Smoke mode is the golden-test
-/// and perf-baseline slice: every figure prints a deterministic,
-/// seconds-scale subset of its tables. Full fidelity wins if both are
-/// set. Delegates to the shared [`cli`] parser.
+/// slice: every figure prints a deterministic, seconds-scale subset of
+/// its tables. Full fidelity wins if both are set. Delegates to the
+/// shared [`cli`] parser.
 pub fn smoke() -> bool {
-    cli::Cli::from_env().smoke()
+    cli::Cli::flags_from_env().smoke()
 }
 
 /// Number of repetitions for distribution-style figures.

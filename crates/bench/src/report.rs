@@ -50,18 +50,16 @@ pub struct Report {
 
 impl Report {
     /// Builds a report from the process command line via the shared
-    /// [`crate::cli`] parser.
-    ///
-    /// Recognizes `--trace <path>` and `--trace=<path>`; other arguments
-    /// are ignored here (the shared parser hands them to the binary).
+    /// [`crate::cli`] parser, which exits with the usage text on a bad
+    /// argument.
     pub fn from_env() -> Report {
         crate::cli::Cli::from_env().report()
     }
 
     /// Builds a report from an explicit argument list (testable variant
-    /// of [`Report::from_env`]).
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Report {
-        crate::cli::Cli::from_args(args).report()
+    /// of [`Report::from_env`]); errors as [`crate::cli::Cli::from_args`].
+    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Report, String> {
+        crate::cli::Cli::from_args(args).map(|cli| cli.report())
     }
 
     /// Builds a report straight from a parsed trace path (the shared
@@ -230,19 +228,18 @@ mod tests {
     use hivemind_apps::suite::App;
     use hivemind_core::platform::Platform;
 
-    fn args(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
+    fn report(v: &[&str]) -> Report {
+        Report::from_args(v.iter().map(|s| s.to_string())).expect("valid command line")
     }
 
     #[test]
     fn flag_parsing_accepts_both_spellings() {
-        assert!(!Report::from_args(args(&[])).tracing());
-        let split = Report::from_args(args(&["--trace", "a.json"]));
+        assert!(!report(&[]).tracing());
+        let split = report(&["--trace", "a.json"]);
         assert_eq!(split.trace_path.as_deref(), Some(Path::new("a.json")));
-        let joined = Report::from_args(args(&["--trace=b.json"]));
+        let joined = report(&["--trace=b.json"]);
         assert_eq!(joined.trace_path.as_deref(), Some(Path::new("b.json")));
-        let dangling = Report::from_args(args(&["--trace"]));
-        assert!(!dangling.tracing());
+        assert!(Report::from_args(["--trace".to_string()]).is_err());
     }
 
     #[test]
@@ -256,7 +253,7 @@ mod tests {
 
     #[test]
     fn untraced_report_is_passthrough() {
-        let report = Report::from_args(args(&[]));
+        let report = report(&[]);
         let cfg = ExperimentConfig::single_app(App::WeatherAnalytics)
             .platform(Platform::CentralizedFaaS)
             .duration_secs(2.0)
@@ -271,7 +268,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hm-report-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("out.trace.json");
-        let report = Report::from_args(args(&["--trace", path.to_str().expect("utf-8 path")]));
+        let report = report(&["--trace", path.to_str().expect("utf-8 path")]);
         let cfg = ExperimentConfig::single_app(App::WeatherAnalytics)
             .platform(Platform::CentralizedFaaS)
             .duration_secs(2.0)
@@ -297,7 +294,7 @@ mod tests {
 
     #[test]
     fn cell_helpers_take_shared_outcomes() {
-        let report = Report::from_args(args(&[]));
+        let report = report(&[]);
         let w = Workload::App(App::WeatherAnalytics);
         let o = report.run(w.config(Platform::CentralizedFaaS, 3).duration_secs(2.0));
         let [p50, p99] = workload_cells(&w, &o);

@@ -469,7 +469,7 @@ impl Shard {
 }
 
 /// Per-phase cost breakdown of a run, for profiling harnesses
-/// (`perf_smoke`, `HIVEMIND_PROFILE=1`).
+/// (`hivebench --trace 1`, `HIVEMIND_PROFILE=1`).
 ///
 /// The operation counters (`queue_ops`, `rng_draws`, `merge_elems`,
 /// `exchange_effects`) are exact and deterministic — they count the same

@@ -41,15 +41,14 @@
 //! disconnect plane's duplicate-accepting session and
 //! grace-skipping heal) that must
 //! yield a counterexample — proving the lane can actually find bugs.
-//! Counterexamples replay deterministically through the DES engine via
-//! [`replay_schedule`].
+//! Counterexamples replay deterministically, step by step in schedule
+//! order, via [`replay_schedule`].
 
 use std::hash::{Hash, Hasher};
 
 use hivemind_faas::dataplane::{
     ExchangeEffect, ExchangeInput, ExchangeMsg, ExchangeSession, RetryDecision, RetryPolicy,
 };
-use hivemind_sim::engine::{Context, Engine, Model as DesModel};
 use hivemind_sim::mc::{BreakerMonitor, McModel, Schedule};
 use hivemind_sim::overload::{
     BreakerConfig, BreakerDecision, BreakerEvent, BreakerState, CircuitBreaker,
@@ -1399,50 +1398,44 @@ impl McModel for DisconnectModel {
 }
 
 // ---------------------------------------------------------------------------
-// Counterexample replay through the DES engine.
+// Counterexample replay.
 // ---------------------------------------------------------------------------
 
-struct Replay<M: McModel> {
-    model: M,
-    violation: Option<(usize, String)>,
-}
-
-impl<M: McModel> DesModel for Replay<M> {
-    type Event = (usize, M::Action);
-
-    fn handle(&mut self, _ctx: &mut Context<Self::Event>, (index, action): Self::Event) {
-        if self.violation.is_some() {
-            return;
-        }
-        self.model.apply(&action);
-        if let Err(message) = self.model.invariant() {
-            self.violation = Some((index, message));
-        }
-    }
-}
-
-/// Replays a checker-emitted schedule through the DES engine: every step
-/// is scheduled at its recorded virtual instant and applied in order by
-/// the event loop. Returns the first `(step index, message)` invariant
-/// violation, which for a checker counterexample must be the final step
-/// with the identical message — byte-for-byte, independent of thread
-/// count, because both sides are pure functions of the action sequence.
+/// Replays a checker-emitted schedule: applies every step to `model` in
+/// schedule order and checks the invariant after each one. Returns the
+/// first `(step index, message)` invariant violation, which for a checker
+/// counterexample must be the final step with the identical message —
+/// byte-for-byte, independent of thread count, because both sides are
+/// pure functions of the action sequence.
+///
+/// # Panics
+///
+/// Panics if the steps' `at` instants decrease: a [`Schedule`] is
+/// non-decreasing in time, and replay never reorders it.
 pub fn replay_schedule<M: McModel>(
-    model: M,
+    mut model: M,
     schedule: &Schedule<M::Action>,
 ) -> Option<(usize, String)> {
     if let Err(message) = model.invariant() {
         return Some((0, message));
     }
-    let mut engine = Engine::new(Replay {
-        model,
-        violation: None,
-    });
-    for (index, step) in schedule.steps.iter().enumerate() {
-        engine.schedule_at(step.at, (index, step.action.clone()));
+    for (index, pair) in schedule.steps.windows(2).enumerate() {
+        assert!(
+            pair[0].at <= pair[1].at,
+            "schedule must be non-decreasing in time: step {} at {:?} follows step {} at {:?}",
+            index + 1,
+            pair[1].at,
+            index,
+            pair[0].at,
+        );
     }
-    engine.run_to_completion();
-    engine.into_model().violation
+    for (index, step) in schedule.steps.iter().enumerate() {
+        model.apply(&step.action);
+        if let Err(message) = model.invariant() {
+            return Some((index, message));
+        }
+    }
+    None
 }
 
 // ---------------------------------------------------------------------------
@@ -1594,7 +1587,7 @@ pub fn disconnect_no_grace_mutant() -> DisconnectModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hivemind_sim::mc::{check, McConfig};
+    use hivemind_sim::mc::{check, McConfig, ScheduleStep};
 
     fn cfg(depth: usize) -> McConfig {
         McConfig {
@@ -1622,8 +1615,8 @@ mod tests {
         let report = check(&failover_legacy_instance(), &cfg(24));
         let v = report.violation.expect("orphaned strips must be caught");
         assert!(v.message.contains("task conservation"), "{}", v.message);
-        // The counterexample replays through the DES engine to the same
-        // violation at the same (final) step.
+        // The counterexample replays to the same violation at the same
+        // (final) step.
         let replayed = replay_schedule(failover_legacy_instance(), &v.schedule);
         let (index, message) = replayed.expect("replay must reproduce the violation");
         assert_eq!(index, v.schedule.len() - 1);
@@ -1659,6 +1652,20 @@ mod tests {
         assert_eq!(message, v.message);
         // The faithful breaker survives the same schedule.
         assert_eq!(replay_schedule(retry_breaker_instance(), &v.schedule), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-decreasing in time")]
+    fn replay_rejects_an_out_of_order_schedule() {
+        let step = |secs| ScheduleStep {
+            at: SimTime::from_secs(secs),
+            label: "tick".to_string(),
+            action: RetryAction::Tick,
+        };
+        let schedule = Schedule {
+            steps: vec![step(2), step(1)],
+        };
+        replay_schedule(retry_breaker_instance(), &schedule);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Regression tests for the model-checking lane's replay contract:
-//! a checker-emitted counterexample schedule, replayed through the DES
-//! engine, reproduces the same violation — same step, same message,
+//! a checker-emitted counterexample schedule, replayed step by step,
+//! reproduces the same violation — same step, same message,
 //! byte-for-byte — at any worker count. The checker and replay are pure
 //! functions of the action sequence, so `HIVEMIND_THREADS` (which fans
 //! the protocol checks across workers here, exactly as a CI sweep

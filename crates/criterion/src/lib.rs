@@ -34,8 +34,8 @@ pub struct Criterion {
 
 impl Default for Criterion {
     /// Defaults to 300 ms warm-up / 1 s measurement / 20 samples. With
-    /// `HIVEMIND_BENCH_QUICK=1` in the environment (the CI perf-smoke
-    /// job), every benchmark instead runs a fast low-fidelity pass —
+    /// `HIVEMIND_BENCH_QUICK=1` in the environment (the CI bench job),
+    /// every benchmark instead runs a fast low-fidelity pass —
     /// explicit `warm_up_time`/`measurement_time` overrides are clamped
     /// down too, since quick mode wins over per-bench configuration.
     fn default() -> Self {

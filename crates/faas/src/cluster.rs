@@ -12,7 +12,6 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-use hivemind_sim::component::Component;
 use hivemind_sim::faults::{self, RetryDecision, RetryPolicy};
 use hivemind_sim::overload::{self, BreakerDecision, BreakerEvent, CircuitBreaker, OverloadPolicy};
 use hivemind_sim::rng::RngForge;
@@ -1367,23 +1366,6 @@ impl Cluster {
             + self
                 .dataplane
                 .mean_exchange_secs(p.exchange_out, profile.output_bytes)
-    }
-}
-
-impl Component for Cluster {
-    type Command = Invocation;
-    type Output = Completion;
-
-    fn handle(&mut self, now: SimTime, cmd: Invocation) {
-        self.submit(now, cmd);
-    }
-
-    fn next_wakeup(&self) -> Option<SimTime> {
-        Cluster::next_wakeup(self)
-    }
-
-    fn advance(&mut self, now: SimTime, out: &mut Vec<Completion>) {
-        self.advance_into(now, out);
     }
 }
 

@@ -13,7 +13,6 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-use hivemind_sim::component::Component;
 use hivemind_sim::rng::RngForge;
 use hivemind_sim::stats::TimeSeries;
 use hivemind_sim::time::{SimDuration, SimTime};
@@ -267,23 +266,6 @@ impl FixedPool {
     /// Concurrently running tasks over time.
     pub fn active_series(&self) -> &TimeSeries {
         &self.active_series
-    }
-}
-
-impl Component for FixedPool {
-    type Command = Invocation;
-    type Output = Completion;
-
-    fn handle(&mut self, now: SimTime, cmd: Invocation) {
-        self.submit(now, cmd);
-    }
-
-    fn next_wakeup(&self) -> Option<SimTime> {
-        FixedPool::next_wakeup(self)
-    }
-
-    fn advance(&mut self, now: SimTime, out: &mut Vec<Completion>) {
-        self.advance_into(now, out);
     }
 }
 

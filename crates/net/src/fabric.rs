@@ -8,7 +8,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use hivemind_sim::component::{earliest, Component};
 use hivemind_sim::faults::{self, NetFaults};
 use hivemind_sim::overload::NetBackpressure;
 use hivemind_sim::stats::Meter;
@@ -562,7 +561,10 @@ impl Fabric {
         let link_next = self.wake.peek().map(|Reverse((t, _))| *t);
         let local_next = self.local.peek().map(|Reverse(p)| p.0.delivered_at);
         let delayed_next = self.delayed.peek().map(|Reverse(d)| d.at);
-        earliest([link_next, local_next, delayed_next])
+        [link_next, local_next, delayed_next]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// Advances the fabric to `now`, returning all deliveries that completed
@@ -675,23 +677,6 @@ impl Fabric {
     /// needed).
     pub fn link_loads(&self) -> impl Iterator<Item = usize> + '_ {
         self.links.iter().map(|l| l.load())
-    }
-}
-
-impl Component for Fabric {
-    type Command = Transfer;
-    type Output = Delivery;
-
-    fn handle(&mut self, now: SimTime, cmd: Transfer) {
-        self.send(now, cmd);
-    }
-
-    fn next_wakeup(&self) -> Option<SimTime> {
-        Fabric::next_wakeup(self)
-    }
-
-    fn advance(&mut self, now: SimTime, out: &mut Vec<Delivery>) {
-        self.advance_into(now, out);
     }
 }
 

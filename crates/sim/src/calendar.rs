@@ -23,7 +23,7 @@
 //!   `BinaryHeap` and asserts the popped key matches, so any divergence
 //!   fails loudly in tier-1 tests rather than silently reordering events.
 //! * **O(1) `peek` from `&self`.** The minimum is cached eagerly (recomputed
-//!   after each pop by scanning forward from the cursor), so engines can
+//!   after each pop by scanning forward from the cursor), so the engine can
 //!   answer "when is the next event?" without mutating the queue.
 //! * **Adaptive width.** Bucket width is re-derived from the observed mean
 //!   pop gap at each resize, and the bucket count tracks the population

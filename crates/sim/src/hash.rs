@@ -3,7 +3,7 @@
 //! `std`'s default `RandomState` seeds itself per process, so hash-table
 //! *behavior* — iteration order, tombstone dynamics, resize timing —
 //! varies run to run even when the simulation is a pure function of
-//! `(config, seed)`. No output byte depends on that (the engines never
+//! `(config, seed)`. No output byte depends on that (the engine never
 //! iterate these maps), but allocation timing does: a table with
 //! insert/remove churn accumulates DELETED control slots at
 //! seed-dependent positions and rehashes or resizes at a seed-dependent

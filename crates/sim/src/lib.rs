@@ -1,6 +1,6 @@
 //! # hivemind-sim
 //!
-//! Deterministic discrete-event simulation (DES) kernel underpinning the
+//! Deterministic discrete-event simulation (DES) primitives underpinning the
 //! HiveMind reproduction.
 //!
 //! The paper validates its scalability results with "a validated,
@@ -9,15 +9,10 @@
 //!
 //! * [`time`] — nanosecond-resolution virtual time ([`SimTime`],
 //!   [`SimDuration`]) with no floating-point drift.
-//! * [`engine`] — a generic event queue and run loop ([`Engine`],
-//!   [`Model`]) with deterministic tie-breaking.
 //! * [`calendar`] — the adaptive calendar queue ([`CalendarQueue`]) the
-//!   engines schedule through: heap-identical `(time, tiebreak)` order at
-//!   O(1) amortized cost, shadow-checked against a reference heap in
-//!   debug builds.
-//! * [`component`] — the [`Component`] state-machine
-//!   interface that lets independent substrates (network, FaaS cluster,
-//!   swarm) compose into one simulation without a workspace-wide event enum.
+//!   DES engine (`hivemind-core`'s `engine`) schedules through:
+//!   heap-identical `(time, tiebreak)` order at O(1) amortized cost,
+//!   shadow-checked against a reference heap in debug builds.
 //! * [`rng`] — a forkable, named random-stream hierarchy so adding draws in
 //!   one subsystem never perturbs another.
 //! * [`dist`] — service-time distributions (constant, uniform, exponential,
@@ -52,38 +47,30 @@
 //! ## Example
 //!
 //! ```rust
-//! use hivemind_sim::engine::{Engine, Model, Context};
+//! use hivemind_sim::calendar::CalendarQueue;
 //! use hivemind_sim::time::{SimDuration, SimTime};
 //!
-//! /// Counts ticks until told to stop.
-//! struct Ticker { ticks: u32 }
-//! enum Ev { Tick }
-//!
-//! impl Model for Ticker {
-//!     type Event = Ev;
-//!     fn handle(&mut self, ctx: &mut Context<Ev>, _ev: Ev) {
-//!         self.ticks += 1;
-//!         if self.ticks < 10 {
-//!             ctx.schedule_after(SimDuration::from_millis(1), Ev::Tick);
-//!         }
+//! // A ten-tick event loop: fire the earliest event, schedule the next.
+//! let mut queue: CalendarQueue<(SimTime, u64), ()> = CalendarQueue::new();
+//! queue.push((SimTime::ZERO, 0), ());
+//! let (mut now, mut ticks) = (SimTime::ZERO, 0);
+//! while let Some(((at, seq), ())) = queue.pop() {
+//!     now = at;
+//!     ticks += 1;
+//!     if ticks < 10 {
+//!         queue.push((at + SimDuration::from_millis(1), seq + 1), ());
 //!     }
 //! }
-//!
-//! let mut engine = Engine::new(Ticker { ticks: 0 });
-//! engine.schedule_at(SimTime::ZERO, Ev::Tick);
-//! engine.run_to_completion();
-//! assert_eq!(engine.model().ticks, 10);
-//! assert_eq!(engine.now(), SimTime::ZERO + SimDuration::from_millis(9));
+//! assert_eq!(ticks, 10);
+//! assert_eq!(now, SimTime::ZERO + SimDuration::from_millis(9));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod calendar;
-pub mod component;
 pub mod disconnect;
 pub mod dist;
-pub mod engine;
 pub mod faults;
 pub mod hash;
 pub mod mc;
@@ -95,10 +82,8 @@ pub mod time;
 pub mod trace;
 
 pub use calendar::{CalendarKey, CalendarQueue};
-pub use component::Component;
 pub use disconnect::DisconnectPolicy;
 pub use dist::Dist;
-pub use engine::{Context, Engine, Model};
 pub use faults::{FaultPlan, FaultPlanError, RetryDecision, RetryPolicy};
 pub use mc::{McConfig, McModel, McReport};
 pub use overload::{CircuitBreaker, OverloadPolicy};

@@ -10,8 +10,8 @@
 //!
 //! Safety invariants are evaluated at **every** reached state; the first
 //! (shortest) violation is reported as a [`Schedule`] — a replayable list
-//! of timed actions that any host (the DES engine included) can re-apply
-//! step by step to reproduce the violation outside the checker.
+//! of timed actions that any host can re-apply step by step to reproduce
+//! the violation outside the checker.
 //!
 //! Everything here is deterministic: no RNG, no wall clock, no iteration
 //! over hash maps (the `seen` set is only ever probed by key). Two runs of

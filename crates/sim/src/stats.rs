@@ -72,15 +72,7 @@ impl Summary {
         assert!(value.is_finite(), "summary sample must be finite");
         self.samples.push(value);
         self.sum += value;
-        // A hot sorted cache stays hot: one positional insert is far
-        // cheaper than the clone-and-resort a later quantile would pay.
-        // (The straggler monitor interleaves record/quantile per
-        // completion — invalidating here would make that pass quadratic
-        // in allocations.)
-        if let Some(sorted) = self.sorted.get_mut() {
-            let i = sorted.partition_point(|x| x.total_cmp(&value).is_lt());
-            sorted.insert(i, value);
-        }
+        self.sorted.take();
     }
 
     /// Records a duration, in seconds.
@@ -179,38 +171,14 @@ impl Summary {
 
     /// Merges another summary into this one.
     ///
-    /// When both sides already have a hot sorted cache the caches are
-    /// two-way merged in O(n + m), so a percentile query on the result
-    /// does not re-sort. The running sum is extended sample-by-sample in
-    /// buffer order, matching an on-demand `iter().sum()` bit-for-bit.
+    /// The running sum is extended sample-by-sample in buffer order,
+    /// matching an on-demand `iter().sum()` bit-for-bit.
     pub fn merge(&mut self, other: &Summary) {
         for &v in &other.samples {
             self.sum += v;
         }
-        let merged_cache = match (self.sorted.get(), other.sorted.get()) {
-            (Some(a), Some(b)) => {
-                let mut m = Vec::with_capacity(a.len() + b.len());
-                let (mut i, mut j) = (0, 0);
-                while i < a.len() && j < b.len() {
-                    if a[i].total_cmp(&b[j]).is_le() {
-                        m.push(a[i]);
-                        i += 1;
-                    } else {
-                        m.push(b[j]);
-                        j += 1;
-                    }
-                }
-                m.extend_from_slice(&a[i..]);
-                m.extend_from_slice(&b[j..]);
-                Some(m)
-            }
-            _ => None,
-        };
         self.samples.extend_from_slice(&other.samples);
         self.sorted.take();
-        if let Some(m) = merged_cache {
-            let _ = self.sorted.set(m);
-        }
     }
 
     /// Builds a [`Histogram`] of the samples with `bins` equal-width bins
@@ -284,9 +252,8 @@ fn val_of(k: u64) -> f64 {
 /// [`Summary`] is the right tool when all samples arrive before the first
 /// quantile query: recording is an O(1) push and the sort happens once.
 /// But a monitor that interleaves `record` and `quantile` per event (the
-/// straggler detector does exactly that) keeps `Summary`'s sorted cache
-/// hot, turning every record into an O(n) positional insert — quadratic
-/// over a run. This tracker answers the same nearest-rank quantile in
+/// straggler detector does exactly that) would make `Summary` re-sort its
+/// whole buffer on every query — quadratic over a run. This tracker answers the same nearest-rank quantile in
 /// O(log n) per operation by holding the multiset split in two binary
 /// heaps at the rank boundary: `low` (a max-heap) holds exactly the
 /// `ceil(q·n)` smallest samples, so the current quantile is always
@@ -746,7 +713,6 @@ mod tests {
                     s.quantile(q).to_bits(),
                     "q={q} i={i}"
                 );
-                let _ = s.quantile(q); // keep Summary's sorted cache hot
             }
             assert_eq!(t.len(), s.len());
         }

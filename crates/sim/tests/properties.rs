@@ -1,7 +1,6 @@
-//! Property-based tests for the simulation kernel.
+//! Property-based tests for the simulation primitives.
 
 use hivemind_sim::dist::Dist;
-use hivemind_sim::engine::{Context, Engine, Model};
 use hivemind_sim::mc::BreakerMonitor;
 use hivemind_sim::overload::{
     BreakerConfig, BreakerDecision, BreakerEvent, BreakerState, CircuitBreaker,
@@ -11,67 +10,7 @@ use hivemind_sim::stats::{Histogram, Meter, Summary};
 use hivemind_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
-/// Records the firing order of opaque event ids.
-struct Recorder {
-    fired: Vec<(SimTime, u64)>,
-}
-impl Model for Recorder {
-    type Event = u64;
-    fn handle(&mut self, ctx: &mut Context<u64>, ev: u64) {
-        self.fired.push((ctx.now(), ev));
-    }
-}
-
 proptest! {
-    /// Events always fire in nondecreasing time order, and same-time
-    /// events fire in insertion order, for any schedule.
-    #[test]
-    fn engine_fires_in_order(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut engine = Engine::new(Recorder { fired: vec![] });
-        for (i, &t) in times.iter().enumerate() {
-            engine.schedule_at(SimTime::from_nanos(t), i as u64);
-        }
-        engine.run_to_completion();
-        let fired = &engine.model().fired;
-        prop_assert_eq!(fired.len(), times.len());
-        for pair in fired.windows(2) {
-            prop_assert!(pair[0].0 <= pair[1].0);
-            if pair[0].0 == pair[1].0 {
-                prop_assert!(pair[0].1 < pair[1].1, "FIFO among ties");
-            }
-        }
-        // Every event fires exactly at its scheduled time.
-        for &(at, id) in fired {
-            prop_assert_eq!(at.as_nanos(), times[id as usize]);
-        }
-    }
-
-    /// A deadline-split run fires exactly the same events as a single run.
-    #[test]
-    fn run_until_is_composable(
-        times in prop::collection::vec(0u64..1_000_000, 1..100),
-        split in 0u64..1_000_000,
-    ) {
-        let run_split = {
-            let mut engine = Engine::new(Recorder { fired: vec![] });
-            for (i, &t) in times.iter().enumerate() {
-                engine.schedule_at(SimTime::from_nanos(t), i as u64);
-            }
-            engine.run_until(SimTime::from_nanos(split), u64::MAX);
-            engine.run_to_completion();
-            engine.into_model().fired
-        };
-        let run_whole = {
-            let mut engine = Engine::new(Recorder { fired: vec![] });
-            for (i, &t) in times.iter().enumerate() {
-                engine.schedule_at(SimTime::from_nanos(t), i as u64);
-            }
-            engine.run_to_completion();
-            engine.into_model().fired
-        };
-        prop_assert_eq!(run_split, run_whole);
-    }
-
     /// Meter totals equal the sum of window rates × window length,
     /// regardless of how adds are spread.
     #[test]

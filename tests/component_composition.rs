@@ -1,19 +1,19 @@
-//! The composable-DES claim, demonstrated generically: the network fabric
-//! and the serverless cluster are both [`Component`]s, so an orchestrator
-//! that knows nothing about their internals can co-simulate them in exact
-//! global time order — frames flow through the wireless fabric, arrivals
-//! become invocations, completions flow back.
+//! The composable-DES claim: the network fabric and the serverless cluster
+//! expose the same three inherent operations (`send`/`submit`,
+//! `next_wakeup`, `advance_into`), so an orchestrator that knows nothing
+//! about their internals can co-simulate them in exact global time order —
+//! frames flow through the wireless fabric, arrivals become invocations,
+//! completions flow back.
 
 use hivemind::faas::cluster::{Cluster, ClusterParams};
 use hivemind::faas::types::{AppId, AppProfile, Completion, Invocation};
 use hivemind::net::fabric::{Delivery, Fabric, Transfer};
 use hivemind::net::topology::{Node, Topology, TopologyParams};
-use hivemind::sim::component::{earliest, Component};
 use hivemind::sim::rng::RngForge;
 use hivemind::sim::time::{SimDuration, SimTime};
 
 #[test]
-fn fabric_and_cluster_compose_through_the_trait() {
+fn fabric_and_cluster_compose_in_global_time_order() {
     let mut fabric = Fabric::new(Topology::new(TopologyParams::default()));
     let mut cluster = Cluster::new(ClusterParams::default(), RngForge::new(5));
     cluster.register_app(AppId(0), AppProfile::test_profile(80.0));
@@ -23,8 +23,7 @@ fn fabric_and_cluster_compose_through_the_trait() {
     let mut tag = 0u64;
     for second in 0..10u64 {
         for dev in 0..16u32 {
-            Component::handle(
-                &mut fabric,
+            fabric.send(
                 SimTime::from_secs(second),
                 Transfer {
                     src: Node::Device(dev),
@@ -37,30 +36,23 @@ fn fabric_and_cluster_compose_through_the_trait() {
         }
     }
 
-    // Generic orchestration loop: always advance the earliest component.
+    // Orchestration loop: always advance to the earliest wake-up.
     let mut completions: Vec<Completion> = Vec::new();
+    let mut delivered: Vec<Delivery> = Vec::new();
     let mut deliveries = 0usize;
     loop {
-        let next = earliest([
-            Component::next_wakeup(&fabric),
-            Component::next_wakeup(&cluster),
-        ]);
-        let Some(t) = next else { break };
+        let next = [fabric.next_wakeup(), cluster.next_wakeup()];
+        let Some(t) = next.into_iter().flatten().min() else {
+            break;
+        };
 
-        let mut delivered: Vec<Delivery> = Vec::new();
-        Component::advance(&mut fabric, t, &mut delivered);
-        for d in delivered {
+        fabric.advance_into(t, &mut delivered);
+        for d in delivered.drain(..) {
             deliveries += 1;
             // Route: network arrival -> function invocation.
-            Component::handle(
-                &mut cluster,
-                d.delivered_at,
-                Invocation::root(AppId(0), d.tag),
-            );
+            cluster.submit(d.delivered_at, Invocation::root(AppId(0), d.tag));
         }
-        let mut done: Vec<Completion> = Vec::new();
-        Component::advance(&mut cluster, t, &mut done);
-        completions.extend(done);
+        cluster.advance_into(t, &mut completions);
     }
 
     assert_eq!(deliveries, n_frames, "every frame crossed the network");
