@@ -459,12 +459,10 @@ struct Shard {
 impl Shard {
     /// The earliest device-local instant at which anything happens.
     fn next_event(&self) -> Option<SimTime> {
-        let a = self.actions.peek().map(|(t, _)| t);
-        let w = self.wake.peek().map(|(t, _)| t);
-        match (a, w) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (x, y) => x.or(y),
-        }
+        earliest(
+            self.actions.peek().map(|(t, _)| t),
+            self.wake.peek().map(|(t, _)| t),
+        )
     }
 }
 
@@ -1064,21 +1062,15 @@ impl Engine {
 
     /// The earliest instant at which anything will happen.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        let mut best: Option<SimTime> = self.actions.peek().map(|(t, _)| t);
-        let mut merge = |t: Option<SimTime>| {
-            best = match (best, t) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        };
-        merge(self.pending.get(self.pending_cursor).map(|&(k, _)| k.at));
-        merge(self.fabric.next_wakeup());
-        merge(self.cluster.as_ref().and_then(|c| c.next_wakeup()));
-        merge(self.pool.as_ref().and_then(|p| p.next_wakeup()));
-        for sh in &self.shards {
-            merge(sh.next_event());
-        }
-        best
+        [
+            self.pending.get(self.pending_cursor).map(|&(k, _)| k.at),
+            self.fabric.next_wakeup(),
+            self.cluster.as_ref().and_then(|c| c.next_wakeup()),
+            self.pool.as_ref().and_then(|p| p.next_wakeup()),
+        ]
+        .into_iter()
+        .chain(self.shards.iter().map(Shard::next_event))
+        .fold(self.actions.peek().map(|(t, _)| t), earliest)
     }
 
     /// Runs until quiescent or `deadline`, returning completed records
@@ -1285,23 +1277,36 @@ impl Engine {
     /// Phase B: the serial hub loop — due effects, hub actions, network
     /// deliveries, and cloud completions, interleaved in global time
     /// order up to the epoch boundary.
+    ///
+    /// Before each step the fabric, then the cluster, run ahead through
+    /// their internal events (intermediate hops, held-transfer releases,
+    /// admission and data-plane stages). Each runs only strictly before
+    /// the earliest instant any hub input can reach it — the next effect,
+    /// action, pool completion, event of the other component, or the
+    /// epoch boundary — and stops at its first hub-visible output, so
+    /// same-instant ties keep the order effects, actions, deliveries,
+    /// completions.
     fn run_hub_phase(&mut self, end: SimTime) {
         loop {
-            let mut best: Option<SimTime> =
-                self.pending.get(self.pending_cursor).map(|&(k, _)| k.at);
-            {
-                let mut merge = |t: Option<SimTime>| {
-                    best = match (best, t) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (a, b) => a.or(b),
-                    };
-                };
-                merge(self.actions.peek().map(|(t, _)| t));
-                merge(self.fabric.next_wakeup());
-                merge(self.cluster.as_ref().and_then(|c| c.next_wakeup()));
-                merge(self.pool.as_ref().and_then(|p| p.next_wakeup()));
+            let inputs = earliest(
+                earliest(
+                    self.pending.get(self.pending_cursor).map(|&(k, _)| k.at),
+                    self.actions.peek().map(|(t, _)| t),
+                ),
+                self.pool.as_ref().and_then(|p| p.next_wakeup()),
+            );
+            let bound =
+                |other: Option<SimTime>| earliest(inputs, other).map_or(end, |t| t.min(end));
+            let cluster_next = self.cluster.as_ref().and_then(|c| c.next_wakeup());
+            self.fabric.run_ahead(bound(cluster_next));
+            let fabric_next = self.fabric.next_wakeup();
+            if let Some(c) = self.cluster.as_mut() {
+                c.run_ahead(bound(fabric_next));
             }
-            let Some(t) = best else { break };
+            let cluster_next = self.cluster.as_ref().and_then(|c| c.next_wakeup());
+            let Some(t) = earliest(inputs, earliest(fabric_next, cluster_next)) else {
+                break;
+            };
             if t > end {
                 break;
             }
@@ -2000,6 +2005,14 @@ impl Engine {
     pub fn edge_busy_time(&self, device: u32) -> SimDuration {
         let (s, di) = self.locate(device);
         self.shards[s].fifos[di].busy_time()
+    }
+}
+
+/// The earlier of two optional instants (`None` means "never").
+fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 

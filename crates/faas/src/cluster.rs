@@ -9,9 +9,9 @@
 //! and the first finisher wins; nodes producing repeated stragglers go on
 //! probation, Sec. 4.6).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
+use hivemind_sim::calendar::CalendarQueue;
 use hivemind_sim::faults::{self, RetryDecision, RetryPolicy};
 use hivemind_sim::overload::{self, BreakerDecision, BreakerEvent, CircuitBreaker, OverloadPolicy};
 use hivemind_sim::rng::RngForge;
@@ -136,7 +136,7 @@ impl ClusterParams {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     Admit(u32),
     /// Container ready; fetch the input through the data plane.
@@ -144,8 +144,6 @@ enum Ev {
     /// Execution finished; store the output through the data plane.
     DataOut(u32),
     Complete(u32),
-    // Fault-plan events. New variants go at the end: `Ev` derives `Ord`
-    // and the event heap's tie-break must not change for existing runs.
     /// Server drops out, losing its in-flight invocations.
     Crash(u32),
     /// Server rejoins the cluster.
@@ -176,33 +174,49 @@ struct InvState {
     probe: bool,
 }
 
-/// Ascending sorted-`Vec` id set for the placement index. Iterates in
-/// ascending server-id order exactly like the `BTreeSet` it replaced —
-/// the chooser's tie-break depends on that — but inserts and removes
-/// shift within one pre-reserved buffer instead of splitting tree
-/// nodes, so steady-state busy-level changes never touch the allocator.
-#[derive(Debug, Default, Clone)]
-struct SortedIdSet(Vec<u32>);
+/// Server-id bitset for the placement index. Iterates in ascending id
+/// order — the chooser's tie-break depends on that — and inserts and
+/// removes in O(1) within a buffer sized once for every server, so
+/// busy-level changes never touch the allocator.
+#[derive(Debug, Clone)]
+struct IdSet(Vec<u64>);
 
-impl SortedIdSet {
-    fn with_capacity(cap: usize) -> Self {
-        SortedIdSet(Vec::with_capacity(cap))
+impl IdSet {
+    /// An empty set able to hold ids `0..ids`.
+    fn new(ids: u32) -> Self {
+        IdSet(vec![0; (ids as usize).div_ceil(64)])
+    }
+
+    /// The set holding every id in `0..ids`.
+    fn full(ids: u32) -> Self {
+        let mut s = IdSet::new(ids);
+        for id in 0..ids {
+            s.insert(id);
+        }
+        s
     }
 
     fn insert(&mut self, id: u32) {
-        if let Err(pos) = self.0.binary_search(&id) {
-            self.0.insert(pos, id);
-        }
+        self.0[(id / 64) as usize] |= 1 << (id % 64);
     }
 
     fn remove(&mut self, id: u32) {
-        if let Ok(pos) = self.0.binary_search(&id) {
-            self.0.remove(pos);
-        }
+        self.0[(id / 64) as usize] &= !(1 << (id % 64));
     }
 
-    fn iter(&self) -> std::slice::Iter<'_, u32> {
-        self.0.iter()
+    /// Members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                Some(w as u32 * 64 + b)
+            })
+        })
     }
 }
 
@@ -238,7 +252,8 @@ pub struct Cluster {
     dataplane: DataPlane,
     rng: SmallRng,
     invs: Vec<InvState>,
-    heap: BinaryHeap<Reverse<(SimTime, u64, Ev)>>,
+    /// Internal events keyed `(time, unique seq)`.
+    heap: CalendarQueue<(SimTime, u64), Ev>,
     seq: u64,
     wait_queue: VecDeque<u32>,
     running: u32,
@@ -252,8 +267,8 @@ pub struct Cluster {
     /// busy-count order *is* utilization order and the indexed chooser
     /// reproduces [`SchedulerPolicy::choose`] decision-for-decision
     /// (asserted against it in debug builds).
-    by_busy: Vec<SortedIdSet>,
-    with_free: SortedIdSet,
+    by_busy: Vec<IdSet>,
+    with_free: IdSet,
     /// Reusable scheduler-view buffer for the debug-only reference
     /// placement check.
     #[cfg(debug_assertions)]
@@ -346,31 +361,18 @@ impl Cluster {
             rng: forge.stream("faas-cluster"),
             apps: HashMap::new(),
             invs: Vec::new(),
-            heap: BinaryHeap::new(),
+            heap: CalendarQueue::new(),
             seq: 0,
             wait_queue: VecDeque::new(),
             running: 0,
             completions: Vec::new(),
             by_busy: {
-                // Full capacity per busy level: a level can transiently
-                // hold every server, and reserving up front is what
-                // keeps `set_busy` allocation-free for the whole run.
-                // (`vec![set; n]` would clone away the reservation.)
-                let mut v: Vec<SortedIdSet> = (0..=params.cores_per_server)
-                    .map(|_| SortedIdSet::with_capacity(servers))
-                    .collect();
-                for s in 0..params.servers {
-                    v[0].insert(s);
-                }
-                v
+                let mut levels =
+                    vec![IdSet::new(params.servers); params.cores_per_server as usize + 1];
+                levels[0] = IdSet::full(params.servers);
+                levels
             },
-            with_free: {
-                let mut s = SortedIdSet::with_capacity(servers);
-                for id in 0..params.servers {
-                    s.insert(id);
-                }
-                s
-            },
+            with_free: IdSet::full(params.servers),
             #[cfg(debug_assertions)]
             view_scratch: Vec::with_capacity(servers),
             exec_history: HashMap::new(),
@@ -492,7 +494,7 @@ impl Cluster {
     fn push_event(&mut self, at: SimTime, ev: Ev) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse((at, seq, ev)));
+        self.heap.push((at, seq), ev);
     }
 
     /// Moves `server` to busy level `new`, keeping the placement index
@@ -562,7 +564,7 @@ impl Cluster {
                 //    is the reference policy's minimum.
                 if pick.is_none() {
                     'buckets: for bucket in &self.by_busy[..cores as usize] {
-                        for &s in bucket.iter() {
+                        for s in bucket.iter() {
                             if self.server_is_up(s, now) && self.probation_until[s as usize] <= now
                             {
                                 pick = Some(s);
@@ -573,12 +575,7 @@ impl Cluster {
                 }
                 // 4. Saturated-but-probationed fallback: smallest id
                 //    with a spare core.
-                pick.or_else(|| {
-                    self.with_free
-                        .iter()
-                        .copied()
-                        .find(|&s| self.server_is_up(s, now))
-                })
+                pick.or_else(|| self.with_free.iter().find(|&s| self.server_is_up(s, now)))
             }
         };
         #[cfg(debug_assertions)]
@@ -1249,9 +1246,31 @@ impl Cluster {
         self.drain_wait_queue(now);
     }
 
-    /// The earliest internal event, if any.
+    /// The earliest internal event or completion awaiting the caller, if
+    /// any.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
+        let event = self.heap.peek().map(|(t, _)| t);
+        match self.completions.first() {
+            Some(c) => Some(event.map_or(c.finished, |t| t.min(c.finished))),
+            None => event,
+        }
+    }
+
+    /// Processes internal events due strictly before `bound`, the
+    /// earliest instant a new [`Cluster::submit`] can arrive, stopping
+    /// after the first one that completes an invocation so the caller
+    /// sees that completion at its own instant.
+    ///
+    /// Strictness keeps same-instant ties in the order a caller gets by
+    /// submitting first and then calling [`Cluster::advance_into`]: a
+    /// submit at `bound` still draws from the cluster's RNG before the
+    /// events due at `bound`. Completions are only handed over by
+    /// `advance_into`, so running ahead never changes what the caller
+    /// sees, only how few wake-ups it takes to see it.
+    pub fn run_ahead(&mut self, bound: SimTime) {
+        while self.completions.is_empty() && self.heap.peek().is_some_and(|(t, _)| t < bound) {
+            self.step();
+        }
     }
 
     /// Advances to `now`, returning completions that finished at or before
@@ -1272,22 +1291,27 @@ impl Cluster {
     /// Runs every internal event due at or before `now`, accumulating
     /// completions in `self.completions`.
     fn pump_events(&mut self, now: SimTime) {
-        while self.heap.peek().is_some_and(|Reverse((t, _, _))| *t <= now) {
-            let Reverse((t, _, ev)) = self.heap.pop().expect("peeked event vanished");
-            debug_assert!(t >= self.last_event_time);
-            self.last_event_time = t;
-            match ev {
-                // Events of a crash-aborted invocation are dead letters:
-                // the clone resubmitted at crash time carries on instead.
-                Ev::Admit(idx) | Ev::DataIn(idx) | Ev::DataOut(idx) | Ev::Complete(idx)
-                    if self.invs[idx as usize].aborted => {}
-                Ev::Admit(idx) => self.admit(t, idx),
-                Ev::DataIn(idx) => self.data_in_stage(t, idx),
-                Ev::DataOut(idx) => self.data_out_stage(t, idx),
-                Ev::Complete(idx) => self.complete(t, idx),
-                Ev::Crash(server) => self.crash_server(t, server),
-                Ev::Recover(server) => self.recover_server(t, server),
-            }
+        while self.heap.peek().is_some_and(|(t, _)| t <= now) {
+            self.step();
+        }
+    }
+
+    /// Pops and runs the earliest internal event.
+    fn step(&mut self) {
+        let ((t, _), ev) = self.heap.pop().expect("step on an empty event queue");
+        debug_assert!(t >= self.last_event_time);
+        self.last_event_time = t;
+        match ev {
+            // Events of a crash-aborted invocation are dead letters:
+            // the clone resubmitted at crash time carries on instead.
+            Ev::Admit(idx) | Ev::DataIn(idx) | Ev::DataOut(idx) | Ev::Complete(idx)
+                if self.invs[idx as usize].aborted => {}
+            Ev::Admit(idx) => self.admit(t, idx),
+            Ev::DataIn(idx) => self.data_in_stage(t, idx),
+            Ev::DataOut(idx) => self.data_out_stage(t, idx),
+            Ev::Complete(idx) => self.complete(t, idx),
+            Ev::Crash(server) => self.crash_server(t, server),
+            Ev::Recover(server) => self.recover_server(t, server),
         }
     }
 

@@ -2,7 +2,7 @@
 
 use hivemind_faas::cluster::{Cluster, ClusterParams};
 use hivemind_faas::iaas::{FixedPool, FixedPoolParams};
-use hivemind_faas::types::{AppId, AppProfile, Invocation, Outcome};
+use hivemind_faas::types::{AppId, AppProfile, Completion, Invocation, Outcome};
 use hivemind_sim::faults::RetryPolicy;
 use hivemind_sim::overload::OverloadPolicy;
 use hivemind_sim::rng::RngForge;
@@ -17,8 +17,87 @@ fn drain_cluster(c: &mut Cluster) -> Vec<hivemind_faas::types::Completion> {
     done
 }
 
+/// Drives a HiveMind cluster through root `submits` (`(at, app)`), with a
+/// server crash at 4 s, answering every root completion with a colocated
+/// child submitted at the completion instant. With `run_ahead` the driver
+/// calls [`Cluster::run_ahead`] up to the next root submit before each
+/// wake-up; without it, it steps `advance_into` at every `next_wakeup`.
+/// Returns the completion stream and every wake-up instant visited.
+fn drive_cluster(submits: &[(SimTime, u16)], run_ahead: bool) -> (Vec<Completion>, Vec<SimTime>) {
+    let params = ClusterParams {
+        servers: 3,
+        cores_per_server: 2,
+        fault_rate: 0.1,
+        ..ClusterParams::hivemind()
+    };
+    let mut cluster = Cluster::new(params, RngForge::new(5));
+    for app in 0..3u16 {
+        cluster.register_app(
+            AppId(app),
+            AppProfile::test_profile(20.0 + 30.0 * app as f64),
+        );
+    }
+    cluster.schedule_server_crash(SimTime::from_secs(4), 1, SimDuration::from_secs(2));
+    let (mut out, mut batch, mut visited) = (Vec::new(), Vec::new(), Vec::new());
+    let mut next = 0;
+    loop {
+        let submit_at = submits.get(next).map(|s| s.0);
+        if run_ahead {
+            cluster.run_ahead(submit_at.unwrap_or(SimTime::MAX));
+        }
+        let Some(t) = [submit_at, cluster.next_wakeup()]
+            .into_iter()
+            .flatten()
+            .min()
+        else {
+            break;
+        };
+        visited.push(t);
+        while let Some(&(at, app)) = submits.get(next).filter(|s| s.0 <= t) {
+            cluster.submit(at, Invocation::root(AppId(app), next as u64));
+            next += 1;
+        }
+        cluster.advance_into(t, &mut batch);
+        for c in batch.drain(..) {
+            if c.tag < 1 << 20 {
+                let child = Invocation::child_of(c.app, c.tag | 1 << 20, c.server, true);
+                cluster.submit(t, child);
+            }
+            out.push(c);
+        }
+    }
+    (out, visited)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Running the cluster ahead to the next submit changes nothing a
+    /// caller sees. Submits land exactly at the run-ahead bound, at the
+    /// instants the stepping driver found internal stages firing, and at
+    /// every root completion; the cluster's RNG is shared between
+    /// `submit` and its stages, so any stage run at or past its bound
+    /// would reorder draws and move completion times.
+    #[test]
+    fn cluster_run_ahead_matches_stepping(
+        base in prop::collection::vec((0u64..8_000, 0u16..3), 1..40),
+        stride in 1usize..4,
+    ) {
+        let mut submits: Vec<(SimTime, u16)> = base
+            .iter()
+            .map(|&(ms, app)| (SimTime::ZERO + SimDuration::from_millis(ms), app))
+            .collect();
+        submits.sort_by_key(|s| s.0);
+        let (_, visited) = drive_cluster(&submits, false);
+        for (i, &t) in visited.iter().step_by(stride).take(60).enumerate() {
+            submits.push((t, (i % 3) as u16));
+        }
+        submits.sort_by_key(|s| s.0);
+        let (stepped, _) = drive_cluster(&submits, false);
+        let (ahead, _) = drive_cluster(&submits, true);
+        prop_assert_eq!(stepped.len(), 2 * submits.len());
+        prop_assert!(stepped == ahead, "run-ahead changed the completion stream");
+    }
 
     /// Every submitted invocation completes exactly once, with a
     /// breakdown that sums to its latency, regardless of arrival pattern,

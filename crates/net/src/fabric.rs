@@ -201,9 +201,8 @@ pub struct Fabric {
     local_delay: SimDuration,
     edge_meter: Meter,
     total_meter: Meter,
-    /// Conservative wake-up index: `(time, link)` entries pushed at each
-    /// enqueue; entries may be stale (early), never late. Keeps
-    /// `next_wakeup`/`advance_to` away from O(links) scans so
+    /// Wake-up index: one `(head delivery time, link)` entry per busy
+    /// link. Keeps `next_wakeup`/`advance_to` away from O(links) scans so
     /// thousand-device topologies stay fast.
     wake: BinaryHeap<Reverse<(SimTime, u32)>>,
     tracer: TraceHandle,
@@ -523,16 +522,14 @@ impl Fabric {
         }
         state.next_hop += 1;
         let bytes = state.bytes;
-        // Only index the link when its head changes: pushing an entry per
-        // enqueue would accumulate thousands of duplicates on a saturated
-        // link, each re-examined on every head completion (quadratic).
-        let prev_head = self.links[idx].next_delivery();
+        // Index only the link's head, which a FIFO link changes only when
+        // an enqueue finds it empty: pushing an entry per enqueue would
+        // pile thousands of duplicates onto a saturated link (quadratic).
+        let was_idle = self.links[idx].load() == 0;
         self.links[idx].enqueue(now, bytes, state);
-        let new_head = self.links[idx].next_delivery();
-        if new_head != prev_head {
-            if let Some(t) = new_head {
-                self.wake.push(Reverse((t, idx as u32)));
-            }
+        if was_idle {
+            let head = self.links[idx].next_delivery().expect("just enqueued");
+            self.wake.push(Reverse((head, idx as u32)));
         }
         self.sample_link(now, idx);
     }
@@ -553,18 +550,80 @@ impl Fabric {
 
     /// The earliest instant at which the fabric has a delivery to report or
     /// a hop to advance.
-    ///
-    /// May return a conservatively *early* instant (an index entry made
-    /// stale by FIFO progress); waking then is harmless — `advance_to`
-    /// reconciles against the true link state.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        let link_next = self.wake.peek().map(|Reverse((t, _))| *t);
-        let local_next = self.local.peek().map(|Reverse(p)| p.0.delivered_at);
-        let delayed_next = self.delayed.peek().map(|Reverse(d)| d.at);
-        [link_next, local_next, delayed_next]
-            .into_iter()
-            .flatten()
-            .min()
+        earliest(
+            self.next_internal(),
+            self.local.peek().map(|Reverse(p)| p.0.delivered_at),
+        )
+    }
+
+    /// The earliest internal event: a hop completion or a held
+    /// transfer's release.
+    fn next_internal(&self) -> Option<SimTime> {
+        earliest(
+            self.wake.peek().map(|Reverse((t, _))| *t),
+            self.delayed.peek().map(|Reverse(d)| d.at),
+        )
+    }
+
+    /// Processes the earliest internal event. A held transfer released
+    /// at the same instant as a hop completion goes first.
+    fn step(&mut self) {
+        let wake_head = self.wake.peek().map(|Reverse((t, _))| *t);
+        if self
+            .delayed
+            .peek()
+            .is_some_and(|Reverse(d)| wake_head.is_none_or(|wt| d.at <= wt))
+        {
+            let Some(Reverse(d)) = self.delayed.pop() else {
+                unreachable!("peeked head vanished")
+            };
+            if d.fault_hold {
+                if let Some(f) = self.faults.as_mut() {
+                    f.held_now = f.held_now.saturating_sub(1);
+                    if self.tracer.is_enabled() {
+                        self.tracer
+                            .counter("net", "held_transfers", 0, d.at, f.held_now as f64);
+                    }
+                }
+            }
+            self.route(d.at, d.state);
+            return;
+        }
+        let Some(Reverse((t, idx))) = self.wake.pop() else {
+            return;
+        };
+        let idx = idx as usize;
+        let (at, state) = self.links[idx]
+            .pop_ready(t)
+            .expect("a wake entry is its link's exact head");
+        if let Some(next) = self.links[idx].next_delivery() {
+            self.wake.push(Reverse((next, idx as u32)));
+        }
+        self.sample_link(at, idx);
+        self.route(at, state);
+    }
+
+    /// Processes internal events (intermediate hops and held-transfer
+    /// releases) due strictly before `bound`, the earliest instant a new
+    /// [`Fabric::send`] can arrive, and strictly before the first pending
+    /// delivery, since the caller may answer a delivery with a send.
+    ///
+    /// Strictness keeps same-instant ties in the order a caller gets by
+    /// sending first and then calling [`Fabric::advance_into`]: a send at
+    /// `bound` still precedes the hops due at `bound`. Deliveries are
+    /// only reported by `advance_into`, so running ahead changes how few
+    /// wake-ups a caller needs, never what it sees.
+    pub fn run_ahead(&mut self, bound: SimTime) {
+        while self.next_internal().is_some_and(|t| {
+            t < bound
+                && self
+                    .local
+                    .peek()
+                    .is_none_or(|Reverse(p)| t < p.0.delivered_at)
+        }) {
+            self.step();
+        }
     }
 
     /// Advances the fabric to `now`, returning all deliveries that completed
@@ -586,61 +645,8 @@ impl Fabric {
         // its true time) so FIFO queues see arrivals chronologically.
         // Fault-delayed transfers are released interleaved at their exact
         // instants so link FIFOs still see arrivals in time order.
-        loop {
-            let wake_head = self.wake.peek().map(|Reverse((t, _))| *t);
-            if let Some(Reverse(head)) = self.delayed.peek() {
-                let rt = head.at;
-                if rt <= now && wake_head.is_none_or(|wt| rt <= wt) {
-                    let Some(Reverse(d)) = self.delayed.pop() else {
-                        unreachable!("peeked head vanished")
-                    };
-                    if d.fault_hold {
-                        if let Some(f) = self.faults.as_mut() {
-                            f.held_now = f.held_now.saturating_sub(1);
-                            if self.tracer.is_enabled() {
-                                self.tracer.counter(
-                                    "net",
-                                    "held_transfers",
-                                    0,
-                                    rt,
-                                    f.held_now as f64,
-                                );
-                            }
-                        }
-                    }
-                    self.route(rt, d.state);
-                    continue;
-                }
-            }
-            let Some(&Reverse((t, idx))) = self.wake.peek() else {
-                break;
-            };
-            if t > now {
-                break;
-            }
-            self.wake.pop();
-            let idx = idx as usize;
-            match self.links[idx].next_delivery() {
-                // Process only exact matches: a stale entry's true time
-                // might exceed another link's pending head, and handling
-                // it now would break global chronological order.
-                Some(actual) if actual == t => {
-                    let (at, state) = self.links[idx]
-                        .pop_ready(now)
-                        .expect("verified delivery not ready");
-                    if let Some(next) = self.links[idx].next_delivery() {
-                        self.wake.push(Reverse((next, idx as u32)));
-                    }
-                    self.sample_link(at, idx);
-                    self.route(at, state);
-                }
-                Some(actual) => {
-                    // Stale-early entry: requeue at the true time.
-                    debug_assert!(actual > t, "FIFO heads never move earlier");
-                    self.wake.push(Reverse((actual, idx as u32)));
-                }
-                None => {}
-            }
+        while self.next_internal().is_some_and(|t| t <= now) {
+            self.step();
         }
         // Emit due deliveries; the heap pops them in (delivered_at, id)
         // order, so no sort pass and no per-delivery clone.
@@ -677,6 +683,14 @@ impl Fabric {
     /// needed).
     pub fn link_loads(&self) -> impl Iterator<Item = usize> + '_ {
         self.links.iter().map(|l| l.load())
+    }
+}
+
+/// The earlier of two optional instants (`None` means "never").
+fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 

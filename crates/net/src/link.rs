@@ -6,39 +6,15 @@
 //! arrives at the far end one propagation delay after transmission ends.
 //! This is the minimal model that still produces the queueing collapse of
 //! Fig. 3b when offered load exceeds capacity.
+//!
+//! `busy_until` never decreases and the propagation delay is constant, so
+//! each new delivery time is at least the previous one: appending to a
+//! plain FIFO keeps items in `(delivery time, arrival order)` order, the
+//! order a min-heap on that key would pop.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use hivemind_sim::time::{SimDuration, SimTime};
-
-/// An opaque item flowing through a link (the fabric stores hop state here).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkItem<T> {
-    /// When the item arrived at this link's input queue.
-    pub arrived: SimTime,
-    /// FIFO tie-break for simultaneous arrivals.
-    pub seq: u64,
-    /// Payload size in bytes.
-    pub bytes: u64,
-    /// Caller payload.
-    pub payload: T,
-}
-
-impl<T: Eq> PartialOrd for LinkItem<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T: Eq> Ord for LinkItem<T> {
-    // Min-heap by (arrived, seq).
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .arrived
-            .cmp(&self.arrived)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 /// FIFO store-and-forward link state.
 ///
@@ -64,43 +40,14 @@ pub struct Link<T> {
     bytes_per_sec: f64,
     propagation: SimDuration,
     busy_until: SimTime,
-    seq: u64,
-    /// Items waiting to start transmission, ordered by arrival.
-    waiting: BinaryHeap<LinkItem<T>>,
-    /// Items in flight: (delivery_time, seq, payload), ordered by delivery.
-    in_flight: BinaryHeap<InFlight<T>>,
-    /// Total bytes that completed transmission on this link.
+    /// Items queued or in flight as `(delivery time, payload)`; delivery
+    /// times never decrease front to back.
+    in_flight: VecDeque<(SimTime, T)>,
+    /// Total bytes that began transmission on this link.
     bytes_carried: u64,
 }
 
-#[derive(Debug)]
-struct InFlight<T> {
-    deliver_at: SimTime,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for InFlight<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
-}
-impl<T> Eq for InFlight<T> {}
-impl<T> PartialOrd for InFlight<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for InFlight<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .deliver_at
-            .cmp(&self.deliver_at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<T: Eq> Link<T> {
+impl<T> Link<T> {
     /// Creates a link with `bytes_per_sec` capacity and one-way
     /// `propagation` delay.
     ///
@@ -116,56 +63,38 @@ impl<T: Eq> Link<T> {
             bytes_per_sec,
             propagation,
             busy_until: SimTime::ZERO,
-            seq: 0,
             // Pre-reserved so a link's first few transfers don't allocate
             // mid-mission; deeper queues grow once to their high water.
-            waiting: BinaryHeap::with_capacity(8),
-            in_flight: BinaryHeap::with_capacity(8),
+            in_flight: VecDeque::with_capacity(8),
             bytes_carried: 0,
         }
     }
 
-    /// Queues an item arriving at time `now`.
+    /// Queues an item arriving at time `now`. Transmission starts once
+    /// the link is free, so the delivery time is fixed on arrival.
     pub fn enqueue(&mut self, now: SimTime, bytes: u64, payload: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.waiting.push(LinkItem {
-            arrived: now,
-            seq,
-            bytes,
-            payload,
-        });
-        self.pump();
-    }
-
-    /// Starts transmission for every queued item whose start time is
-    /// already determined (FIFO: each starts when the previous finishes).
-    fn pump(&mut self) {
-        while let Some(head) = self.waiting.pop() {
-            let start = self.busy_until.max(head.arrived);
-            let tx = SimDuration::from_secs_f64(head.bytes as f64 / self.bytes_per_sec);
-            let done = start + tx;
-            self.busy_until = done;
-            self.bytes_carried += head.bytes;
-            self.in_flight.push(InFlight {
-                deliver_at: done + self.propagation,
-                seq: head.seq,
-                payload: head.payload,
-            });
-        }
+        let start = self.busy_until.max(now);
+        let done = start + SimDuration::from_secs_f64(bytes as f64 / self.bytes_per_sec);
+        self.busy_until = done;
+        self.bytes_carried += bytes;
+        let deliver_at = done + self.propagation;
+        debug_assert!(
+            self.in_flight.back().is_none_or(|&(t, _)| t <= deliver_at),
+            "FIFO link delivery times must not decrease"
+        );
+        self.in_flight.push_back((deliver_at, payload));
     }
 
     /// The earliest pending delivery time, if any.
     pub fn next_delivery(&self) -> Option<SimTime> {
-        self.in_flight.peek().map(|f| f.deliver_at)
+        self.in_flight.front().map(|&(t, _)| t)
     }
 
     /// Pops the next item whose delivery time is `<= now`, returning
     /// `(delivery_time, payload)`.
     pub fn pop_ready(&mut self, now: SimTime) -> Option<(SimTime, T)> {
-        if self.in_flight.peek().is_some_and(|f| f.deliver_at <= now) {
-            let f = self.in_flight.pop().expect("peeked item vanished");
-            Some((f.deliver_at, f.payload))
+        if self.next_delivery()? <= now {
+            self.in_flight.pop_front()
         } else {
             None
         }
@@ -173,16 +102,6 @@ impl<T: Eq> Link<T> {
 
     /// Items currently queued or in flight.
     pub fn load(&self) -> usize {
-        self.waiting.len() + self.in_flight.len()
-    }
-
-    /// Items waiting to start transmission.
-    pub fn waiting_count(&self) -> usize {
-        self.waiting.len()
-    }
-
-    /// Items transmitted but not yet delivered.
-    pub fn in_flight_count(&self) -> usize {
         self.in_flight.len()
     }
 

@@ -115,7 +115,12 @@ impl SimDuration {
         if nanos >= u64::MAX as f64 {
             SimDuration::MAX
         } else {
-            SimDuration(nanos.round() as u64)
+            // `nanos.round()` without the libm call: below 2^53 the
+            // subtraction is exact (Sterbenz's lemma, as
+            // `whole <= nanos < 2 * whole` once `whole >= 1`), and above
+            // it `nanos` is integral, so the fraction is exactly zero.
+            let whole = nanos as u64;
+            SimDuration(whole + u64::from(nanos - whole as f64 >= 0.5))
         }
     }
 

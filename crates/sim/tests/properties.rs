@@ -305,6 +305,101 @@ proptest! {
     }
 }
 
+/// The rounding `SimDuration::from_secs_f64` must reproduce bit for bit.
+fn reference_nanos(secs: f64) -> u64 {
+    (secs * 1e9).round() as u64
+}
+
+proptest! {
+    /// `from_secs_f64` rounds exactly like `f64::round`, over arbitrary
+    /// bit patterns (NaN, infinities, negatives, subnormals, values past
+    /// `u64::MAX` ns), exact `.5` nanosecond fractions, and values at
+    /// and around 2^52 and 2^53 ns, where the fraction vanishes.
+    #[test]
+    fn from_secs_f64_matches_round(
+        bits in any::<u64>(),
+        whole in 0u64..1 << 54,
+        ulps in 0u64..16,
+        exp in 50u32..56,
+    ) {
+        let half = (whole as f64 + 0.5) / 1e9;
+        let near_pow2 = (1u64 << exp) as f64 / 1e9;
+        for secs in [
+            f64::from_bits(bits),
+            half,
+            f64::from_bits(half.to_bits() + ulps),
+            f64::from_bits(half.to_bits().saturating_sub(ulps)),
+            f64::from_bits(near_pow2.to_bits() + ulps),
+            f64::from_bits(near_pow2.to_bits() - ulps),
+        ] {
+            prop_assert_eq!(
+                SimDuration::from_secs_f64(secs).as_nanos(),
+                reference_nanos(secs),
+                "secs = {:e} ({:#x})",
+                secs,
+                secs.to_bits()
+            );
+        }
+    }
+}
+
+#[test]
+fn from_secs_f64_matches_round_at_the_edges() {
+    let max_secs = u64::MAX as f64 / 1e9;
+    for secs in [
+        0.0,
+        -0.0,
+        -1.0,
+        -0.5e-9,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE / 2.0,
+        f64::from_bits(1),
+        0.5e-9,
+        1.5e-9,
+        2.5e-9,
+        0.499_999_999_999e-9,
+        max_secs,
+        f64::from_bits(max_secs.to_bits() - 1),
+        f64::from_bits(max_secs.to_bits() + 1),
+        f64::MAX,
+    ] {
+        assert_eq!(
+            SimDuration::from_secs_f64(secs).as_nanos(),
+            reference_nanos(secs),
+            "secs = {secs:e}"
+        );
+    }
+    // Inputs whose product lands exactly on a half nanosecond round away
+    // from zero; found by walking a few ulps around the quotient.
+    let mut halves = 0;
+    for whole in [
+        0u64,
+        1,
+        2,
+        3,
+        1_000_001,
+        123_456_789_012,
+        (1 << 51) - 1,
+        (1 << 52) - 1,
+    ] {
+        let target = whole as f64 + 0.5;
+        let guess = (target / 1e9).to_bits();
+        for bits in guess - 4..=guess + 4 {
+            let secs = f64::from_bits(bits);
+            if secs * 1e9 == target {
+                halves += 1;
+                assert_eq!(SimDuration::from_secs_f64(secs).as_nanos(), whole + 1);
+                assert_eq!(reference_nanos(secs), whole + 1);
+            }
+        }
+    }
+    assert!(halves > 0, "no exact half-nanosecond input found");
+}
+
 proptest! {
     /// For any interleaving of pushes and pops over arbitrary keys, the
     /// calendar queue pops in exactly the reference `BinaryHeap` order.
