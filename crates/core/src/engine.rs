@@ -56,8 +56,19 @@
 //! output byte. The one hub→device feedback edge — overload spillover
 //! resubmission — is deferred to the epoch boundary, which is itself
 //! shard-count-invariant.
+//!
+//! ## Pipelined epochs
+//!
+//! Between two wireless hops a shard's device work depends on nothing the
+//! hub does, so when no hub→device feedback is armed the shards run ahead
+//! on a phase worker thread — epoch k+1's shard phase, up to one horizon
+//! past epoch k's end — while the calling thread runs epoch k's hub. The
+//! hub's battery draws are logged and applied at the barrier before the
+//! shards' own, the epoch grid and the clock come from the shards'
+//! pre-speculation state, and so the overlap moves no output byte either.
 
 pub mod fifo;
+mod worker;
 
 use std::collections::HashMap;
 
@@ -87,6 +98,7 @@ use hivemind_accel::fpga::{FpgaConfig, FpgaFabric, SoftRegisters};
 use hivemind_swarm::device::DeviceProfile;
 use hivemind_swarm::disconnect::{ReplayRing, ReplaySession};
 use hivemind_swarm::{Battery, BatteryBlock};
+use worker::PhaseWorker;
 
 /// Epoch length used when nothing couples the hub back into the shard
 /// phase inside an epoch (the dataflow is feed-forward): batching many
@@ -96,6 +108,16 @@ use hivemind_swarm::{Battery, BatteryBlock};
 /// the true lookahead so feedback lands (and records surface) within
 /// one wireless hop of their causal time.
 const EPOCH_FLOOR: SimDuration = SimDuration::from_millis(250);
+
+/// Shard events an epoch must have processed before the next epoch's
+/// shard phase is moved onto the phase worker. Handing the shards over
+/// and back (waking the parked worker, then parking the caller at the
+/// barrier) costs ~20 µs per epoch on a 2-vCPU x86 VM; sparse engines —
+/// the testbed's 16 devices see a handful of events per 250 ms epoch —
+/// would pay that for almost nothing to overlap (without this floor the
+/// one-thread `fig_grid` sweep, `runner.wall_1thread_s` in hivebench,
+/// ran 2.3 s → 4.1–4.9 s on that VM).
+const OVERLAP_MIN_EVENTS: u64 = 64;
 
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
@@ -454,6 +476,11 @@ struct Shard {
     /// `now` tracks processed events, not epoch boundaries).
     cursor: SimTime,
     events: u64,
+    /// Set while the shard runs ahead on the phase worker: its battery
+    /// draws then go to `draws` (block offset, draw) and are applied at
+    /// the barrier, after the hub's draws for the epoch it overlapped.
+    away: bool,
+    draws: Vec<(u32, Draw)>,
 }
 
 impl Shard {
@@ -463,6 +490,32 @@ impl Shard {
             self.actions.peek().map(|(t, _)| t),
             self.wake.peek().map(|(t, _)| t),
         )
+    }
+
+    /// Charges device `di`'s battery, or logs the draw while away.
+    fn draw(&mut self, di: usize, draw: Draw) {
+        if self.away {
+            self.draws.push((di as u32, draw));
+        } else {
+            draw.apply(self.batteries.cell_mut(di));
+        }
+    }
+}
+
+/// One battery charge. Draws accumulate in floating point, so their
+/// order is part of the output; see [`Shard::draw`] and `Engine::hub_draw`.
+#[derive(Debug, Clone, Copy)]
+enum Draw {
+    Radio(u64),
+    Compute(SimDuration),
+}
+
+impl Draw {
+    fn apply(self, battery: &mut Battery) {
+        match self {
+            Draw::Radio(bytes) => battery.draw_radio(bytes),
+            Draw::Compute(d) => battery.draw_compute(d),
+        }
     }
 }
 
@@ -475,13 +528,18 @@ impl Shard {
 /// `*_ns` wall-clock timers are only accumulated while profiling is
 /// enabled ([`Engine::enable_profiling`] or `HIVEMIND_PROFILE=1`) and
 /// vary run to run.
+///
+/// On multi-core hosts the shard phase of the next epoch runs on a
+/// phase worker while the hub runs (see the module docs), so `shard_ns`
+/// and `hub_ns` overlap in time: their sum can exceed the run's wall
+/// time, and the hub's share of the sum is no longer its share of it.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseBreakdown {
-    /// Wall nanoseconds inside the parallel shard phase.
+    /// Busy nanoseconds of the shard phase, on whichever thread it ran.
     pub shard_ns: u64,
     /// Wall nanoseconds inside the barrier merge/exchange.
     pub merge_ns: u64,
-    /// Wall nanoseconds inside the serial hub phase.
+    /// Wall nanoseconds of the serial hub phase on the calling thread.
     pub hub_ns: u64,
     /// Calendar-queue pushes + pops across the hub action queue and
     /// every shard's action and wake queues.
@@ -497,17 +555,18 @@ pub struct PhaseBreakdown {
     pub exchange_epochs: u64,
 }
 
-/// Read-only configuration snapshot the parallel shard phase runs
-/// against (everything it needs from [`EngineConfig`], plus the edge
-/// RPC profile).
-struct ShardCtx<'a> {
+/// Read-only configuration the shard phase runs against (everything it
+/// needs from [`EngineConfig`], plus the edge RPC profile). Fixed at
+/// construction; the phase worker holds its own clone.
+#[derive(Debug, Clone)]
+struct ShardCtx {
     hybrid: bool,
     upload_fraction: f64,
     input_scale: f64,
     uplink_budget: f64,
     device_factor: f64,
     trace: bool,
-    edge_rpc: &'a RpcProfile,
+    edge_rpc: RpcProfile,
 }
 
 /// The simulation engine.
@@ -551,10 +610,10 @@ pub struct Engine {
     spill_inbox: Vec<(SimTime, u32, u64, SimDuration)>,
     rng: SmallRng,
     next_server: u32,
-    /// Per-task uplink byte budget for hybrid platforms (rate adaptation).
-    uplink_budget_bytes: f64,
     placements: HashMap<App, PlacementSite>,
-    edge_rpc: RpcProfile,
+    /// What the shard phase reads; `ctx.edge_rpc` is also the devices'
+    /// receive side for the hub.
+    ctx: ShardCtx,
     cloud_rpc: RpcProfile,
     /// The servers' FPGA boards, present on accelerated platforms. The
     /// model charges their reconfiguration costs at registration time and
@@ -588,6 +647,20 @@ pub struct Engine {
     breakdown: PhaseBreakdown,
     /// Cores available to the shard phase (cached at construction).
     phase_budget: usize,
+    /// Runs the next epoch's shard phase while the hub runs; spawned on
+    /// the first overlapped epoch.
+    worker: Option<PhaseWorker>,
+    /// Hub battery draws made while the shards are on the worker.
+    hub_draws: Vec<(u32, Draw)>,
+    /// The shards' earliest event when they were handed to the worker,
+    /// so `next_wakeup` — and with it the epoch grid — ignores how far
+    /// they ran ahead.
+    spec_next: Option<SimTime>,
+    /// Shard events processed when the previous epoch's shard phase
+    /// ended (the overlap floor compares against it).
+    shard_events_mark: u64,
+    /// Epochs whose hub ran alongside the next epoch's shard phase.
+    overlapped_epochs: u64,
 }
 
 impl Engine {
@@ -796,6 +869,8 @@ impl Engine {
                     out: Vec::new(),
                     cursor: SimTime::ZERO,
                     events: 0,
+                    away: false,
+                    draws: Vec::new(),
                 }
             })
             .collect();
@@ -806,11 +881,20 @@ impl Engine {
             ..Default::default()
         };
         let devices_per_router = cfg.devices.div_ceil(topo_params.effective_routers()).max(1);
+        // Per-task uplink byte budget for hybrid platforms (rate adaptation).
         let uplink_budget_bytes =
             0.7 * (topo_params.wireless_bps / 8.0) / devices_per_router as f64;
         let disconnect_armed = cfg.disconnect.is_active() && !cfg.faults.net.partitions.is_empty();
+        let ctx = ShardCtx {
+            hybrid: cfg.platform.is_hybrid(),
+            upload_fraction: cfg.platform.upload_fraction(),
+            input_scale: cfg.input_scale,
+            uplink_budget: uplink_budget_bytes,
+            device_factor: cfg.device_profile.compute_slowdown / 10.0,
+            trace: tracer.is_enabled(),
+            edge_rpc: RpcProfile::edge_software(),
+        };
         let mut engine = Engine {
-            uplink_budget_bytes,
             shards,
             map,
             lookahead,
@@ -832,7 +916,7 @@ impl Engine {
             rng: forge.stream("engine"),
             next_server: 0,
             placements,
-            edge_rpc: RpcProfile::edge_software(),
+            ctx,
             cloud_rpc: cfg.platform.cloud_rpc_profile(),
             fpga,
             tracer,
@@ -864,6 +948,11 @@ impl Engine {
             phase_budget: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
+            worker: None,
+            hub_draws: Vec::new(),
+            spec_next: None,
+            shard_events_mark: 0,
+            overlapped_epochs: 0,
             cfg,
         };
         if engine.disconnect_armed {
@@ -1063,6 +1152,7 @@ impl Engine {
     /// The earliest instant at which anything will happen.
     pub fn next_wakeup(&self) -> Option<SimTime> {
         [
+            self.spec_next,
             self.pending.get(self.pending_cursor).map(|&(k, _)| k.at),
             self.fabric.next_wakeup(),
             self.cluster.as_ref().and_then(|c| c.next_wakeup()),
@@ -1129,94 +1219,123 @@ impl Engine {
     /// spillover drain. The epoch grid is a pure function of the
     /// configuration and the (shard-count-invariant) event stream, so
     /// sharding never moves the boundaries.
+    ///
+    /// When the epoch qualifies (see [`Engine::start_overlap`]) the
+    /// shards run the next epoch's shard phase, up to one horizon past
+    /// `end`, on the phase worker while this thread runs the hub; that
+    /// epoch's own shard phase then runs only what is left.
     fn run_epoch(&mut self, start: SimTime, deadline: SimTime, stop_on_record: bool) {
-        let horizon =
-            if stop_on_record || self.cfg.overload.spillover.enabled || self.disconnect_armed {
-                // Spillover and autonomous degraded execution both feed hub
-                // decisions back into device FIFOs through `spill_inbox`;
-                // epochs shrink to the true lookahead so the feedback lands
-                // within one wireless hop of its causal time.
-                self.lookahead
-            } else {
-                self.lookahead.max(EPOCH_FLOOR)
-            };
-        let end = start.saturating_add(horizon).min(deadline);
-        if self.profile {
-            let t0 = std::time::Instant::now();
-            self.run_shard_phase(end);
-            let t1 = std::time::Instant::now();
-            self.collect_effects();
-            let t2 = std::time::Instant::now();
-            self.run_hub_phase(end);
-            let t3 = std::time::Instant::now();
-            self.breakdown.shard_ns += (t1 - t0).as_nanos() as u64;
-            self.breakdown.merge_ns += (t2 - t1).as_nanos() as u64;
-            self.breakdown.hub_ns += (t3 - t2).as_nanos() as u64;
+        // Spillover and autonomous degraded execution both feed hub
+        // decisions back into device FIFOs through `spill_inbox`; epochs
+        // shrink to the true lookahead so the feedback lands within one
+        // wireless hop of its causal time, and the shards may not run
+        // ahead of it.
+        let feedback =
+            stop_on_record || self.cfg.overload.spillover.enabled || self.disconnect_armed;
+        let horizon = if feedback {
+            self.lookahead
         } else {
-            self.run_shard_phase(end);
-            self.collect_effects();
-            self.run_hub_phase(end);
-        }
-        self.drain_spillover(end);
+            self.lookahead.max(EPOCH_FLOOR)
+        };
+        let end = start.saturating_add(horizon).min(deadline);
+        let mut lap = Lap::start(self.profile);
+        self.spec_next = None;
+        self.run_shard_phase(end);
+        self.breakdown.shard_ns += lap.split();
+        self.collect_effects();
+        self.breakdown.merge_ns += lap.split();
         // The clock tracks the latest *processed* event, not the epoch
         // boundary: the boundary is only a processing bound, so leaving
         // `now` at the last event keeps post-run submissions (mission
         // barriers at the last record's time) legal, exactly as in the
-        // unsharded engine.
-        let latest = self
+        // unsharded engine. Read before the shards run ahead.
+        let shard_latest = self
             .shards
             .iter()
             .map(|s| s.cursor)
             .fold(self.now, SimTime::max);
-        self.now = latest;
+        let overlapped = !feedback && self.start_overlap(end.saturating_add(horizon).min(deadline));
+        lap.split();
+        self.run_hub_phase(end);
+        self.breakdown.hub_ns += lap.split();
+        if overlapped {
+            self.finish_overlap();
+        }
+        self.drain_spillover(end);
+        self.now = self.now.max(shard_latest);
+    }
+
+    /// Hands the shards to the phase worker to run ahead to `spec_end`
+    /// while this thread runs the hub up to the current epoch's end.
+    /// That is safe because the next epoch starts after this one's end,
+    /// so `spec_end` never passes the next epoch's end, and the hub sends
+    /// nothing to the shards but battery draws (logged, see
+    /// [`Engine::hub_draw`]). Overlaps only when there is a core to spare
+    /// and the epoch just finished had enough shard work to pay for the
+    /// handoff ([`OVERLAP_MIN_EVENTS`]); returns whether it did.
+    fn start_overlap(&mut self, spec_end: SimTime) -> bool {
+        let events: u64 = self.shards.iter().map(|s| s.events).sum();
+        let epoch_events = events - std::mem::replace(&mut self.shard_events_mark, events);
+        let budget = self.phase_budget / crate::runner::outer_workers();
+        if budget < 2 || epoch_events < OVERLAP_MIN_EVENTS {
+            return false;
+        }
+        let next = self
+            .shards
+            .iter()
+            .map(Shard::next_event)
+            .fold(None, earliest);
+        if next.is_none_or(|t| t > spec_end) {
+            return false;
+        }
+        self.spec_next = next;
+        let mut shards = std::mem::take(&mut self.shards);
+        for sh in &mut shards {
+            sh.away = true;
+        }
+        let ctx = &self.ctx;
+        self.worker
+            .get_or_insert_with(|| PhaseWorker::spawn(ctx.clone()))
+            .start(shards, spec_end, budget - 1, self.profile);
+        self.overlapped_epochs += 1;
+        true
+    }
+
+    /// The barrier of an overlapped epoch: takes the shards back and
+    /// applies the hub's logged battery draws, then the shards' — the
+    /// order the serial engine charges them in (this epoch's hub before
+    /// the next epoch's shard phase).
+    fn finish_overlap(&mut self) {
+        let (shards, busy_ns) = self.worker.as_mut().expect("worker started").finish();
+        self.shards = shards;
+        self.breakdown.shard_ns += busy_ns;
+        for (device, draw) in self.hub_draws.drain(..) {
+            let sh = &mut self.shards[self.map.shard_of(device) as usize];
+            draw.apply(sh.batteries.cell_mut((device - sh.first_dev) as usize));
+        }
+        for sh in &mut self.shards {
+            sh.away = false;
+            for (di, draw) in sh.draws.drain(..) {
+                draw.apply(sh.batteries.cell_mut(di as usize));
+            }
+        }
+    }
+
+    /// Charges a battery draw from the hub: in place, or into the hub
+    /// log while the shards are on the phase worker.
+    fn hub_draw(&mut self, device: u32, draw: Draw) {
+        if self.shards.is_empty() {
+            self.hub_draws.push((device, draw));
+        } else {
+            draw.apply(self.battery_mut(device));
+        }
     }
 
     /// Phase A: every shard with work in the window advances
     /// independently (in parallel when cores and shards allow).
     fn run_shard_phase(&mut self, upto: SimTime) {
-        let ctx = ShardCtx {
-            hybrid: self.cfg.platform.is_hybrid(),
-            upload_fraction: self.cfg.platform.upload_fraction(),
-            input_scale: self.cfg.input_scale,
-            uplink_budget: self.uplink_budget_bytes,
-            device_factor: self.cfg.device_profile.compute_slowdown / 10.0,
-            trace: self.tracer.is_enabled(),
-            edge_rpc: &self.edge_rpc,
-        };
-        let mut active = 0usize;
-        let mut only = 0usize;
-        for (i, sh) in self.shards.iter().enumerate() {
-            if sh.next_event().is_some_and(|t| t <= upto) {
-                active += 1;
-                only = i;
-            }
-        }
-        if active == 0 {
-            return;
-        }
-        if active == 1 {
-            shard_phase(&mut self.shards[only], &ctx, upto);
-            return;
-        }
-        let outer = crate::runner::outer_workers().max(1);
-        let threads = (self.phase_budget / outer).clamp(1, self.shards.len());
-        if threads <= 1 {
-            for sh in &mut self.shards {
-                shard_phase(sh, &ctx, upto);
-            }
-            return;
-        }
-        let chunk = self.shards.len().div_ceil(threads);
-        let ctx = &ctx;
-        std::thread::scope(|scope| {
-            for group in self.shards.chunks_mut(chunk) {
-                scope.spawn(move || {
-                    for sh in group {
-                        shard_phase(sh, ctx, upto);
-                    }
-                });
-            }
-        });
+        let threads = self.phase_budget / crate::runner::outer_workers();
+        advance_shards(&mut self.shards, &self.ctx, upto, threads);
     }
 
     /// Barrier: the batched cross-shard exchange. Every shard's (sorted)
@@ -1420,7 +1539,7 @@ impl Engine {
                     self.degrade_task(at, device, task, heal);
                     return;
                 }
-                self.battery_mut(device).draw_radio(bytes);
+                self.hub_draw(device, Draw::Radio(bytes));
                 let server = self.pick_server();
                 let tag = self.fabric.send(
                     at,
@@ -1598,7 +1717,7 @@ impl Engine {
             st.placement = PlacementSite::Edge;
             st.exec = st.exec.max(service);
         }
-        self.battery_mut(device).draw_compute(service);
+        self.hub_draw(device, Draw::Compute(service));
         self.reconnect_ledger.tasks_degraded += 1;
         self.reconnect_ledger.accuracy_penalty_sum_pct += policy.accuracy_penalty_pct;
         self.buffer_update(at, device, task);
@@ -1651,7 +1770,7 @@ impl Engine {
                     continue;
                 }
                 self.reconnect_ledger.staleness_secs_sum += (t - u.at).as_secs_f64();
-                self.battery_mut(device).draw_radio(summary_bytes);
+                self.hub_draw(device, Draw::Radio(summary_bytes));
                 let server = self.pick_server();
                 let _ = self.fabric.send(
                     t,
@@ -1703,9 +1822,9 @@ impl Engine {
                     st.device
                 };
                 self.rng_draws += 1;
-                let recv = self.edge_rpc.recv_overhead.sample(&mut self.rng);
+                let recv = self.ctx.edge_rpc.recv_overhead.sample(&mut self.rng);
                 self.tasks[task as usize].network += recv;
-                self.battery_mut(device).draw_radio(d.bytes);
+                self.hub_draw(device, Draw::Radio(d.bytes));
                 self.push_action(d.delivered_at + recv, Action::Finish { task });
             }
             TagPurpose::ResultUpload { task } => {
@@ -1791,7 +1910,7 @@ impl Engine {
                     st.placement = PlacementSite::Edge;
                     st.exec = st.exec.max(service);
                 }
-                self.battery_mut(device).draw_compute(service);
+                self.hub_draw(device, Draw::Compute(service));
                 self.shed_ledger.tasks_spilled += 1;
                 self.shed_ledger.accuracy_penalty_sum_pct += spill.accuracy_penalty_pct;
                 if self.tracer.is_enabled() {
@@ -2016,11 +2135,68 @@ fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
     }
 }
 
+/// Advances every shard with work by `upto` through [`shard_phase`],
+/// fanning them out over up to `threads` scoped threads.
+fn advance_shards(shards: &mut [Shard], ctx: &ShardCtx, upto: SimTime, threads: usize) {
+    let mut active = 0usize;
+    let mut only = 0usize;
+    for (i, sh) in shards.iter().enumerate() {
+        if sh.next_event().is_some_and(|t| t <= upto) {
+            active += 1;
+            only = i;
+        }
+    }
+    if active == 0 {
+        return;
+    }
+    if active == 1 {
+        shard_phase(&mut shards[only], ctx, upto);
+        return;
+    }
+    let threads = threads.clamp(1, shards.len());
+    if threads <= 1 {
+        for sh in shards {
+            shard_phase(sh, ctx, upto);
+        }
+        return;
+    }
+    let chunk = shards.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        for group in shards.chunks_mut(chunk) {
+            scope.spawn(move || {
+                for sh in group {
+                    shard_phase(sh, ctx, upto);
+                }
+            });
+        }
+    });
+}
+
+/// Wall-clock splits for the profiling breakdown; every split reads zero
+/// when profiling is off, and the clock is never read.
+struct Lap(Option<std::time::Instant>);
+
+impl Lap {
+    fn start(on: bool) -> Lap {
+        Lap(on.then(std::time::Instant::now))
+    }
+
+    /// Nanoseconds since the previous split (or the start).
+    fn split(&mut self) -> u64 {
+        let Some(last) = self.0 else {
+            return 0;
+        };
+        let now = std::time::Instant::now();
+        self.0 = Some(now);
+        (now - last).as_nanos() as u64
+    }
+}
+
 /// Advances one shard through `[.., upto]`: local captures and FIFO
 /// completions in device-local time order, drawing only from per-device
 /// RNG lanes and emitting boundary effects. Runs with no access to hub
 /// state, so shards advance in parallel.
-fn shard_phase(sh: &mut Shard, ctx: &ShardCtx<'_>, upto: SimTime) {
+fn shard_phase(sh: &mut Shard, ctx: &ShardCtx, upto: SimTime) {
     while let Some(t) = sh.next_event() {
         if t > upto {
             break;
@@ -2052,7 +2228,7 @@ fn emit(sh: &mut Shard, device: u32, at: SimTime, effect: Effect) {
 /// indexing; the queue-depth counter rides the effect stream).
 fn fifo_submit(
     sh: &mut Shard,
-    ctx: &ShardCtx<'_>,
+    ctx: &ShardCtx,
     now: SimTime,
     device: u32,
     job: u64,
@@ -2074,7 +2250,7 @@ fn fifo_submit(
     }
 }
 
-fn shard_capture(sh: &mut Shard, ctx: &ShardCtx<'_>, at: SimTime, c: Capture) {
+fn shard_capture(sh: &mut Shard, ctx: &ShardCtx, at: SimTime, c: Capture) {
     let Capture {
         task,
         device,
@@ -2087,7 +2263,7 @@ fn shard_capture(sh: &mut Shard, ctx: &ShardCtx<'_>, at: SimTime, c: Capture) {
             sh.rng_draws += 1;
             let service = edge_service_from(&mut sh.rngs[di], app, ctx.device_factor);
             let bytes = app.cloud_profile().output_bytes.max(1);
-            sh.batteries.cell_mut(di).draw_compute(service);
+            sh.draw(di, Draw::Compute(service));
             sh.pending_jobs
                 .insert(task, EdgePending::Exec { bytes, service });
             fifo_submit(
@@ -2120,7 +2296,7 @@ fn shard_capture(sh: &mut Shard, ctx: &ShardCtx<'_>, at: SimTime, c: Capture) {
                 let filter = edge_service_from(&mut sh.rngs[di], app, ctx.device_factor)
                     .mul_f64(0.02)
                     .min(SimDuration::from_millis(40));
-                sh.batteries.cell_mut(di).draw_compute(filter);
+                sh.draw(di, Draw::Compute(filter));
                 sh.pending_jobs
                     .insert(task, EdgePending::Filter { upload_bytes });
                 fifo_submit(
@@ -2152,7 +2328,7 @@ fn shard_capture(sh: &mut Shard, ctx: &ShardCtx<'_>, at: SimTime, c: Capture) {
 
 /// Drains this shard's FIFO completions due by `t`, in global head-time
 /// order (wake entries are exact head times or stale-early duplicates).
-fn drain_completions(sh: &mut Shard, ctx: &ShardCtx<'_>, t: SimTime) {
+fn drain_completions(sh: &mut Shard, ctx: &ShardCtx, t: SimTime) {
     let mut done = std::mem::take(&mut sh.done_scratch);
     while let Some((et, dev)) = sh.wake.peek() {
         if et > t {
@@ -2186,7 +2362,7 @@ fn drain_completions(sh: &mut Shard, ctx: &ShardCtx<'_>, t: SimTime) {
 
 fn edge_completion(
     sh: &mut Shard,
-    ctx: &ShardCtx<'_>,
+    ctx: &ShardCtx,
     dev: u32,
     finish: SimTime,
     job: u64,
@@ -2199,7 +2375,7 @@ fn edge_completion(
             let Some(EdgePending::Exec { bytes, service }) = sh.pending_jobs.remove(&task) else {
                 unreachable!("exec completion without pending state");
             };
-            sh.batteries.cell_mut(di).draw_radio(bytes);
+            sh.draw(di, Draw::Radio(bytes));
             sh.rng_draws += 1;
             let send = ctx.edge_rpc.send_cost(&mut sh.rngs[di], bytes);
             emit(
@@ -2573,6 +2749,132 @@ mod tests {
                     record_fingerprint(platform, shards),
                     "{platform:?} diverged at {shards} shards"
                 );
+            }
+        }
+    }
+
+    /// Everything pipelined epochs must leave untouched.
+    struct Observed {
+        records: Vec<TaskRecord>,
+        /// Per device: `consumed_j` and the energy split, as bits.
+        batteries: Vec<(u64, [u64; 4])>,
+        edge_bytes: u64,
+        /// The exact counters (timers zeroed).
+        counters: PhaseBreakdown,
+        events: u64,
+        now: SimTime,
+    }
+
+    /// Drives 256 devices, two captures per device per second at
+    /// staggered phases, alternating an edge-placed and a cloud-placed
+    /// app on every device (so each battery takes shard and hub draws),
+    /// with `budget` cores for the shard phase. `chunked` feeds the
+    /// arrivals in slices between `run_until` calls instead of all up
+    /// front. Returns what it observed and how many epochs overlapped.
+    fn drive_pipelined(
+        platform: Platform,
+        shards: u32,
+        budget: usize,
+        chunked: bool,
+    ) -> (Observed, u64) {
+        const DEVICES: u32 = 256;
+        let mut cfg = EngineConfig::testbed(platform);
+        cfg.devices = DEVICES;
+        cfg.servers = 64;
+        cfg.shards = shards;
+        let mut engine = Engine::new(cfg);
+        engine.phase_budget = budget;
+        let mut arrivals: Vec<(SimTime, u32, App)> = (0..16u64)
+            .flat_map(|i| {
+                (0..DEVICES).map(move |dev| {
+                    let at = SimTime::ZERO
+                        + SimDuration::from_millis(500 * i)
+                        + SimDuration::from_micros(1_953 * dev as u64);
+                    let app = if (i + dev as u64).is_multiple_of(2) {
+                        App::FaceRecognition
+                    } else {
+                        App::DroneDetection
+                    };
+                    (at, dev, app)
+                })
+            })
+            .collect();
+        arrivals.sort_by_key(|&(at, dev, _)| (at, dev));
+        let mut records = Vec::new();
+        if chunked {
+            let mut next = 0;
+            for c in 1..=7u64 {
+                let deadline = SimTime::ZERO + SimDuration::from_millis(1_300 * c);
+                while next < arrivals.len() && arrivals[next].0 < deadline {
+                    let (at, dev, app) = arrivals[next];
+                    engine.submit_task(at, dev, app, c as u32);
+                    next += 1;
+                }
+                records.extend(engine.run_until(deadline));
+            }
+            for &(at, dev, app) in &arrivals[next..] {
+                engine.submit_task(at, dev, app, 0);
+            }
+        } else {
+            for &(at, dev, app) in &arrivals {
+                engine.submit_task(at, dev, app, 0);
+            }
+        }
+        records.extend(engine.run_to_completion());
+        let batteries = (0..DEVICES)
+            .map(|d| {
+                let b = engine.battery(d);
+                let (m, c, r, i) = b.energy_split();
+                (
+                    b.consumed_j().to_bits(),
+                    [m.to_bits(), c.to_bits(), r.to_bits(), i.to_bits()],
+                )
+            })
+            .collect();
+        let counters = PhaseBreakdown {
+            shard_ns: 0,
+            merge_ns: 0,
+            hub_ns: 0,
+            ..engine.phase_breakdown()
+        };
+        let observed = Observed {
+            records,
+            batteries,
+            edge_bytes: engine.fabric().edge_bytes_total().to_bits(),
+            counters,
+            events: engine.events_processed(),
+            now: engine.now(),
+        };
+        (observed, engine.overlapped_epochs)
+    }
+
+    #[test]
+    fn pipelined_epochs_never_change_a_byte() {
+        for platform in [
+            Platform::HiveMind,
+            Platform::DistributedEdge,
+            Platform::CentralizedFaaS,
+        ] {
+            for shards in [1u32, 3] {
+                for chunked in [false, true] {
+                    let (serial, never) = drive_pipelined(platform, shards, 1, chunked);
+                    assert_eq!(never, 0, "one core must run every epoch inline");
+                    assert_eq!(serial.records.len(), 16 * 256);
+                    // A budget no concurrent `Runner` test can divide
+                    // below two cores per engine.
+                    let (piped, overlapped) = drive_pipelined(platform, shards, 64, chunked);
+                    assert!(
+                        overlapped > 0,
+                        "{platform:?} x{shards} chunked={chunked}: no epoch overlapped"
+                    );
+                    let run = format!("{platform:?} x{shards} chunked={chunked}");
+                    assert_eq!(serial.counters, piped.counters, "{run}: counters");
+                    assert_eq!(serial.edge_bytes, piped.edge_bytes, "{run}: edge bytes");
+                    assert_eq!(serial.events, piped.events, "{run}: events");
+                    assert_eq!(serial.now, piped.now, "{run}: clock");
+                    assert!(serial.records == piped.records, "{run}: records");
+                    assert!(serial.batteries == piped.batteries, "{run}: batteries");
+                }
             }
         }
     }

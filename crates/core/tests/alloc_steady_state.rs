@@ -17,7 +17,8 @@
 //! reference `BinaryHeap`, which allocates by design.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use hivemind_apps::suite::App;
 use hivemind_core::engine::{Engine, EngineConfig};
@@ -26,12 +27,17 @@ use hivemind_sim::time::{SimDuration, SimTime};
 
 /// Counts allocations (and growth reallocations) without changing
 /// behavior; frees are not counted — returning memory is always fine.
-/// Only the thread that opted in via [`MEASURE`] is counted: the libtest
-/// harness runs its own bookkeeping on other threads concurrently, and a
-/// stray allocation there is not the engine's problem.
+/// Only the thread that opted in via [`MEASURE`] is counted, plus, inside
+/// the measured [`WINDOW`], the engine's phase worker thread (which runs
+/// the next epoch's shard phase on multi-core hosts): the libtest harness
+/// runs its own bookkeeping on other threads concurrently, and a stray
+/// allocation there is not the engine's problem.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Set only while the measured window runs.
+static WINDOW: AtomicBool = AtomicBool::new(false);
 
 std::thread_local! {
     // `const`-initialized so reading it from inside the allocator is a
@@ -43,6 +49,10 @@ std::thread_local! {
 fn counted() -> bool {
     // try_with: TLS may already be torn down during thread exit.
     MEASURE.try_with(std::cell::Cell::get).unwrap_or(false)
+        // Every thread that can run inside the window was started by std,
+        // so `current()` only clones its handle and never allocates.
+        || (WINDOW.load(Ordering::Relaxed)
+            && std::thread::current().name() == Some("hivemind-phase"))
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -68,13 +78,33 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The tests share [`WINDOW`] and the phase worker's thread name, so
+/// they run one at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 #[ignore = "tier-2 allocation regression: release-only (debug builds shadow the calendar queues)"]
 fn steady_state_epoch_allocates_nothing() {
+    // Every device captures at the top of each second.
+    mission_slice_allocates_nothing(SimDuration::ZERO);
+}
+
+/// Device `d` captures `d × 3.9 ms` into each second, so every epoch has
+/// shard work and, on a multi-core host, the next epoch's shard phase
+/// runs on the phase worker while the hub runs: the handoff over its
+/// channel, the barrier and the worker's side must not allocate either.
+#[test]
+#[ignore = "tier-2 allocation regression: release-only (debug builds shadow the calendar queues)"]
+fn pipelined_epochs_allocate_nothing() {
+    mission_slice_allocates_nothing(SimDuration::from_micros(3_906));
+}
+
+fn mission_slice_allocates_nothing(stagger: SimDuration) {
     if cfg!(debug_assertions) {
         eprintln!("skipping: debug builds shadow the calendar queues with a heap");
         return;
     }
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     MEASURE.with(|m| m.set(true));
     let mut cfg = EngineConfig::testbed(Platform::HiveMind);
     cfg.devices = 256;
@@ -90,7 +120,8 @@ fn steady_state_epoch_allocates_nothing() {
             } else {
                 App::DroneDetection
             };
-            engine.submit_task(SimTime::from_secs(i), dev, app, dev);
+            let at = SimTime::from_secs(i) + stagger * dev as u64;
+            engine.submit_task(at, dev, app, dev);
         }
     }
     // Warm-up: run most of the mission so every hot buffer has reached
@@ -114,10 +145,12 @@ fn steady_state_epoch_allocates_nothing() {
     // handful and the window should be re-tuned; a hot-path buffer
     // losing its capacity shows up as thousands.
     let before = ALLOCS.load(Ordering::Relaxed);
+    WINDOW.store(true, Ordering::Relaxed);
     engine.run_until_into(
         SimTime::from_secs(26) + SimDuration::from_secs(3),
         &mut records,
     );
+    WINDOW.store(false, Ordering::Relaxed);
     let during = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(
         during, 0,
