@@ -5,9 +5,11 @@
 //!   pending events, every push immediately followed by a pop.
 //! * **hold** — the classic calendar-queue workload (pop the minimum,
 //!   push a successor a random gap later) at a fixed pending count,
-//!   which is what the sharded swarm engine's action queues look like
-//!   mid-mission. Measured at 1k and 100k pending entries, the second
-//!   deep enough that bucket-width adaptation decides the outcome.
+//!   the shape of the engine's event queues mid-run (the hub's actions,
+//!   the shards' FIFO wake indices, the cluster's events, where handling
+//!   one event schedules later ones). Measured at 1k and 100k pending
+//!   entries, the second deep enough that bucket-width adaptation
+//!   decides the outcome.
 //!
 //! Runs in CI's quick mode via `HIVEMIND_BENCH_QUICK=1` (the criterion
 //! stand-in shortens warm-up/measurement; the workload is unchanged).

@@ -37,8 +37,8 @@
 //! device's hardware, or the shared cloud, in less virtual time than
 //! one wireless propagation). Each epoch runs two phases:
 //!
-//! 1. **Shard phase** (parallel): every shard drains its own action
-//!    calendar and FIFO wake index up to the epoch boundary, drawing
+//! 1. **Shard phase** (parallel): every shard drains its own capture
+//!    run and FIFO wake index up to the epoch boundary, drawing
 //!    only from per-device RNG lanes (`forge.indexed_stream("device", d)`)
 //!    and emitting boundary *effects* stamped `(time, device, seq)`.
 //! 2. **Hub phase** (serial): the per-shard effect batches are folded,
@@ -67,6 +67,7 @@
 //! shards' own, the epoch grid and the clock come from the shards'
 //! pre-speculation state, and so the overlap moves no output byte either.
 
+mod captures;
 pub mod fifo;
 mod worker;
 
@@ -92,6 +93,7 @@ use rand::rngs::SmallRng;
 use crate::dsl::PlacementSite;
 use crate::platform::Platform;
 use crate::synthesis;
+use captures::CaptureRun;
 use fifo::FifoServer;
 use hivemind_accel::fpga::{FpgaConfig, FpgaFabric, SoftRegisters};
 
@@ -384,9 +386,8 @@ struct TaskState {
     shed: bool,
 }
 
-/// The payload of a capture scheduled on a shard's action calendar. The
-/// `(at, seq)` key lives in the queue itself; `seq` is unique per shard,
-/// so the key order is total and the payload is never compared.
+/// A capture scheduled on a shard's [`CaptureRun`], which orders it by
+/// `(at, task)`; task ids are unique, so the order is total.
 #[derive(Debug, Clone, Copy)]
 struct Capture {
     task: u32,
@@ -435,8 +436,8 @@ enum Effect {
     QueueDepth { depth: u64 },
 }
 
-/// One spatial shard: a contiguous device block with its own action
-/// calendar, FIFO wake index, and outbound effect batch.
+/// One spatial shard: a contiguous device block with its own capture
+/// run, FIFO wake index, and outbound effect batch.
 ///
 /// Per-device hot state is struct-of-arrays: parallel vectors indexed by
 /// the block offset `device - first_dev`, aligned with [`ShardMap`]'s
@@ -456,10 +457,8 @@ struct Shard {
     /// Per-device monotone effect counters — the `seq` leg of the
     /// shard-count-invariant `(time, device, seq)` merge key.
     eseqs: Vec<u64>,
-    /// Scheduled captures, keyed `(at, seq)`; `aseq` is the per-shard
-    /// tie-break counter.
-    actions: CalendarQueue<(SimTime, u64), Capture>,
-    aseq: u64,
+    /// Scheduled captures in `(at, task)` order.
+    captures: CaptureRun,
     /// Conservative wake index over this shard's FIFO queues (entries
     /// may be early, never late; equal keys are interchangeable).
     wake: CalendarQueue<(SimTime, u32), ()>,
@@ -487,7 +486,7 @@ impl Shard {
     /// The earliest device-local instant at which anything happens.
     fn next_event(&self) -> Option<SimTime> {
         earliest(
-            self.actions.peek().map(|(t, _)| t),
+            self.captures.peek().map(|(t, _)| t),
             self.wake.peek().map(|(t, _)| t),
         )
     }
@@ -541,8 +540,9 @@ pub struct PhaseBreakdown {
     pub merge_ns: u64,
     /// Wall nanoseconds of the serial hub phase on the calling thread.
     pub hub_ns: u64,
-    /// Calendar-queue pushes + pops across the hub action queue and
-    /// every shard's action and wake queues.
+    /// Pushes + pops across the hub's action calendar and every shard's
+    /// capture run and wake calendar (a capture's submission and its
+    /// pop count one each).
     pub queue_ops: u64,
     /// Service/cost sampling calls drawn from RNG lanes (hub and shard).
     pub rng_draws: u64,
@@ -860,8 +860,7 @@ impl Engine {
                         .map(|dev| forge.indexed_stream("device", dev as u64))
                         .collect(),
                     eseqs: vec![0; n],
-                    actions: CalendarQueue::new(),
-                    aseq: 0,
+                    captures: CaptureRun::new(),
                     wake: CalendarQueue::new(),
                     pending_jobs: hivemind_sim::hash::DetHashMap::default(),
                     rng_draws: 0,
@@ -1052,7 +1051,7 @@ impl Engine {
             + self
                 .shards
                 .iter()
-                .map(|s| s.actions.ops() + s.wake.ops())
+                .map(|s| s.captures.ops() + s.wake.ops())
                 .sum::<u64>();
         b.rng_draws = self.rng_draws + self.shards.iter().map(|s| s.rng_draws).sum::<u64>();
         b
@@ -1072,6 +1071,15 @@ impl Engine {
     /// Injects a task: device `device` captured a frame batch for `app`
     /// at time `at` (which must not precede the current engine time).
     /// Returns the task id.
+    ///
+    /// Cost: a capture later than every one queued on its device's shard
+    /// appends in O(1). Any other waits unsorted until that shard's next
+    /// shard phase, which sorts the waiting captures and merges them into
+    /// the queued ones: O(k log k) for k of them, plus O(queued) when
+    /// they start before the last queued capture. Submitting a whole
+    /// schedule up front, in any order, is therefore one sort per shard;
+    /// submitting stragglers one at a time into a large backlog pays a
+    /// linear merge per shard phase.
     pub fn submit_task(&mut self, at: SimTime, device: u32, app: App, label: u32) -> u32 {
         assert!(at >= self.now, "cannot submit into the past");
         assert!(device < self.cfg.devices, "device out of range");
@@ -1110,10 +1118,8 @@ impl Engine {
             );
         }
         let sh = &mut self.shards[self.map.shard_of(device) as usize];
-        let seq = sh.aseq;
-        sh.aseq += 1;
-        sh.actions.push(
-            (at, seq),
+        sh.captures.push(
+            at,
             Capture {
                 task: id,
                 device,
@@ -2202,8 +2208,7 @@ fn shard_phase(sh: &mut Shard, ctx: &ShardCtx, upto: SimTime) {
             break;
         }
         sh.cursor = sh.cursor.max(t);
-        while sh.actions.peek().is_some_and(|(at, _)| at <= t) {
-            let ((at, _), c) = sh.actions.pop().expect("peeked");
+        while let Some((at, c)) = sh.captures.pop_until(t) {
             sh.events += 1;
             shard_capture(sh, ctx, at, c);
         }
@@ -2770,7 +2775,12 @@ mod tests {
     /// app on every device (so each battery takes shard and hub draws),
     /// with `budget` cores for the shard phase. `chunked` feeds the
     /// arrivals in slices between `run_until` calls instead of all up
-    /// front. Returns what it observed and how many epochs overlapped.
+    /// front, each slice device-major (out of time order, so a shard's
+    /// later devices submit captures earlier than its first device's
+    /// queued ones) and reaching half a slice past its deadline, so the
+    /// fold merges them into a run still holding the previous slice's
+    /// leftovers. Returns what it observed and how many epochs
+    /// overlapped.
     fn drive_pipelined(
         platform: Platform,
         shards: u32,
@@ -2805,11 +2815,14 @@ mod tests {
             let mut next = 0;
             for c in 1..=7u64 {
                 let deadline = SimTime::ZERO + SimDuration::from_millis(1_300 * c);
-                while next < arrivals.len() && arrivals[next].0 < deadline {
-                    let (at, dev, app) = arrivals[next];
+                let reach = deadline + SimDuration::from_millis(650);
+                let end = next + arrivals[next..].partition_point(|&(at, ..)| at < reach);
+                let mut slice = arrivals[next..end].to_vec();
+                slice.sort_by_key(|&(at, dev, _)| (dev, at));
+                for (at, dev, app) in slice {
                     engine.submit_task(at, dev, app, c as u32);
-                    next += 1;
                 }
+                next = end;
                 records.extend(engine.run_until(deadline));
             }
             for &(at, dev, app) in &arrivals[next..] {

@@ -126,8 +126,8 @@ mod tests {
         let mut shards = std::mem::take(&mut engine.shards);
         // A capture for a device outside the shard's block indexes past
         // its per-device lanes.
-        shards[0].actions.push(
-            (SimTime::ZERO, 0),
+        shards[0].captures.push(
+            SimTime::ZERO,
             Capture {
                 task: 0,
                 device: 7,

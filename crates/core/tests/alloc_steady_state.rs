@@ -6,9 +6,10 @@
 //! ```
 //!
 //! The engine's hot loop is designed to be allocation-free in steady
-//! state: calendar buckets, the pending-effect run and its merge
-//! scratch, per-epoch delivery/completion buffers, and the FIFO
-//! completion scratch all hold their high-water capacity. This test pins
+//! state: each shard's capture run, calendar buckets, the
+//! pending-effect run and its merge scratch, per-epoch
+//! delivery/completion buffers, and the FIFO completion scratch all hold
+//! their high-water capacity. This test pins
 //! that property with a counting global allocator: after a warm-up
 //! phase, one full barrier epoch of a mission-scale workload must
 //! perform **zero** heap allocations.

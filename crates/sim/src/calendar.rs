@@ -5,14 +5,17 @@
 //! bucket the cursor points at. With the bucket width matched to the
 //! inter-event gap, push and pop are O(1) amortized and the hot path
 //! touches one short sorted bucket instead of the O(log n) pointer-chasing
-//! cascade of a binary heap. That difference is decisive here: a 100k-device
-//! mission front-loads millions of future captures, and a heap that size
-//! costs ~20 cache-missing levels per operation.
+//! cascade of a binary heap. The engine uses it where events are pushed
+//! as the run unfolds and popped in time order: the hub's action queue,
+//! each shard's FIFO wake index and the FaaS cluster's event queue, which
+//! hold one entry per in-flight task or busy device and so grow with the
+//! swarm. (Captures, which callers submit in bulk before the run, are
+//! not events: `core::engine` keeps them in one sorted run per shard.)
 //!
 //! Buckets are ring buffers sorted ascending by key, so the two patterns a
 //! DES actually produces are both O(1): keys arriving in increasing order
-//! (including the all-devices-capture-at-second-`t` tie burst, which lands
-//! entirely in one bucket) append at the back, and the minimum pops off
+//! (including a same-instant tie burst, which lands entirely in one
+//! bucket) append at the back, and the minimum pops off
 //! the front.
 //!
 //! Three properties this implementation guarantees:
@@ -28,7 +31,7 @@
 //! * **Adaptive width.** Bucket width is re-derived from the observed mean
 //!   pop gap at each resize, and the bucket count tracks the population
 //!   (grow at load > 2, shrink at load < ⅛), so both a 2-event ping-pong
-//!   and a 6M-entry capture backlog get near-ideal bucket occupancy. A
+//!   and a backlog of millions get near-ideal bucket occupancy. A
 //!   sparse-tail fallback (one full lap without a hit → direct search over
 //!   bucket minima) bounds the worst case for any width mismatch.
 
@@ -86,9 +89,9 @@ const REBUILD_MIN_POPS: u64 = 16;
 /// Width-drift tolerance in shift steps: once the observed mean pop gap
 /// is ≥ 2^5 = 32× off the bucket width in either direction, the next
 /// drift check forces a rebuild even if the population never crossed a
-/// size threshold. This is what rescues the "front-load millions of
-/// future captures, then drain" pattern: all pushes happen before any
-/// pop, so size-triggered rebuilds adapt the count but never the width.
+/// size threshold. This is what rescues a backlog pushed before its
+/// first pop: size-triggered rebuilds then adapt the count but never
+/// the width, which stays at the default until the drain measures gaps.
 const DRIFT_SHIFT: u32 = 5;
 /// Drift checks run every `DRIFT_CHECK_MASK + 1` pops (the check costs a
 /// division, which would be measurable at nine-digit pop rates).
@@ -631,8 +634,8 @@ mod tests {
 
     #[test]
     fn front_loaded_backlog_adapts_width_on_drain() {
-        // The fig17 mission pattern: a large backlog pushed before any
-        // pop (so size rebuilds never see pop-gap stats), with gaps far
+        // A large backlog pushed before any pop (so size rebuilds never
+        // see pop-gap stats), with gaps far
         // wider than the default bucket. The drift check must widen the
         // buckets early in the drain instead of lapping empty buckets
         // for the whole run.
