@@ -71,7 +71,8 @@ mod captures;
 pub mod fifo;
 mod worker;
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use hivemind_apps::suite::App;
 use hivemind_faas::cluster::Cluster;
@@ -80,7 +81,6 @@ use hivemind_faas::types::{AppId, AppProfile, Invocation};
 use hivemind_net::fabric::{Fabric, Transfer};
 use hivemind_net::rpc::RpcProfile;
 use hivemind_net::topology::{Node, Topology, TopologyParams};
-use hivemind_sim::calendar::CalendarQueue;
 use hivemind_sim::disconnect::{self, DisconnectPolicy};
 use hivemind_sim::faults::{self, FaultPlan};
 use hivemind_sim::overload::OverloadPolicy;
@@ -461,7 +461,9 @@ struct Shard {
     captures: CaptureRun,
     /// Conservative wake index over this shard's FIFO queues (entries
     /// may be early, never late; equal keys are interchangeable).
-    wake: CalendarQueue<(SimTime, u32), ()>,
+    wake: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// Lifetime push + pop count of `wake` (profiling breakdown).
+    wake_ops: u64,
     /// Task → device-local context for in-flight FIFO jobs. Fixed-seed
     /// hashing: insert/remove churn must rehash at workload-determined
     /// instants or the steady-state allocation pin would be flaky.
@@ -487,8 +489,14 @@ impl Shard {
     fn next_event(&self) -> Option<SimTime> {
         earliest(
             self.captures.peek().map(|(t, _)| t),
-            self.wake.peek().map(|(t, _)| t),
+            self.wake.peek().map(|&Reverse((t, _))| t),
         )
+    }
+
+    /// Indexes device `device`'s FIFO head at `t`.
+    fn push_wake(&mut self, t: SimTime, device: u32) {
+        self.wake_ops += 1;
+        self.wake.push(Reverse((t, device)));
     }
 
     /// Charges device `di`'s battery, or logs the draw while away.
@@ -540,8 +548,8 @@ pub struct PhaseBreakdown {
     pub merge_ns: u64,
     /// Wall nanoseconds of the serial hub phase on the calling thread.
     pub hub_ns: u64,
-    /// Pushes + pops across the hub's action calendar and every shard's
-    /// capture run and wake calendar (a capture's submission and its
+    /// Pushes + pops across the hub action heap, each shard's capture
+    /// run and each shard's wake heap (a capture's submission and its
     /// pop count one each).
     pub queue_ops: u64,
     /// Service/cost sampling calls drawn from RNG lanes (hub and shard).
@@ -592,7 +600,11 @@ pub struct Engine {
     /// buffers hold their high-water capacity, so the exchange is
     /// allocation-free in steady state.
     pending_scratch: Vec<(EffectKey, Effect)>,
-    actions: CalendarQueue<(SimTime, u64), Action>,
+    /// Hub actions keyed `(time, unique seq)`, so the action never
+    /// decides the pop order.
+    actions: BinaryHeap<Reverse<(SimTime, u64, Action)>>,
+    /// Lifetime push + pop count of `actions` (profiling breakdown).
+    action_ops: u64,
     seq: u64,
     tasks: Vec<TaskState>,
     /// Purpose of each in-flight transfer, indexed by its dense
@@ -861,7 +873,8 @@ impl Engine {
                         .collect(),
                     eseqs: vec![0; n],
                     captures: CaptureRun::new(),
-                    wake: CalendarQueue::new(),
+                    wake: BinaryHeap::new(),
+                    wake_ops: 0,
                     pending_jobs: hivemind_sim::hash::DetHashMap::default(),
                     rng_draws: 0,
                     done_scratch: Vec::new(),
@@ -904,7 +917,8 @@ impl Engine {
             cluster,
             pool,
             now: SimTime::ZERO,
-            actions: CalendarQueue::with_capacity(64),
+            actions: BinaryHeap::new(),
+            action_ops: 0,
             seq: 0,
             tasks: Vec::new(),
             tags: Vec::new(),
@@ -1047,11 +1061,11 @@ impl Engine {
     /// unless profiling is enabled; counters are always exact.
     pub fn phase_breakdown(&self) -> PhaseBreakdown {
         let mut b = self.breakdown;
-        b.queue_ops = self.actions.ops()
+        b.queue_ops = self.action_ops
             + self
                 .shards
                 .iter()
-                .map(|s| s.captures.ops() + s.wake.ops())
+                .map(|s| s.captures.ops() + s.wake_ops)
                 .sum::<u64>();
         b.rng_draws = self.rng_draws + self.shards.iter().map(|s| s.rng_draws).sum::<u64>();
         b
@@ -1133,7 +1147,8 @@ impl Engine {
     fn push_action(&mut self, at: SimTime, action: Action) {
         let seq = self.seq;
         self.seq += 1;
-        self.actions.push((at, seq), action);
+        self.action_ops += 1;
+        self.actions.push(Reverse((at, seq, action)));
     }
 
     /// Records the purpose of transfer `id` (ids are dense, so the table
@@ -1166,7 +1181,7 @@ impl Engine {
         ]
         .into_iter()
         .chain(self.shards.iter().map(Shard::next_event))
-        .fold(self.actions.peek().map(|(t, _)| t), earliest)
+        .fold(self.actions.peek().map(|&Reverse((t, ..))| t), earliest)
     }
 
     /// Runs until quiescent or `deadline`, returning completed records
@@ -1416,7 +1431,7 @@ impl Engine {
             let inputs = earliest(
                 earliest(
                     self.pending.get(self.pending_cursor).map(|&(k, _)| k.at),
-                    self.actions.peek().map(|(t, _)| t),
+                    self.actions.peek().map(|&Reverse((t, ..))| t),
                 ),
                 self.pool.as_ref().and_then(|p| p.next_wakeup()),
             );
@@ -1449,8 +1464,13 @@ impl Engine {
                 self.apply_effect(key, effect);
             }
             // 2. Hub actions due now.
-            while self.actions.peek().is_some_and(|(at, _)| at <= t) {
-                let ((at, _), action) = self.actions.pop().expect("peeked");
+            while self
+                .actions
+                .peek()
+                .is_some_and(|&Reverse((at, ..))| at <= t)
+            {
+                let Reverse((at, _, action)) = self.actions.pop().expect("peeked");
+                self.action_ops += 1;
                 self.hub_events += 1;
                 self.handle_action(at, action);
             }
@@ -1512,7 +1532,7 @@ impl Engine {
         // per job (which would go quadratic on overloaded devices).
         if new != prev {
             if let Some(t) = new {
-                sh.wake.push((t, device), ());
+                sh.push_wake(t, device);
             }
         }
         if self.tracer.is_enabled() {
@@ -2246,7 +2266,7 @@ fn fifo_submit(
     let new = fifo.next_wakeup();
     if new != prev {
         if let Some(t) = new {
-            sh.wake.push((t, device), ());
+            sh.push_wake(t, device);
         }
     }
     if ctx.trace {
@@ -2335,17 +2355,18 @@ fn shard_capture(sh: &mut Shard, ctx: &ShardCtx, at: SimTime, c: Capture) {
 /// order (wake entries are exact head times or stale-early duplicates).
 fn drain_completions(sh: &mut Shard, ctx: &ShardCtx, t: SimTime) {
     let mut done = std::mem::take(&mut sh.done_scratch);
-    while let Some((et, dev)) = sh.wake.peek() {
+    while let Some(&Reverse((et, dev))) = sh.wake.peek() {
         if et > t {
             break;
         }
         sh.wake.pop();
+        sh.wake_ops += 1;
         let di = (dev - sh.first_dev) as usize;
         match sh.fifos[di].next_wakeup() {
             Some(actual) if actual <= t => {
                 sh.fifos[di].advance_into(actual, &mut done);
                 if let Some(next) = sh.fifos[di].next_wakeup() {
-                    sh.wake.push((next, dev), ());
+                    sh.push_wake(next, dev);
                 }
                 if ctx.trace {
                     let depth = sh.fifos[di].load() as u64;
@@ -2358,7 +2379,7 @@ fn drain_completions(sh: &mut Shard, ctx: &ShardCtx, t: SimTime) {
                     edge_completion(sh, ctx, dev, finish, job, queued);
                 }
             }
-            Some(actual) => sh.wake.push((actual, dev), ()),
+            Some(actual) => sh.push_wake(actual, dev),
             None => {}
         }
     }

@@ -41,7 +41,9 @@ pub(super) struct CaptureRun {
     tail_min: Option<Key>,
     /// Merge target, swapped with `run` by each merging fold.
     scratch: VecDeque<(SimTime, Capture)>,
-    /// Lifetime push + pop count, counted as the calendar queue counts.
+    /// Lifetime push + pop count: one term of `PhaseBreakdown::queue_ops`,
+    /// which sums pushes + pops across the hub action heap, each shard's
+    /// capture run and each shard's wake heap.
     ops: u64,
     /// The last popped key: every pop must exceed it.
     #[cfg(debug_assertions)]

@@ -9,9 +9,9 @@
 //! and the first finisher wins; nodes producing repeated stragglers go on
 //! probation, Sec. 4.6).
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-use hivemind_sim::calendar::CalendarQueue;
 use hivemind_sim::faults::{self, RetryDecision, RetryPolicy};
 use hivemind_sim::overload::{self, BreakerDecision, BreakerEvent, CircuitBreaker, OverloadPolicy};
 use hivemind_sim::rng::RngForge;
@@ -136,7 +136,7 @@ impl ClusterParams {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     Admit(u32),
     /// Container ready; fetch the input through the data plane.
@@ -252,8 +252,9 @@ pub struct Cluster {
     dataplane: DataPlane,
     rng: SmallRng,
     invs: Vec<InvState>,
-    /// Internal events keyed `(time, unique seq)`.
-    heap: CalendarQueue<(SimTime, u64), Ev>,
+    /// Internal events keyed `(time, unique seq)`, so the event never
+    /// decides the pop order.
+    heap: BinaryHeap<Reverse<(SimTime, u64, Ev)>>,
     seq: u64,
     wait_queue: VecDeque<u32>,
     running: u32,
@@ -361,7 +362,7 @@ impl Cluster {
             rng: forge.stream("faas-cluster"),
             apps: HashMap::new(),
             invs: Vec::new(),
-            heap: CalendarQueue::new(),
+            heap: BinaryHeap::new(),
             seq: 0,
             wait_queue: VecDeque::new(),
             running: 0,
@@ -494,7 +495,7 @@ impl Cluster {
     fn push_event(&mut self, at: SimTime, ev: Ev) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push((at, seq), ev);
+        self.heap.push(Reverse((at, seq, ev)));
     }
 
     /// Moves `server` to busy level `new`, keeping the placement index
@@ -1249,7 +1250,7 @@ impl Cluster {
     /// The earliest internal event or completion awaiting the caller, if
     /// any.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        let event = self.heap.peek().map(|(t, _)| t);
+        let event = self.heap.peek().map(|&Reverse((t, ..))| t);
         match self.completions.first() {
             Some(c) => Some(event.map_or(c.finished, |t| t.min(c.finished))),
             None => event,
@@ -1268,7 +1269,9 @@ impl Cluster {
     /// `advance_into`, so running ahead never changes what the caller
     /// sees, only how few wake-ups it takes to see it.
     pub fn run_ahead(&mut self, bound: SimTime) {
-        while self.completions.is_empty() && self.heap.peek().is_some_and(|(t, _)| t < bound) {
+        while self.completions.is_empty()
+            && self.heap.peek().is_some_and(|&Reverse((t, ..))| t < bound)
+        {
             self.step();
         }
     }
@@ -1291,14 +1294,14 @@ impl Cluster {
     /// Runs every internal event due at or before `now`, accumulating
     /// completions in `self.completions`.
     fn pump_events(&mut self, now: SimTime) {
-        while self.heap.peek().is_some_and(|(t, _)| t <= now) {
+        while self.heap.peek().is_some_and(|&Reverse((t, ..))| t <= now) {
             self.step();
         }
     }
 
     /// Pops and runs the earliest internal event.
     fn step(&mut self) {
-        let ((t, _), ev) = self.heap.pop().expect("step on an empty event queue");
+        let Reverse((t, _, ev)) = self.heap.pop().expect("step on an empty event queue");
         debug_assert!(t >= self.last_event_time);
         self.last_event_time = t;
         match ev {

@@ -9,10 +9,6 @@
 //!
 //! * [`time`] — nanosecond-resolution virtual time ([`SimTime`],
 //!   [`SimDuration`]) with no floating-point drift.
-//! * [`calendar`] — the adaptive calendar queue ([`CalendarQueue`]) the
-//!   DES engine (`hivemind-core`'s `engine`) schedules through:
-//!   heap-identical `(time, tiebreak)` order at O(1) amortized cost,
-//!   shadow-checked against a reference heap in debug builds.
 //! * [`rng`] — a forkable, named random-stream hierarchy so adding draws in
 //!   one subsystem never perturbs another.
 //! * [`dist`] — service-time distributions (constant, uniform, exponential,
@@ -47,28 +43,37 @@
 //! ## Example
 //!
 //! ```rust
-//! use hivemind_sim::calendar::CalendarQueue;
-//! use hivemind_sim::time::{SimDuration, SimTime};
+//! use std::cmp::Reverse;
+//! use std::collections::BinaryHeap;
 //!
-//! // A ten-tick event loop: fire the earliest event, schedule the next.
-//! let mut queue: CalendarQueue<(SimTime, u64), ()> = CalendarQueue::new();
-//! queue.push((SimTime::ZERO, 0), ());
-//! let (mut now, mut ticks) = (SimTime::ZERO, 0);
-//! while let Some(((at, seq), ())) = queue.pop() {
-//!     now = at;
-//!     ticks += 1;
-//!     if ticks < 10 {
-//!         queue.push((at + SimDuration::from_millis(1), seq + 1), ());
+//! use hivemind_sim::dist::Dist;
+//! use hivemind_sim::rng::RngForge;
+//! use hivemind_sim::time::SimTime;
+//!
+//! // A ten-event loop on a min-heap keyed `(time, unique seq)`: fire the
+//! // earliest event, schedule the next after an exponential gap.
+//! fn run(seed: u64) -> SimTime {
+//!     let mut rng = RngForge::new(seed).stream("arrivals");
+//!     let gap = Dist::exponential(0.001);
+//!     let mut queue = BinaryHeap::new();
+//!     queue.push(Reverse((SimTime::ZERO, 0u64)));
+//!     let mut now = SimTime::ZERO;
+//!     while let Some(Reverse((at, seq))) = queue.pop() {
+//!         now = at;
+//!         if seq < 9 {
+//!             queue.push(Reverse((at + gap.sample(&mut rng), seq + 1)));
+//!         }
 //!     }
+//!     now
 //! }
-//! assert_eq!(ticks, 10);
-//! assert_eq!(now, SimTime::ZERO + SimDuration::from_millis(9));
+//! // A run is a function of its seed.
+//! assert_eq!(run(7), run(7));
+//! assert!(run(7) > SimTime::ZERO);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod disconnect;
 pub mod dist;
 pub mod faults;
@@ -81,7 +86,6 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use calendar::{CalendarKey, CalendarQueue};
 pub use disconnect::DisconnectPolicy;
 pub use dist::Dist;
 pub use faults::{FaultPlan, FaultPlanError, RetryDecision, RetryPolicy};

@@ -399,41 +399,3 @@ fn from_secs_f64_matches_round_at_the_edges() {
     }
     assert!(halves > 0, "no exact half-nanosecond input found");
 }
-
-proptest! {
-    /// For any interleaving of pushes and pops over arbitrary keys, the
-    /// calendar queue pops in exactly the reference `BinaryHeap` order.
-    /// This is the queue-order invariant the engines' byte-determinism
-    /// rests on, pinned independently of the debug-build shadow heap.
-    #[test]
-    fn calendar_pop_order_matches_reference_heap(
-        ops in prop::collection::vec((any::<bool>(), 0u64..5_000_000_000, 0u64..64), 1..400),
-    ) {
-        use hivemind_sim::calendar::CalendarQueue;
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        let mut cal: CalendarQueue<(SimTime, u64), u64> = CalendarQueue::new();
-        let mut heap: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
-        // The lane leg keeps keys unique (`lane * cap + seq`), so the
-        // reference heap's order is total and the comparison is exact.
-        let mut seq = 0u64;
-        for &(push, t, lane) in &ops {
-            if push || cal.is_empty() {
-                let key = (SimTime::from_nanos(t), lane * 1_000 + seq);
-                seq += 1;
-                cal.push(key, seq);
-                heap.push(Reverse(key));
-            } else {
-                let got = cal.pop().map(|(k, _)| k);
-                let want = heap.pop().map(|Reverse(k)| k);
-                prop_assert_eq!(got, want);
-            }
-        }
-        while let Some((k, _)) = cal.pop() {
-            let Reverse(want) = heap.pop().expect("heap tracks the calendar's len");
-            prop_assert_eq!(k, want);
-        }
-        prop_assert!(heap.is_empty());
-    }
-}
