@@ -20,8 +20,8 @@
 //! | `fig17` | Fig. 17 — resolution and swarm-size scalability |
 //! | `fig18` | Fig. 18 — simulator validation (DES vs analytic model) |
 //!
-//! `all_figures` runs the lot; `cargo bench` runs the criterion
-//! micro/scenario benchmarks under `benches/`.
+//! `all_figures` runs the lot. Performance is measured by hivebench, a
+//! separate workspace under `benchmark/`.
 //!
 //! Every figure binary accepts `--smoke` (or `HIVEMIND_SMOKE=1`): a
 //! seconds-scale deterministic slice of the figure — short durations,

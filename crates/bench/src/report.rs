@@ -20,8 +20,9 @@
 //! Without `--trace` the report is a pass-through to the harness
 //! [`Runner`](hivemind_core::runner::Runner) and tracing stays disabled
 //! (zero cost). With `--trace <path>` every experiment the report runs is
-//! executed with [`ExperimentConfig::trace`] enabled and its event trace
-//! is exported twice: Chrome `trace_event` JSON (load in
+//! executed with
+//! [`RunPlan::trace`](hivemind_core::experiment::RunPlan::trace) enabled
+//! and its event trace is exported twice: Chrome `trace_event` JSON (load in
 //! `chrome://tracing` or Perfetto) and a JSONL sibling with the `.jsonl`
 //! extension. Multi-run calls key each file pair by position and seed so
 //! a sweep never overwrites itself; the first trace is always written at

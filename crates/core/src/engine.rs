@@ -974,17 +974,7 @@ impl Engine {
             // that "heals" straight into the next window reconciles once,
             // at the true end — exactly when the fabric releases its held
             // transfers.
-            let mut heals: Vec<f64> = engine
-                .cfg
-                .faults
-                .net
-                .partitions
-                .iter()
-                .filter_map(|p| engine.cfg.faults.net.partition_until(p.from_secs))
-                .collect();
-            heals.sort_by(|a, b| a.partial_cmp(b).expect("validated windows are finite"));
-            heals.dedup();
-            for h in heals {
+            for h in engine.cfg.faults.net.heal_instants() {
                 engine.push_action(
                     SimTime::ZERO + SimDuration::from_secs_f64(h),
                     Action::Reconnect,
@@ -2138,18 +2128,6 @@ impl Engine {
             .as_ref()
             .map(|c| c.active_series())
             .or_else(|| self.pool.as_ref().map(|p| p.active_series()))
-    }
-
-    /// Pending on-device work for a device (queue depth).
-    pub fn edge_load(&self, device: u32) -> usize {
-        let (s, di) = self.locate(device);
-        self.shards[s].fifos[di].load()
-    }
-
-    /// Total on-device busy compute time for a device.
-    pub fn edge_busy_time(&self, device: u32) -> SimDuration {
-        let (s, di) = self.locate(device);
-        self.shards[s].fifos[di].busy_time()
     }
 }
 

@@ -23,7 +23,8 @@ use hivemind_sim::time::{SimDuration, SimTime};
 /// let mut q = FifoServer::new(1);
 /// q.submit(SimTime::ZERO, 1, SimDuration::from_secs(2));
 /// q.submit(SimTime::ZERO, 2, SimDuration::from_secs(2));
-/// let done = q.advance_to(SimTime::from_secs(10));
+/// let mut done = Vec::new();
+/// q.advance_into(SimTime::from_secs(10), &mut done);
 /// assert_eq!(done, vec![
 ///     (SimTime::from_secs(2), 1, SimDuration::ZERO),
 ///     (SimTime::from_secs(4), 2, SimDuration::from_secs(2)),
@@ -115,16 +116,8 @@ impl FifoServer {
         }
     }
 
-    /// Returns `(finish, id, queue_delay)` for jobs finished by `now`,
-    /// in completion order.
-    pub fn advance_to(&mut self, now: SimTime) -> Vec<(SimTime, u64, SimDuration)> {
-        let mut out = Vec::new();
-        self.advance_into(now, &mut out);
-        out
-    }
-
-    /// [`FifoServer::advance_to`] into a caller-provided buffer, so a hot
-    /// caller can reuse one allocation across calls.
+    /// Appends `(finish, id, queue_delay)` to `out` for jobs finished by
+    /// `now`, in completion order.
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, u64, SimDuration)>) {
         self.pump(now);
         while let Some(&Reverse((t, id, q))) = self.ready.peek() {
@@ -157,7 +150,8 @@ mod tests {
         q.submit(SimTime::ZERO, 1, SimDuration::from_secs(2));
         q.submit(SimTime::ZERO, 2, SimDuration::from_secs(2));
         q.submit(SimTime::ZERO, 3, SimDuration::from_secs(2));
-        let done = q.advance_to(SimTime::from_secs(10));
+        let mut done = Vec::new();
+        q.advance_into(SimTime::from_secs(10), &mut done);
         assert_eq!(done[0].0, SimTime::from_secs(2));
         assert_eq!(done[1].0, SimTime::from_secs(2));
         assert_eq!(done[2].0, SimTime::from_secs(4));
@@ -169,7 +163,8 @@ mod tests {
         let mut q = FifoServer::new(1);
         q.submit(SimTime::ZERO, 1, SimDuration::from_secs(1));
         q.submit(SimTime::from_secs(5), 2, SimDuration::from_secs(1));
-        let done = q.advance_to(SimTime::from_secs(10));
+        let mut done = Vec::new();
+        q.advance_into(SimTime::from_secs(10), &mut done);
         assert_eq!(done[1].0, SimTime::from_secs(6));
         assert_eq!(done[1].2, SimDuration::ZERO);
     }
@@ -182,7 +177,8 @@ mod tests {
         for i in 0..20u64 {
             q.submit(SimTime::from_secs(i), i, SimDuration::from_millis(2500));
         }
-        let done = q.advance_to(SimTime::MAX);
+        let mut done = Vec::new();
+        q.advance_into(SimTime::MAX, &mut done);
         assert_eq!(done.len(), 20);
         let last = done.last().unwrap();
         // Last completes at 20 × 2.5 s = 50 s, having queued ~30 s.
@@ -196,7 +192,7 @@ mod tests {
         for i in 0..3u64 {
             q.submit(SimTime::ZERO, i, SimDuration::from_secs(1));
         }
-        let _ = q.advance_to(SimTime::MAX);
+        q.advance_into(SimTime::MAX, &mut Vec::new());
         assert_eq!(q.busy_time(), SimDuration::from_secs(3));
     }
 
@@ -214,7 +210,7 @@ mod tests {
         q.submit(SimTime::ZERO, 1, SimDuration::from_secs(1));
         q.submit(SimTime::ZERO, 2, SimDuration::from_secs(1));
         assert_eq!(q.load(), 2);
-        let _ = q.advance_to(SimTime::MAX);
+        q.advance_into(SimTime::MAX, &mut Vec::new());
         assert_eq!(q.load(), 0);
     }
 }

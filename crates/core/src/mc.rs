@@ -53,7 +53,7 @@ use hivemind_sim::mc::{BreakerMonitor, McModel, Schedule};
 use hivemind_sim::overload::{
     BreakerConfig, BreakerDecision, BreakerEvent, BreakerState, CircuitBreaker,
 };
-use hivemind_sim::shard::{merge_keyed, EffectKey, ShardMap};
+use hivemind_sim::shard::{merge_keyed_into, EffectKey, ShardMap};
 use hivemind_sim::time::{SimDuration, SimTime};
 use hivemind_swarm::geometry::Rect;
 
@@ -868,7 +868,7 @@ impl McModel for ExchangeModel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MergeRule {
     /// The real protocol: the order-stable k-way merge on
-    /// `(time, lane, seq)` keys ([`merge_keyed`]).
+    /// `(time, lane, seq)` keys ([`merge_keyed_into`]).
     ByKey,
     /// Planted bug: concatenate batches in shard order (effectively a
     /// `(shard, time)` key). Each batch is internally time-sorted, so
@@ -890,7 +890,7 @@ pub enum ShardAction {
 
 /// The sharded DES engine's conservative barrier/merge protocol over a
 /// small device fleet, driven through the *real* [`ShardMap`] partition,
-/// [`EffectKey`] ordering and [`merge_keyed`] exchange from
+/// [`EffectKey`] ordering and [`merge_keyed_into`] exchange from
 /// `hivemind_sim::shard`.
 ///
 /// Each epoch spans one conservative lookahead window `L` (the engine
@@ -1062,8 +1062,11 @@ impl McModel for ShardModel {
                     .collect();
                 match self.merge {
                     MergeRule::ByKey => {
-                        self.merged
-                            .extend(merge_keyed(batches).into_iter().map(|(k, ())| k));
+                        let runs: Vec<&[(EffectKey, ())]> =
+                            batches.iter().map(Vec::as_slice).collect();
+                        let mut merged = Vec::new();
+                        merge_keyed_into(&runs, &mut merged);
+                        self.merged.extend(merged.into_iter().map(|(k, ())| k));
                     }
                     MergeRule::ByShardTime => {
                         // BUG: shard index outranks time.

@@ -284,7 +284,7 @@ pub struct Outcome {
     /// active disconnect policy.
     pub reconnect: Option<ReconnectStats>,
     /// Structured event trace, present when the experiment ran with
-    /// [`crate::experiment::ExperimentConfig::trace`] enabled. Excluded
+    /// [`crate::experiment::RunPlan::trace`] enabled. Excluded
     /// from [`Outcome::to_json`] — export it via
     /// [`Trace::to_jsonl`] / [`Trace::to_chrome_trace`].
     pub trace: Option<Trace>,

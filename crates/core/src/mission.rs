@@ -335,13 +335,7 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
     // the plane is inert.
     if engine.disconnect_armed() {
         let net = &cfg.plan.faults.net;
-        let mut heals: Vec<f64> = net
-            .partitions
-            .iter()
-            .filter_map(|p| net.partition_until(p.from_secs))
-            .collect();
-        heals.sort_by(|a, b| a.total_cmp(b));
-        heals.dedup();
+        let heals = net.heal_instants();
         let mut next_heal = 0;
         let horizon = scenario.mission_timeout().as_secs_f64() as u64;
         for sec in 0..=horizon {

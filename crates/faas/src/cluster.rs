@@ -235,7 +235,7 @@ impl IdSet {
 /// cluster.submit(SimTime::ZERO, Invocation::root(AppId(0), 7));
 /// let mut done = Vec::new();
 /// while let Some(t) = cluster.next_wakeup() {
-///     done.extend(cluster.advance_to(t));
+///     cluster.advance_into(t, &mut done);
 /// }
 /// assert_eq!(done.len(), 1);
 /// assert_eq!(done[0].tag, 7);
@@ -1276,27 +1276,15 @@ impl Cluster {
         }
     }
 
-    /// Advances to `now`, returning completions that finished at or before
-    /// `now` (chronological).
-    pub fn advance_to(&mut self, now: SimTime) -> Vec<Completion> {
-        self.pump_events(now);
-        std::mem::take(&mut self.completions)
-    }
-
-    /// [`Cluster::advance_to`] into a caller-provided buffer; the internal
-    /// completion buffer keeps its capacity, so a hot caller allocates
-    /// nothing per advance.
+    /// Runs every internal event due at or before `now` and appends the
+    /// completions that finished by then to `out` (chronological). The
+    /// internal completion buffer keeps its capacity, so a hot caller
+    /// allocates nothing per advance.
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<Completion>) {
-        self.pump_events(now);
-        out.append(&mut self.completions);
-    }
-
-    /// Runs every internal event due at or before `now`, accumulating
-    /// completions in `self.completions`.
-    fn pump_events(&mut self, now: SimTime) {
         while self.heap.peek().is_some_and(|&Reverse((t, ..))| t <= now) {
             self.step();
         }
+        out.append(&mut self.completions);
     }
 
     /// Pops and runs the earliest internal event.
@@ -1332,11 +1320,6 @@ impl Cluster {
             .iter()
             .map(|&b| b as f64 / self.params.cores_per_server as f64)
             .collect()
-    }
-
-    /// Servers currently on straggler probation at `now`.
-    pub fn servers_on_probation(&self, now: SimTime) -> u32 {
-        self.probation_until.iter().filter(|&&t| t > now).count() as u32
     }
 
     /// Invocations waiting for a free core.
@@ -1404,7 +1387,7 @@ mod tests {
     fn run_all(cluster: &mut Cluster) -> Vec<Completion> {
         let mut done = Vec::new();
         while let Some(t) = cluster.next_wakeup() {
-            done.extend(cluster.advance_to(t));
+            cluster.advance_into(t, &mut done);
         }
         done
     }
@@ -1585,7 +1568,7 @@ mod tests {
         }
         // Drive event by event, checking the invariant throughout.
         while let Some(t) = c.next_wakeup() {
-            let _ = c.advance_to(t);
+            c.advance_into(t, &mut Vec::new());
             assert!(c.running() <= 3, "cap violated: {}", c.running());
         }
     }
@@ -1603,7 +1586,7 @@ mod tests {
         }
         let mut done = Vec::new();
         while let Some(t) = c.next_wakeup() {
-            done.extend(c.advance_to(t));
+            c.advance_into(t, &mut done);
             assert!(c.queued() <= 1, "queue bound violated: {}", c.queued());
         }
         // Conservation: every submission resolves, as a run or a shed.
@@ -1709,7 +1692,7 @@ mod tests {
         }
         let mut done = Vec::new();
         while let Some(t) = c.next_wakeup() {
-            done.extend(c.advance_to(t));
+            c.advance_into(t, &mut done);
             assert!(c.running() <= 2, "per-app cap violated: {}", c.running());
         }
         assert_eq!(done.len(), 8, "the limit queues, it never drops");

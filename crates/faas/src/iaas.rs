@@ -65,7 +65,7 @@ impl Default for FixedPoolParams {
 /// pool.submit(SimTime::ZERO, Invocation::root(AppId(0), 2));
 /// let mut done = Vec::new();
 /// while let Some(t) = pool.next_wakeup() {
-///     done.extend(pool.advance_to(t));
+///     pool.advance_into(t, &mut done);
 /// }
 /// // One worker: the second task queues behind the first.
 /// assert!(done[1].latency() > done[0].latency());
@@ -216,15 +216,7 @@ impl FixedPool {
         self.busy.peek().map(|Reverse((t, _))| *t)
     }
 
-    /// Advances to `now`, returning finished completions.
-    pub fn advance_to(&mut self, now: SimTime) -> Vec<Completion> {
-        let mut out = Vec::new();
-        self.advance_into(now, &mut out);
-        out
-    }
-
-    /// [`FixedPool::advance_to`] into a caller-provided buffer, so a hot
-    /// caller can reuse one allocation across calls.
+    /// Advances to `now`, appending finished completions to `out`.
     #[allow(clippy::while_let_loop)] // the loop also breaks on `t > now`
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<Completion>) {
         // Free workers as their tasks finish, starting queued work at the
@@ -304,7 +296,7 @@ mod tests {
     fn drain(p: &mut FixedPool) -> Vec<Completion> {
         let mut done = Vec::new();
         while let Some(t) = p.next_wakeup() {
-            done.extend(p.advance_to(t));
+            p.advance_into(t, &mut done);
         }
         done
     }

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 fn drain_cluster(c: &mut Cluster) -> Vec<hivemind_faas::types::Completion> {
     let mut done = Vec::new();
     while let Some(t) = c.next_wakeup() {
-        done.extend(c.advance_to(t));
+        c.advance_into(t, &mut done);
     }
     done
 }
@@ -224,7 +224,7 @@ proptest! {
         }
         let mut done = Vec::new();
         while let Some(t) = cluster.next_wakeup() {
-            done.extend(cluster.advance_to(t));
+            cluster.advance_into(t, &mut done);
             prop_assert!(
                 cluster.queued() <= bound as usize,
                 "queue {} exceeds bound {} at {}",
@@ -279,7 +279,7 @@ proptest! {
         }
         let mut done = Vec::new();
         while let Some(t) = pool.next_wakeup() {
-            done.extend(pool.advance_to(t));
+            pool.advance_into(t, &mut done);
         }
         prop_assert_eq!(done.len(), arrivals.len());
         prop_assert!(pool.active_series().max() <= workers as f64);

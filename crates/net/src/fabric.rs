@@ -146,8 +146,8 @@ impl Ord for Delayed {
 }
 
 /// A completed delivery awaiting emission, min-ordered by
-/// `(delivered_at, id)` — the exact key `advance_to` used to sort by, so
-/// popping due entries replaces the old filter + clone + sort pass.
+/// `(delivered_at, id)`, so popping due entries yields them in delivery
+/// order with no sort pass and no clone.
 #[derive(Debug)]
 struct PendingDelivery(Delivery);
 
@@ -184,7 +184,7 @@ impl Ord for PendingDelivery {
 /// );
 /// let mut deliveries = Vec::new();
 /// while let Some(wake) = fabric.next_wakeup() {
-///     deliveries.extend(fabric.advance_to(wake));
+///     fabric.advance_into(wake, &mut deliveries);
 /// }
 /// assert_eq!(deliveries.len(), 1);
 /// assert!(deliveries[0].latency().as_millis_f64() > 18.0); // 2 MB over ~108 MB/s WiFi
@@ -202,7 +202,7 @@ pub struct Fabric {
     edge_meter: Meter,
     total_meter: Meter,
     /// Wake-up index: one `(head delivery time, link)` entry per busy
-    /// link. Keeps `next_wakeup`/`advance_to` away from O(links) scans so
+    /// link. Keeps `next_wakeup`/`advance_into` away from O(links) scans so
     /// thousand-device topologies stay fast.
     wake: BinaryHeap<Reverse<(SimTime, u32)>>,
     tracer: TraceHandle,
@@ -626,17 +626,6 @@ impl Fabric {
         }
     }
 
-    /// Advances the fabric to `now`, returning all deliveries that completed
-    /// at or before `now` in chronological order.
-    ///
-    /// Convenience wrapper over [`Fabric::advance_into`]; hot callers
-    /// should pass their own reusable buffer instead.
-    pub fn advance_to(&mut self, now: SimTime) -> Vec<Delivery> {
-        let mut ready = Vec::new();
-        self.advance_into(now, &mut ready);
-        ready
-    }
-
     /// Advances the fabric to `now`, appending all deliveries that
     /// completed at or before `now` to `out` in chronological order.
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<Delivery>) {
@@ -677,13 +666,6 @@ impl Fabric {
     pub fn edge_meter(&self) -> &Meter {
         &self.edge_meter
     }
-
-    /// Current number of items queued/in flight on each link, for
-    /// congestion diagnostics (allocation-free; collect if a `Vec` is
-    /// needed).
-    pub fn link_loads(&self) -> impl Iterator<Item = usize> + '_ {
-        self.links.iter().map(|l| l.load())
-    }
 }
 
 /// The earlier of two optional instants (`None` means "never").
@@ -706,7 +688,7 @@ mod tests {
     fn drain(f: &mut Fabric) -> Vec<Delivery> {
         let mut out = Vec::new();
         while let Some(t) = f.next_wakeup() {
-            out.extend(f.advance_to(t));
+            f.advance_into(t, &mut out);
         }
         out
     }

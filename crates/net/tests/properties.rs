@@ -205,7 +205,7 @@ proptest! {
         }
         let mut deliveries = Vec::new();
         while let Some(t) = fabric.next_wakeup() {
-            deliveries.extend(fabric.advance_to(t));
+            fabric.advance_into(t, &mut deliveries);
         }
         prop_assert_eq!(deliveries.len(), sends.len());
         for (pos, d) in deliveries.iter().enumerate() {

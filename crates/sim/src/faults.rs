@@ -506,6 +506,20 @@ impl NetFaults {
             }
         }
     }
+
+    /// Every distinct heal instant, ascending: each window's
+    /// [`NetFaults::partition_until`] from its start, so chained windows
+    /// fold to their final heal and report it once.
+    pub fn heal_instants(&self) -> Vec<f64> {
+        let mut heals: Vec<f64> = self
+            .partitions
+            .iter()
+            .filter_map(|p| self.partition_until(p.from_secs))
+            .collect();
+        heals.sort_by(f64::total_cmp);
+        heals.dedup();
+        heals
+    }
 }
 
 /// One device's WiFi link down over `[from_secs, until_secs)`.
@@ -873,6 +887,8 @@ mod tests {
         assert_eq!(net.partition_until(25.0), None);
         assert_eq!(net.partition_until(45.0), Some(50.0));
         assert_eq!(NetFaults::default().partition_until(0.0), None);
+        assert_eq!(net.heal_instants(), vec![25.0, 50.0]);
+        assert!(NetFaults::default().heal_instants().is_empty());
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!   ([`OverloadPolicy`], [`CircuitBreaker`]): bounded admission, load
 //!   shedding, circuit breaking, and brownout spillover, all decided
 //!   without RNG so the plane is inert-by-default and byte-deterministic.
-//! * [`trace`] — zero-cost-when-disabled structured tracing ([`Tracer`],
-//!   [`TraceHandle`]) with JSONL and Chrome `trace_event` exporters, so a
+//! * [`trace`] — zero-cost-when-disabled structured tracing
+//!   ([`TraceHandle`]) with JSONL and Chrome `trace_event` exporters, so a
 //!   run can be replayed event by event in Perfetto.
 //! * [`shard`] — spatial sharding primitives ([`ShardMap`], [`EffectKey`],
 //!   order-stable merge) for the multi-core conservative-lookahead engine;
@@ -95,4 +95,4 @@ pub use rng::RngForge;
 pub use shard::{merge_keyed_into, EffectKey, ShardMap};
 pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent, TraceHandle, Tracer};
+pub use trace::{Trace, TraceEvent, TraceHandle};

@@ -4,7 +4,7 @@
 //! per swarm region — and runs each block's device-local events on its
 //! own worker under conservative lookahead. Everything a shard produces
 //! for the shared global phase is stamped with an [`EffectKey`] and
-//! re-ordered through [`merge_keyed`], whose output depends only on the
+//! re-ordered through [`merge_keyed_into`], whose output depends only on the
 //! keys — never on how devices were grouped into shards. That invariance
 //! is the heart of the byte-determinism contract: `HIVEMIND_SHARDS`
 //! changes wall-clock time, never a single output byte.
@@ -15,11 +15,9 @@
 //! * [`EffectKey`] — the `(time, lane, seq)` merge key; `lane` is a
 //!   shard-count-invariant identity (a device id), `seq` a per-lane
 //!   monotone counter.
-//! * [`merge_keyed`] — order-stable k-way merge of per-shard batches.
-//! * [`merge_keyed_into`] — the batched-exchange variant: merges
-//!   pre-sorted runs (leftover pending + per-shard buffers) into a
-//!   caller-owned vector once per barrier epoch, allocation-free in
-//!   steady state.
+//! * [`merge_keyed_into`] — order-stable k-way merge: merges pre-sorted
+//!   runs (leftover pending + per-shard buffers) into a caller-owned
+//!   vector once per barrier epoch, allocation-free in steady state.
 //! * [`shards_from`] — `HIVEMIND_SHARDS` parsing (default 1: sharding
 //!   is opt-in, the single-shard path is the reference semantics).
 
@@ -156,72 +154,22 @@ impl EffectKey {
     }
 }
 
-/// Merges per-shard batches of keyed items into one globally ordered
-/// stream.
-///
-/// Each batch must be sorted by key (shards emit in local processing
-/// order, which sorts per lane; the engine sorts each batch before
-/// handing it over). The output is the unique `(time, lane, seq)` order
-/// of the union — by construction independent of how items were
-/// distributed across batches, which is what makes the sharded engine's
-/// global phase byte-identical for every shard count.
-pub fn merge_keyed<T>(mut batches: Vec<Vec<(EffectKey, T)>>) -> Vec<(EffectKey, T)> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    match batches.len() {
-        0 => return Vec::new(),
-        1 => return batches.pop().expect("one batch"),
-        _ => {}
-    }
-    let total = batches.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    // K-way merge over batch cursors; the heap is keyed by the head
-    // key with the batch index as a tiebreaker it can never need (keys
-    // are unique across shards: one lane lives in exactly one batch).
-    let mut cursors: Vec<std::vec::IntoIter<(EffectKey, T)>> =
-        batches.into_iter().map(Vec::into_iter).collect();
-    let mut heap: BinaryHeap<Reverse<(EffectKey, usize)>> =
-        BinaryHeap::with_capacity(cursors.len());
-    let mut heads: Vec<Option<(EffectKey, T)>> = Vec::with_capacity(cursors.len());
-    for (i, c) in cursors.iter_mut().enumerate() {
-        let head = c.next();
-        if let Some((k, _)) = &head {
-            heap.push(Reverse((*k, i)));
-        }
-        heads.push(head);
-    }
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let (k, v) = heads[i].take().expect("head present while queued");
-        debug_assert!(out
-            .last()
-            .map(|(p, _): &(EffectKey, T)| *p < k)
-            .unwrap_or(true));
-        out.push((k, v));
-        let next = cursors[i].next();
-        if let Some((nk, _)) = &next {
-            heap.push(Reverse((*nk, i)));
-        }
-        heads[i] = next;
-    }
-    out
-}
-
 /// Merges pre-sorted runs of keyed items into `out`, appending in global
 /// `(time, lane, seq)` order.
 ///
-/// The batched-exchange counterpart of [`merge_keyed`]: instead of
-/// consuming owned per-shard vectors and re-heapifying each item, the
-/// caller keeps its effect buffers (and any leftover not-yet-due run from
-/// the previous barrier) alive, hands them over as slices once per
+/// The caller keeps its effect buffers (and any leftover not-yet-due run
+/// from the previous barrier) alive, hands them over as slices once per
 /// barrier epoch, and reuses `out` as the next epoch's pending stream.
 /// Items must be `Copy` (they are copied out of the runs; the source
 /// buffers are untouched and can simply be cleared afterwards).
 ///
-/// Each run must be sorted by key; keys must be unique across runs (one
-/// lane lives in exactly one shard). The output order therefore depends
-/// only on the union of keys — never on how items were split into runs —
-/// and matches [`merge_keyed`] exactly.
+/// Each run must be sorted by key (shards emit in local processing
+/// order, which sorts per lane; the engine sorts each batch before
+/// handing it over); keys must be unique across runs (one lane lives in
+/// exactly one shard). The output is the unique `(time, lane, seq)`
+/// order of the union — by construction independent of how items were
+/// split into runs, which is what makes the sharded engine's global
+/// phase byte-identical for every shard count.
 pub fn merge_keyed_into<T: Copy>(runs: &[&[(EffectKey, T)]], out: &mut Vec<(EffectKey, T)>) {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     out.reserve(total);
@@ -324,6 +272,14 @@ mod tests {
         }
     }
 
+    /// Merges owned runs through [`merge_keyed_into`].
+    fn merge<T: Copy>(runs: &[Vec<(EffectKey, T)>]) -> Vec<(EffectKey, T)> {
+        let slices: Vec<&[(EffectKey, T)]> = runs.iter().map(Vec::as_slice).collect();
+        let mut out = Vec::new();
+        merge_keyed_into(&slices, &mut out);
+        out
+    }
+
     #[test]
     fn merge_equals_global_sort_for_any_partition() {
         // A fixed event population, partitioned two different ways,
@@ -357,22 +313,15 @@ mod tests {
             by_lane(&[&[0, 1], &[2]]),
             by_lane(&[&[2], &[0, 1]]),
         ] {
-            assert_eq!(merge_keyed(partition), expected);
+            assert_eq!(merge(&partition), expected);
         }
     }
 
     #[test]
-    fn merge_handles_empty_batches() {
-        let empty: Vec<Vec<(EffectKey, u8)>> = vec![vec![], vec![]];
-        assert!(merge_keyed(empty).is_empty());
-        assert!(merge_keyed(Vec::<Vec<(EffectKey, u8)>>::new()).is_empty());
-    }
-
-    #[test]
-    fn merge_into_matches_merge_keyed_for_any_partition() {
+    fn merge_into_equals_global_sort_for_random_keys() {
         // A deterministic LCG builds a population of unique keys, split
-        // into k runs round-robin by lane; the slice-based merge must
-        // reproduce the owned merge byte for byte, for every k.
+        // into k runs round-robin by lane; the merge must reproduce the
+        // global sort of the population, for every k.
         let mut x = 0x9E3779B97F4A7C15u64;
         let mut step = move || {
             x = x
@@ -389,6 +338,8 @@ mod tests {
             seqs[lane as usize] += 1;
             all.push((EffectKey::new(at, lane, seq), i));
         }
+        let mut expected = all.clone();
+        expected.sort_by_key(|&(k, _)| k);
         for k in [1usize, 2, 3, 5, 7] {
             let mut runs: Vec<Vec<(EffectKey, u64)>> = vec![Vec::new(); k];
             for (key, v) in &all {
@@ -397,10 +348,7 @@ mod tests {
             for r in &mut runs {
                 r.sort_by_key(|&(k, _)| k);
             }
-            let slices: Vec<&[(EffectKey, u64)]> = runs.iter().map(Vec::as_slice).collect();
-            let mut out = Vec::new();
-            merge_keyed_into(&slices, &mut out);
-            assert_eq!(out, merge_keyed(runs.clone()), "k = {k}");
+            assert_eq!(merge(&runs), expected, "k = {k}");
         }
     }
 
@@ -423,6 +371,7 @@ mod tests {
         merge_keyed_into(&[], &mut out);
         assert!(out.is_empty());
         let empty: &[(EffectKey, u8)] = &[];
+        merge_keyed_into(&[empty, empty], &mut out);
         merge_keyed_into(&[empty, empty, empty], &mut out);
         assert!(out.is_empty());
     }

@@ -7,10 +7,8 @@
 //!
 //! * [`TraceEvent`] — one structured span / instant / counter sample,
 //!   stamped with virtual time and a resource track.
-//! * [`Tracer`] — the sink abstraction. [`NullTracer`] discards,
-//!   [`TraceBuffer`] collects.
-//! * [`TraceHandle`] — a cheaply clonable handle shared by every
-//!   component of one simulation. When disabled it holds no buffer and
+//! * [`TraceHandle`] — the sink: a cheaply clonable handle shared by
+//!   every component of one simulation. When disabled it holds no buffer and
 //!   every emission is a single predictable branch — **zero-cost when
 //!   disabled**: no allocation, no formatting, no locking.
 //! * [`Trace`] — the finished, time-sorted event list with two
@@ -175,81 +173,18 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
-/// A sink for [`TraceEvent`]s.
-///
-/// The two stock implementations are [`NullTracer`] (discards, reports
-/// disabled) and [`TraceBuffer`] (collects). Components hold a
-/// [`TraceHandle`], which implements this trait by delegating to a
-/// shared buffer when enabled.
-pub trait Tracer {
-    /// Whether events will be kept. Emission sites must check this
-    /// before doing any per-event work (formatting, allocation) so a
-    /// disabled tracer costs a single branch.
-    fn enabled(&self) -> bool;
-    /// Records one event. May be a no-op when disabled.
-    fn record(&mut self, ev: TraceEvent);
-}
-
-/// A [`Tracer`] that drops everything; [`Tracer::enabled`] is `false`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    fn enabled(&self) -> bool {
-        false
-    }
-    fn record(&mut self, _ev: TraceEvent) {}
-}
-
-/// An in-memory [`Tracer`] collecting events in emission order.
-#[derive(Debug, Clone, Default)]
-pub struct TraceBuffer {
-    events: Vec<TraceEvent>,
-}
-
-impl TraceBuffer {
-    /// An empty buffer.
-    pub fn new() -> TraceBuffer {
-        TraceBuffer::default()
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Removes and returns all buffered events.
-    pub fn take(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-}
-
-impl Tracer for TraceBuffer {
-    fn enabled(&self) -> bool {
-        true
-    }
-    fn record(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
-    }
-}
-
 /// A cheaply clonable tracing handle shared across one simulation's
 /// components.
 ///
 /// Disabled handles (the default) carry no buffer: every emission
 /// helper checks [`TraceHandle::is_enabled`] first and returns
 /// immediately, so the cost of compiled-in tracing is one branch per
-/// potential event. Enabled handles append to a shared [`TraceBuffer`]
+/// potential event. Enabled handles append to a shared event list
 /// through interior mutability, which is sound because each simulation
 /// replicate runs on exactly one thread.
 #[derive(Debug, Clone, Default)]
 pub struct TraceHandle {
-    buf: Option<Rc<RefCell<TraceBuffer>>>,
+    buf: Option<Rc<RefCell<Vec<TraceEvent>>>>,
 }
 
 impl TraceHandle {
@@ -261,7 +196,7 @@ impl TraceHandle {
     /// A handle that collects into a fresh shared buffer.
     pub fn enabled() -> TraceHandle {
         TraceHandle {
-            buf: Some(Rc::new(RefCell::new(TraceBuffer::new()))),
+            buf: Some(Rc::default()),
         }
     }
 
@@ -273,7 +208,7 @@ impl TraceHandle {
     /// Records a pre-built event (no-op when disabled).
     pub fn emit(&self, ev: TraceEvent) {
         if let Some(buf) = &self.buf {
-            buf.borrow_mut().record(ev);
+            buf.borrow_mut().push(ev);
         }
     }
 
@@ -351,18 +286,7 @@ impl TraceHandle {
     /// when the handle is disabled. Other clones of the handle remain
     /// valid (and start filling a now-empty buffer).
     pub fn finish(&self) -> Option<Trace> {
-        self.buf
-            .as_ref()
-            .map(|buf| Trace::new(buf.borrow_mut().take()))
-    }
-}
-
-impl Tracer for TraceHandle {
-    fn enabled(&self) -> bool {
-        self.is_enabled()
-    }
-    fn record(&mut self, ev: TraceEvent) {
-        self.emit(ev);
+        self.buf.as_ref().map(|buf| Trace::new(buf.take()))
     }
 }
 
@@ -610,24 +534,60 @@ mod tests {
     }
 
     #[test]
+    fn exporters_write_exact_bytes() {
+        // A span carrying every `ArgValue` kind, an instant at the same
+        // timestamp, and an earlier counter emitted last.
+        let h = TraceHandle::enabled();
+        h.span(
+            "task",
+            "exec",
+            3,
+            SimTime::from_nanos(1_250_000_000),
+            SimDuration::from_micros(250_500),
+            vec![
+                ("task", ArgValue::U64(9)),
+                ("delta", ArgValue::I64(-4)),
+                ("ratio", ArgValue::F64(0.1)),
+                ("warm", ArgValue::Bool(true)),
+                ("label", ArgValue::Str("a\"b\\c\nd\u{1}".to_string())),
+            ],
+        );
+        h.instant(
+            "sched",
+            "placement",
+            7,
+            SimTime::from_nanos(1_250_000_000),
+            vec![("server", ArgValue::Bool(false))],
+        );
+        h.counter("net", "link.load", 0, SimTime::from_nanos(1_500), 1e21);
+        let trace = h.finish().unwrap();
+        assert_eq!(
+            trace.to_jsonl(),
+            concat!(
+                r#"{"ts":1500,"dur":0,"kind":"counter","cat":"net","name":"link.load","track":0,"args":{"value":1e21}}"#,
+                "\n",
+                r#"{"ts":1250000000,"dur":250500000,"kind":"span","cat":"task","name":"exec","track":3,"args":{"task":9,"delta":-4,"ratio":0.1,"warm":true,"label":"a\"b\\c\nd\u0001"}}"#,
+                "\n",
+                r#"{"ts":1250000000,"dur":0,"kind":"instant","cat":"sched","name":"placement","track":7,"args":{"server":false}}"#,
+                "\n",
+            )
+        );
+        assert_eq!(
+            trace.to_chrome_trace(),
+            concat!(
+                r#"{"displayTimeUnit":"ms","traceEvents":["#,
+                r#"{"name":"link.load","cat":"net","ph":"C","ts":1.5,"pid":0,"tid":0,"args":{"value":1e21}},"#,
+                r#"{"name":"exec","cat":"task","ph":"X","ts":1250000.0,"dur":250500.0,"pid":0,"tid":3,"args":{"task":9,"delta":-4,"ratio":0.1,"warm":true,"label":"a\"b\\c\nd\u0001"}},"#,
+                r#"{"name":"placement","cat":"sched","ph":"i","ts":1250000.0,"s":"t","pid":0,"tid":7,"args":{"server":false}}"#,
+                "]}",
+            )
+        );
+    }
+
+    #[test]
     fn strings_are_json_escaped() {
         let mut out = String::new();
         ArgValue::Str("a\"b\\c\nd\u{1}".to_string()).write_json(&mut out);
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
-    }
-
-    #[test]
-    fn null_tracer_is_disabled() {
-        let mut n = NullTracer;
-        assert!(!Tracer::enabled(&n));
-        n.record(TraceEvent {
-            ts: t(0),
-            dur: SimDuration::ZERO,
-            kind: EventKind::Instant,
-            cat: "x",
-            name: "y",
-            track: 0,
-            args: vec![],
-        });
     }
 }

@@ -7,7 +7,7 @@ use hivemind::apps::kernels::ocr::{recognize, SignImage};
 use hivemind::net::fabric::{Fabric, Transfer};
 use hivemind::net::topology::{Node, Topology, TopologyParams};
 use hivemind::sim::rng::RngForge;
-use hivemind::sim::shard::{merge_keyed, EffectKey, ShardMap};
+use hivemind::sim::shard::{merge_keyed_into, EffectKey, ShardMap};
 use hivemind::sim::stats::Summary;
 use hivemind::sim::time::{SimDuration, SimTime};
 use hivemind::swarm::geometry::{partition_field, Rect};
@@ -59,7 +59,7 @@ proptest! {
         }
         let mut deliveries = Vec::new();
         while let Some(wake) = fabric.next_wakeup() {
-            deliveries.extend(fabric.advance_to(wake));
+            fabric.advance_into(wake, &mut deliveries);
         }
         prop_assert_eq!(deliveries.len(), sends.len());
         for d in &deliveries {
@@ -197,7 +197,10 @@ proptest! {
         for (k, v) in keyed {
             batches[map.shard_of(k.lane) as usize].push((k, v));
         }
-        prop_assert_eq!(merge_keyed(batches), reference);
+        let runs: Vec<&[(EffectKey, usize)]> = batches.iter().map(Vec::as_slice).collect();
+        let mut merged = Vec::new();
+        merge_keyed_into(&runs, &mut merged);
+        prop_assert_eq!(merged, reference);
     }
 
     /// A shard map tiles the device range exactly: every device belongs
