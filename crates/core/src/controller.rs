@@ -5,11 +5,12 @@
 //! interface to communicate to the edge devices, and a monitoring system."
 //! This module implements the swarm-facing half: work partitioning,
 //! heartbeat-based failure detection with geometric load repartitioning
-//! (Fig. 10), and the shared-state scheduler sharding that keeps the
-//! centralized design scalable (Sec. 4.3's multi-scheduler escape hatch).
+//! (Fig. 10), and primary-controller failover. The scheduler sharding
+//! that keeps the centralized design scalable (Sec. 4.3's multi-scheduler
+//! escape hatch) lives in the cluster, set by
+//! `ClusterParams::scheduler_shards`.
 
 use hivemind_sim::faults;
-use hivemind_sim::shard::ShardMap;
 use hivemind_sim::time::{SimDuration, SimTime};
 use hivemind_swarm::failover::{try_assign_rect, try_repartition, FailoverError, HeartbeatTracker};
 use hivemind_swarm::geometry::{partition_field, Rect};
@@ -38,11 +39,6 @@ pub struct SwarmController {
     extra: Vec<Vec<Rect>>,
     alive: Vec<bool>,
     heartbeats: HeartbeatTracker,
-    /// Scheduler shards (1 = single centralized scheduler).
-    shards: u32,
-    /// The engine's spatial device→shard partition (identity — one
-    /// shard — until aligned via [`SwarmController::align_device_shards`]).
-    device_shards: ShardMap,
     /// Which controller instance is currently primary (0 at start; each
     /// failover promotes the next warm standby).
     primary: u32,
@@ -62,28 +58,16 @@ impl SwarmController {
     /// Panics if `devices == 0`.
     pub fn new(field: Rect, devices: u32) -> SwarmController {
         assert!(devices > 0, "need at least one device");
-        SwarmController::try_new(field, devices).expect("validated above")
-    }
-
-    /// Fallible [`SwarmController::new`]: rejects an empty fleet as a
-    /// value so fault-injected and model-checked configurations can
-    /// treat it as an explorable outcome.
-    pub fn try_new(field: Rect, devices: u32) -> Result<SwarmController, FailoverError> {
-        if devices == 0 {
-            return Err(FailoverError::EmptyFleet);
-        }
-        Ok(SwarmController {
+        SwarmController {
             regions: partition_field(&field, devices),
             extra: vec![Vec::new(); devices as usize],
             alive: vec![true; devices as usize],
             heartbeats: HeartbeatTracker::new(devices),
             field,
-            shards: 1,
-            device_shards: ShardMap::new(devices, 1),
             primary: 0,
             failovers: Vec::new(),
             redistribute_orphans: false,
-        })
+        }
     }
 
     /// Also re-home inherited strips when their holder dies, so no area
@@ -110,17 +94,6 @@ impl SwarmController {
         self.regions[device as usize]
     }
 
-    /// Fallible [`SwarmController::region_of`].
-    pub fn try_region_of(&self, device: u32) -> Result<Rect, FailoverError> {
-        self.regions
-            .get(device as usize)
-            .copied()
-            .ok_or(FailoverError::DeviceOutOfRange {
-                device,
-                fleet: self.regions.len() as u32,
-            })
-    }
-
     /// All regions currently assigned to `device` (initial + inherited).
     pub fn assignment_of(&self, device: u32) -> Vec<Rect> {
         let mut out = vec![self.regions[device as usize]];
@@ -138,12 +111,7 @@ impl SwarmController {
         self.alive.iter().filter(|&&a| a).count() as u32
     }
 
-    /// Records a heartbeat.
-    pub fn heartbeat(&mut self, device: u32, now: SimTime) {
-        self.heartbeats.beat(device, now);
-    }
-
-    /// Records a heartbeat, rejecting unknown ids instead of panicking.
+    /// Records a heartbeat; an unknown id is an error value.
     pub fn try_heartbeat(&mut self, device: u32, now: SimTime) -> Result<(), FailoverError> {
         self.heartbeats.try_beat(device, now)
     }
@@ -194,25 +162,10 @@ impl SwarmController {
     /// [`SwarmController::check_failures`] takes after a 3 s heartbeat
     /// silence — used when the failure instant is known, e.g. injected
     /// faults in experiments) and repartitions its area among live
-    /// neighbours. Returns the `(heir, strip)` assignments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` is out of range or it is the last live device;
-    /// use [`SwarmController::try_force_fail`] when fault injection may
-    /// produce either.
-    pub fn force_fail(&mut self, device: u32) -> Vec<(u32, Rect)> {
-        assert!((device as usize) < self.alive.len(), "device out of range");
-        assert!(
-            !self.alive[device as usize] || self.alive_count() > 1,
-            "cannot fail the last device"
-        );
-        self.try_force_fail(device).expect("validated above")
-    }
-
-    /// Fallible [`SwarmController::force_fail`]: rejects unknown ids and
-    /// killing the last survivor instead of panicking, so injected fault
-    /// storms degrade gracefully.
+    /// neighbours. Returns the `(heir, strip)` assignments; failing an
+    /// already-dead device is a no-op. Rejects unknown ids and killing
+    /// the last survivor as values, so injected fault storms degrade
+    /// gracefully.
     pub fn try_force_fail(&mut self, device: u32) -> Result<Vec<(u32, Rect)>, FailoverError> {
         if (device as usize) >= self.alive.len() {
             return Err(FailoverError::DeviceOutOfRange {
@@ -293,72 +246,6 @@ impl SwarmController {
         }
         rearmed
     }
-
-    /// Configures scheduler sharding: with `n` shards each scheduler owns
-    /// `1/n` of the task stream but keeps global visibility (Omega-style
-    /// shared state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn set_scheduler_shards(&mut self, n: u32) {
-        assert!(n > 0, "need at least one scheduler shard");
-        self.shards = n;
-    }
-
-    /// The shard responsible for a task id.
-    pub fn shard_of(&self, task: u64) -> u32 {
-        (task % self.shards as u64) as u32
-    }
-
-    /// Adopts the engine's spatial device→shard partition so the
-    /// controller's monitoring plane can reason per engine shard. A map
-    /// for a different fleet size is rejected (the partition would not
-    /// cover this controller's devices).
-    pub fn align_device_shards(&mut self, map: ShardMap) -> Result<(), FailoverError> {
-        if map.devices() != self.alive.len() as u32 {
-            return Err(FailoverError::DeviceOutOfRange {
-                device: map.devices(),
-                fleet: self.alive.len() as u32,
-            });
-        }
-        self.device_shards = map;
-        Ok(())
-    }
-
-    /// The engine shard that owns `device` (0 until aligned).
-    pub fn device_shard_of(&self, device: u32) -> u32 {
-        self.device_shards.shard_of(device)
-    }
-
-    /// The initial regions owned by one engine shard's device block.
-    /// Devices are partitioned into contiguous id blocks, and the initial
-    /// field partition follows device order, so a shard's view is a
-    /// contiguous band of the field.
-    pub fn shard_regions(&self, shard: u32) -> Vec<Rect> {
-        self.device_shards
-            .range(shard)
-            .map(|d| self.regions[d as usize])
-            .collect()
-    }
-
-    /// Live devices inside one engine shard — the monitoring fan-in the
-    /// hub aggregates per shard instead of per device.
-    pub fn shard_alive_count(&self, shard: u32) -> u32 {
-        self.device_shards
-            .range(shard)
-            .filter(|&d| self.alive[d as usize])
-            .count() as u32
-    }
-
-    /// Scheduler decision throughput model: a single shard sustains
-    /// `base_rate` decisions/s; shards scale near-linearly with a small
-    /// shared-state conflict penalty (Sec. 4.3 cites Omega/Tarcil-style
-    /// designs).
-    pub fn scheduler_capacity(&self, base_rate: f64) -> f64 {
-        let n = self.shards as f64;
-        base_rate * n * (1.0 - 0.03 * (n - 1.0)).max(0.5)
-    }
 }
 
 #[cfg(test)]
@@ -384,7 +271,7 @@ mod tests {
         for t in 0..10 {
             for d in 0..16 {
                 if d != 5 {
-                    c.heartbeat(d, SimTime::from_secs(t));
+                    c.try_heartbeat(d, SimTime::from_secs(t)).unwrap();
                 }
             }
         }
@@ -407,14 +294,14 @@ mod tests {
         let mut c = controller();
         for t in 1..=4 {
             for d in 1..16 {
-                c.heartbeat(d, SimTime::from_secs(t));
+                c.try_heartbeat(d, SimTime::from_secs(t)).unwrap();
             }
         }
         let first = c.check_failures(SimTime::from_secs(5));
         assert_eq!(first.len(), 1, "only device 0 went silent");
         // Device 0 is not re-reported, and fresh beats keep others alive.
         for d in 1..16 {
-            c.heartbeat(d, SimTime::from_secs(6));
+            c.try_heartbeat(d, SimTime::from_secs(6)).unwrap();
         }
         let second = c.check_failures(SimTime::from_secs(6));
         assert!(second.is_empty(), "already handled");
@@ -424,7 +311,7 @@ mod tests {
     fn no_failures_before_timeout() {
         let mut c = controller();
         for d in 0..16 {
-            c.heartbeat(d, SimTime::from_secs(1));
+            c.try_heartbeat(d, SimTime::from_secs(1)).unwrap();
         }
         assert!(c
             .check_failures(SimTime::from_secs(1) + SimDuration::from_secs(3))
@@ -434,13 +321,13 @@ mod tests {
     #[test]
     fn force_fail_matches_heartbeat_path() {
         let mut c = controller();
-        let extra = c.force_fail(5);
+        let extra = c.try_force_fail(5).unwrap();
         assert!(!c.is_alive(5));
         assert_eq!(c.alive_count(), 15);
         let inherited: f64 = extra.iter().map(|(_, r)| r.area()).sum();
         assert!((inherited - c.region_of(5).area()).abs() < 1e-6);
         // Idempotent.
-        assert!(c.force_fail(5).is_empty());
+        assert_eq!(c.try_force_fail(5), Ok(Vec::new()));
     }
 
     #[test]
@@ -492,10 +379,10 @@ mod tests {
         // Historical default: device 1 inherits part of 0's region, then
         // dies itself; its inherited strip vanishes with it.
         let mut legacy = SwarmController::new(field, 4);
-        legacy.force_fail(0);
+        legacy.try_force_fail(0).unwrap();
         let inherited: f64 = legacy.extra[1].iter().map(|r| r.area()).sum();
         assert!(inherited > 0.0, "device 1 neighbours device 0");
-        legacy.force_fail(1);
+        legacy.try_force_fail(1).unwrap();
         assert!(
             (field.area() - live_area(&legacy) - inherited).abs() < 1e-9,
             "legacy drops exactly the inherited strip"
@@ -504,8 +391,8 @@ mod tests {
         // With redistribution on, the second failover re-homes the strip
         // and the live assignment always tiles the whole field.
         let mut fixed = SwarmController::new(field, 4).with_orphan_redistribution();
-        fixed.force_fail(0);
-        fixed.force_fail(1);
+        fixed.try_force_fail(0).unwrap();
+        fixed.try_force_fail(1).unwrap();
         assert!((live_area(&fixed) - field.area()).abs() < 1e-9);
         assert!(fixed.extra[1].is_empty(), "nothing left on the dead device");
     }
@@ -514,7 +401,7 @@ mod tests {
     fn takeover_grace_prevents_spurious_fleet_death() {
         let mut c = controller();
         for d in 0..16 {
-            c.heartbeat(d, SimTime::from_secs(1));
+            c.try_heartbeat(d, SimTime::from_secs(1)).unwrap();
         }
         // Primary dies at t = 2 s; detection (3 s) + takeover (0.5 s)
         // resumes service at t = 5.5 s. Beats sent meanwhile were lost
@@ -532,7 +419,7 @@ mod tests {
         // > 3 s after resumption is still detected.
         let late = fo.resumed_at + SimDuration::from_secs(4);
         for d in 1..16 {
-            c.heartbeat(d, late);
+            c.try_heartbeat(d, late).unwrap();
         }
         let failed = c.check_failures(late);
         assert_eq!(failed.len(), 1);
@@ -543,7 +430,7 @@ mod tests {
     fn reconnect_reconciliation_prevents_double_assignment() {
         let mut c = controller();
         for d in 0..16 {
-            c.heartbeat(d, SimTime::from_secs(1));
+            c.try_heartbeat(d, SimTime::from_secs(1)).unwrap();
         }
         // A 30 s partition: no beat reaches the controller. A naive
         // failure check at heal would declare all 16 devices dead and
@@ -560,7 +447,7 @@ mod tests {
         // afterwards is still detected, one window later.
         let late = heal + SimDuration::from_secs(4);
         for d in 1..16 {
-            c.heartbeat(d, late);
+            c.try_heartbeat(d, late).unwrap();
         }
         let failed = c.check_failures(late);
         assert_eq!(failed.len(), 1);
@@ -568,67 +455,5 @@ mod tests {
         // Already-failed devices are not resurrected by reconciliation.
         assert_eq!(c.reconcile_reconnect(late + SimDuration::from_secs(1)), 15);
         assert!(!c.is_alive(0));
-    }
-
-    #[test]
-    fn fallible_constructors_reject_bad_input() {
-        assert!(matches!(
-            SwarmController::try_new(Rect::new(0.0, 0.0, 1.0, 1.0), 0),
-            Err(FailoverError::EmptyFleet)
-        ));
-        let mut c = SwarmController::new(Rect::new(0.0, 0.0, 1.0, 1.0), 2);
-        assert!(c.try_heartbeat(0, SimTime::ZERO).is_ok());
-        assert!(matches!(
-            c.try_heartbeat(7, SimTime::ZERO),
-            Err(FailoverError::DeviceOutOfRange {
-                device: 7,
-                fleet: 2
-            })
-        ));
-        assert!(c.try_region_of(1).is_ok());
-        assert!(c.try_region_of(2).is_err());
-    }
-
-    #[test]
-    fn device_shards_align_with_the_engine_partition() {
-        let mut c = controller();
-        // Unaligned: everything is shard 0.
-        assert_eq!(c.device_shard_of(15), 0);
-        assert_eq!(c.shard_alive_count(0), 16);
-
-        // A map for the wrong fleet size is rejected.
-        assert!(c.align_device_shards(ShardMap::new(8, 4)).is_err());
-        c.align_device_shards(ShardMap::new(16, 4))
-            .expect("aligned");
-
-        // Contiguous blocks of 4, and every region lands in exactly one
-        // shard's view.
-        assert_eq!(c.device_shard_of(0), 0);
-        assert_eq!(c.device_shard_of(7), 1);
-        assert_eq!(c.device_shard_of(15), 3);
-        let total: f64 = (0..4)
-            .flat_map(|s| c.shard_regions(s))
-            .map(|r| r.area())
-            .sum();
-        assert!((total - c.field().area()).abs() < 1e-6);
-
-        // Per-shard liveness tracks failures.
-        c.force_fail(5);
-        assert_eq!(c.shard_alive_count(1), 3);
-        assert_eq!(c.shard_alive_count(0), 4);
-    }
-
-    #[test]
-    fn sharding_scales_decision_rate() {
-        let mut c = controller();
-        let single = c.scheduler_capacity(1000.0);
-        c.set_scheduler_shards(4);
-        let sharded = c.scheduler_capacity(1000.0);
-        assert!(sharded > 3.0 * single, "near-linear scaling");
-        assert!(sharded < 4.0 * single, "with a conflict penalty");
-        // Shard assignment is stable and in range.
-        for task in 0..100u64 {
-            assert!(c.shard_of(task) < 4);
-        }
     }
 }

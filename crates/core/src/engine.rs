@@ -1026,13 +1026,6 @@ impl Engine {
         self.lookahead
     }
 
-    /// The resolved device→shard partition, for components that want to
-    /// align their own spatial bookkeeping with the engine's (e.g. the
-    /// swarm controller's per-shard region view).
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
-    }
-
     /// Total simulation events processed so far (shard-phase actions and
     /// FIFO completions plus hub-phase actions, effects, deliveries, and
     /// cloud completions). A throughput denominator for benchmarks.
@@ -1174,15 +1167,8 @@ impl Engine {
         .fold(self.actions.peek().map(|&Reverse((t, ..))| t), earliest)
     }
 
-    /// Runs until quiescent or `deadline`, returning completed records
-    /// accumulated since the last call.
-    pub fn run_until(&mut self, deadline: SimTime) -> Vec<TaskRecord> {
-        self.advance_until(deadline);
-        std::mem::take(&mut self.records)
-    }
-
-    /// Like [`Engine::run_until`], but appends the completed records into
-    /// `out` instead of returning a fresh vector. Both `out` and the
+    /// Runs until quiescent or `deadline`, appending the records
+    /// completed since the last call to `out`. Both `out` and the
     /// internal record buffer keep their capacity, so a warmed-up caller
     /// polling epoch after epoch never touches the allocator.
     pub fn run_until_into(&mut self, deadline: SimTime, out: &mut Vec<TaskRecord>) {
@@ -1205,7 +1191,8 @@ impl Engine {
 
     /// Runs until every injected task has completed.
     pub fn run_to_completion(&mut self) -> Vec<TaskRecord> {
-        self.run_until(SimTime::MAX)
+        self.advance_until(SimTime::MAX);
+        std::mem::take(&mut self.records)
     }
 
     /// Runs until at least one task completes (or the engine quiesces),
@@ -1717,23 +1704,31 @@ impl Engine {
         }
     }
 
+    /// Runs `task` as a degraded on-device job: one hub-stream service
+    /// draw stretched for the device and divided by `speedup`, charged to
+    /// the device battery. The device FIFO belongs to the shard phase,
+    /// which may already have advanced past `at`, so the job is
+    /// resubmitted at the (shard-count-invariant) epoch boundary.
+    fn run_degraded(&mut self, at: SimTime, device: u32, task: u32, speedup: f64) {
+        let app = self.tasks[task as usize].app;
+        let factor = self.cfg.device_profile.compute_slowdown / 10.0;
+        self.rng_draws += 1;
+        let service = edge_service_from(&mut self.rng, app, factor).mul_f64(1.0 / speedup);
+        let st = &mut self.tasks[task as usize];
+        st.placement = PlacementSite::Edge;
+        st.exec = st.exec.max(service);
+        self.hub_draw(device, Draw::Compute(service));
+        self.spill_inbox
+            .push((at, device, edge_job(task, EdgeJobKind::Spillover), service));
+    }
+
     /// Re-routes a cloud-bound task to degraded autonomous on-device
     /// execution — the brownout spillover path with the disconnect
     /// policy's speedup/penalty — and buffers its update summary.
     fn degrade_task(&mut self, at: SimTime, device: u32, task: u32, heal: f64) {
         self.note_autonomous(at, device, heal);
-        let app = self.tasks[task as usize].app;
         let policy = self.cfg.disconnect;
-        let factor = self.cfg.device_profile.compute_slowdown / 10.0;
-        self.rng_draws += 1;
-        let service =
-            edge_service_from(&mut self.rng, app, factor).mul_f64(1.0 / policy.degraded_speedup);
-        {
-            let st = &mut self.tasks[task as usize];
-            st.placement = PlacementSite::Edge;
-            st.exec = st.exec.max(service);
-        }
-        self.hub_draw(device, Draw::Compute(service));
+        self.run_degraded(at, device, task, policy.degraded_speedup);
         self.reconnect_ledger.tasks_degraded += 1;
         self.reconnect_ledger.accuracy_penalty_sum_pct += policy.accuracy_penalty_pct;
         self.buffer_update(at, device, task);
@@ -1746,11 +1741,6 @@ impl Engine {
                 vec![("task", ArgValue::U64(task as u64))],
             );
         }
-        // The device FIFO belongs to the shard phase; like overload
-        // spillover, the job is resubmitted at the (shard-count-
-        // invariant) epoch boundary.
-        self.spill_inbox
-            .push((at, device, edge_job(task, EdgeJobKind::Spillover), service));
     }
 
     /// The heal-time reconciliation session: every device drains its
@@ -1863,7 +1853,7 @@ impl Engine {
         outcome: hivemind_faas::types::Outcome,
     ) {
         let task = (tag / 16) as u32;
-        let (output_bytes, sub_done, device, lost, shed, app) = {
+        let (output_bytes, sub_done, device, lost, shed) = {
             let st = &mut self.tasks[task as usize];
             // Aggregate sub-invocation contributions; the slowest defines
             // the completion time, the cost components take the max (they
@@ -1895,7 +1885,6 @@ impl Engine {
                 st.device,
                 st.failed,
                 st.shed,
-                st.app,
             )
         };
         if lost {
@@ -1917,16 +1906,7 @@ impl Engine {
             // on-device model; without spillover the task is shed outright.
             let spill = self.cfg.overload.spillover;
             if spill.enabled {
-                let factor = self.cfg.device_profile.compute_slowdown / 10.0;
-                self.rng_draws += 1;
-                let service = edge_service_from(&mut self.rng, app, factor)
-                    .mul_f64(1.0 / spill.degraded_speedup);
-                {
-                    let st = &mut self.tasks[task as usize];
-                    st.placement = PlacementSite::Edge;
-                    st.exec = st.exec.max(service);
-                }
-                self.hub_draw(device, Draw::Compute(service));
+                self.run_degraded(sub_done, device, task, spill.degraded_speedup);
                 self.shed_ledger.tasks_spilled += 1;
                 self.shed_ledger.accuracy_penalty_sum_pct += spill.accuracy_penalty_pct;
                 if self.tracer.is_enabled() {
@@ -1938,15 +1918,6 @@ impl Engine {
                         vec![("task", ArgValue::U64(task as u64))],
                     );
                 }
-                // The device FIFO belongs to the shard phase, which has
-                // already advanced past `sub_done`; the job is resubmitted
-                // at the (shard-count-invariant) epoch boundary.
-                self.spill_inbox.push((
-                    sub_done,
-                    device,
-                    edge_job(task, EdgeJobKind::Spillover),
-                    service,
-                ));
             } else {
                 self.tasks[task as usize].done = true;
                 self.shed_ledger.tasks_shed += 1;
@@ -2672,13 +2643,39 @@ mod tests {
     }
 
     #[test]
+    fn lease_expires_one_timeout_into_each_partition() {
+        let mut cfg = EngineConfig::testbed(Platform::HiveMind);
+        cfg.faults = FaultPlan::default()
+            .partition(5.0, 15.0)
+            .partition(16.0, 30.0);
+        cfg.disconnect = DisconnectPolicy::default()
+            .autonomous()
+            .lease_timeout(SimDuration::from_secs(2));
+        let engine = Engine::new(cfg);
+        let at = |ms: u64| engine.autonomous_at(SimTime::ZERO + SimDuration::from_millis(ms));
+        // Connected, then the first 2 s of a partition: the lease holds.
+        assert_eq!(at(4_000), None);
+        assert_eq!(at(6_999), None);
+        // Expired from one lease timeout in until the heal.
+        assert_eq!(at(7_000), Some(15.0));
+        assert_eq!(at(14_999), Some(15.0));
+        // The 1 s gap renews the lease, so the second window starts over.
+        assert_eq!(at(15_500), None);
+        assert_eq!(at(17_999), None);
+        assert_eq!(at(18_000), Some(30.0));
+    }
+
+    #[test]
     fn worker_monitors_report_utilization() {
         let mut engine = Engine::new(EngineConfig::testbed(Platform::HiveMind));
         for dev in 0..16 {
             engine.submit_task(SimTime::ZERO, dev, App::Slam, 0);
         }
         // Advance partway: functions should be in flight.
-        let _ = engine.run_until(SimTime::ZERO + SimDuration::from_millis(400));
+        engine.run_until_into(
+            SimTime::ZERO + SimDuration::from_millis(400),
+            &mut Vec::new(),
+        );
         let cluster = engine.cluster().expect("HiveMind runs a cluster");
         let utils = cluster.server_utilizations();
         assert_eq!(utils.len(), 12);
@@ -2773,7 +2770,7 @@ mod tests {
     /// staggered phases, alternating an edge-placed and a cloud-placed
     /// app on every device (so each battery takes shard and hub draws),
     /// with `budget` cores for the shard phase. `chunked` feeds the
-    /// arrivals in slices between `run_until` calls instead of all up
+    /// arrivals in slices between `run_until_into` calls instead of all up
     /// front, each slice device-major (out of time order, so a shard's
     /// later devices submit captures earlier than its first device's
     /// queued ones) and reaching half a slice past its deadline, so the
@@ -2822,7 +2819,7 @@ mod tests {
                     engine.submit_task(at, dev, app, c as u32);
                 }
                 next = end;
-                records.extend(engine.run_until(deadline));
+                engine.run_until_into(deadline, &mut records);
             }
             for &(at, dev, app) in &arrivals[next..] {
                 engine.submit_task(at, dev, app, 0);

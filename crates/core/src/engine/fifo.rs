@@ -44,8 +44,6 @@ pub struct FifoServer {
     /// workload-determined instants (see `hivemind_sim::hash`).
     delays: hivemind_sim::hash::DetHashMap<u64, SimDuration>,
     seq: u64,
-    /// Total busy core-time accumulated (for energy accounting).
-    busy_time: SimDuration,
 }
 
 impl FifoServer {
@@ -63,14 +61,12 @@ impl FifoServer {
             ready: BinaryHeap::new(),
             delays: hivemind_sim::hash::DetHashMap::default(),
             seq: 0,
-            busy_time: SimDuration::ZERO,
         }
     }
 
     fn start(&mut self, at: SimTime, id: u64, service: SimDuration, queued: SimDuration) {
         let seq = self.seq;
         self.seq += 1;
-        self.busy_time += service;
         self.running.push(Reverse((at + service, seq, id)));
         self.delays.insert(id, queued);
     }
@@ -133,11 +129,6 @@ impl FifoServer {
     pub fn load(&self) -> usize {
         self.running.len() + self.waiting.len()
     }
-
-    /// Total core-busy time accumulated (for compute-energy accounting).
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy_time
-    }
 }
 
 #[cfg(test)]
@@ -184,16 +175,6 @@ mod tests {
         // Last completes at 20 × 2.5 s = 50 s, having queued ~30 s.
         assert_eq!(last.0, SimTime::from_secs(50));
         assert!(last.2 > SimDuration::from_secs(25));
-    }
-
-    #[test]
-    fn busy_time_accumulates() {
-        let mut q = FifoServer::new(4);
-        for i in 0..3u64 {
-            q.submit(SimTime::ZERO, i, SimDuration::from_secs(1));
-        }
-        q.advance_into(SimTime::MAX, &mut Vec::new());
-        assert_eq!(q.busy_time(), SimDuration::from_secs(3));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Edge device profiles and kinematics.
+//! Edge device profiles and the engine's per-shard battery blocks.
 //!
-//! A device couples a motion model (speed), a sensing model (camera frame
+//! A device profile couples a motion model (speed), a sensing model (camera frame
 //! rate, bytes per frame, ground footprint), a compute model (how much
 //! slower than a server core it executes the benchmark kernels), and a
 //! battery. The drone profile matches Sec. 2.1: 4 m/s, 8 fps, 2 MB
@@ -8,10 +8,7 @@
 //! rover profile matches Sec. 5.5 (slower vehicle, Raspberry Pi compute,
 //! much larger battery margin).
 
-use hivemind_sim::time::SimDuration;
-
 use crate::battery::{Battery, BatteryParams};
-use crate::geometry::Point;
 
 /// A contiguous block of per-device batteries for one shard's device
 /// range.
@@ -64,11 +61,6 @@ impl BatteryBlock {
     pub fn iter(&self) -> impl Iterator<Item = &Battery> {
         self.cells.iter()
     }
-
-    /// Total energy consumed across the block, joules.
-    pub fn consumed_j_total(&self) -> f64 {
-        self.cells.iter().map(Battery::consumed_j).sum()
-    }
 }
 
 /// Device class.
@@ -107,11 +99,6 @@ impl Camera {
     /// Data rate produced, bytes/second.
     pub fn bytes_per_sec(&self) -> f64 {
         self.fps * self.bytes_per_frame as f64
-    }
-
-    /// Frames produced over `d`.
-    pub fn frames_in(&self, d: SimDuration) -> u64 {
-        (self.fps * d.as_secs_f64()).floor() as u64
     }
 }
 
@@ -163,73 +150,12 @@ impl DeviceProfile {
             battery: BatteryParams::car(),
         }
     }
-
-    /// Time to travel `meters` at cruise speed.
-    pub fn travel_time(&self, meters: f64) -> SimDuration {
-        SimDuration::from_secs_f64(meters / self.speed)
-    }
-}
-
-/// One live device instance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Device {
-    /// Swarm-wide id (also its network `Node::Device` index).
-    pub id: u32,
-    /// Capability profile.
-    pub profile: DeviceProfile,
-    /// Current position.
-    pub pos: Point,
-    /// Battery state.
-    pub battery: Battery,
-    /// Whether the device has failed (crash/kill switch).
-    pub failed: bool,
-}
-
-impl Device {
-    /// Creates a device at `pos` with a full battery.
-    pub fn new(id: u32, profile: DeviceProfile, pos: Point) -> Device {
-        Device {
-            id,
-            profile,
-            pos,
-            battery: Battery::new(profile.battery),
-            failed: false,
-        }
-    }
-
-    /// Moves to `dest`, charging motion energy; returns travel time.
-    pub fn travel_to(&mut self, dest: Point) -> SimDuration {
-        let d = self.pos.distance(dest);
-        let t = self.profile.travel_time(d);
-        self.battery.draw_motion(t);
-        self.pos = dest;
-        t
-    }
-
-    /// Flies/drives for `d` without tracking the exact endpoint (used for
-    /// coverage sweeps where only the elapsed time matters).
-    pub fn travel_for(&mut self, d: SimDuration) {
-        self.battery.draw_motion(d);
-    }
-
-    /// Executes a task on-board: the cloud-core duration `cloud_exec`
-    /// stretched by the device's compute slow-down. Charges compute
-    /// energy and returns the on-board duration.
-    pub fn execute(&mut self, cloud_exec: SimDuration) -> SimDuration {
-        let local = cloud_exec.mul_f64(self.profile.compute_slowdown);
-        self.battery.draw_compute(local);
-        local
-    }
-
-    /// Transfers `bytes` over the radio (either direction).
-    pub fn radio(&mut self, bytes: u64) {
-        self.battery.draw_radio(bytes);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hivemind_sim::time::SimDuration;
 
     #[test]
     fn drone_profile_matches_paper_constants() {
@@ -242,42 +168,12 @@ mod tests {
     }
 
     #[test]
-    fn travel_time_is_distance_over_speed() {
-        let d = DeviceProfile::drone();
-        assert_eq!(d.travel_time(40.0), SimDuration::from_secs(10));
-    }
-
-    #[test]
-    fn travel_updates_position_and_battery() {
-        let mut dev = Device::new(0, DeviceProfile::drone(), Point::new(0.0, 0.0));
-        let t = dev.travel_to(Point::new(0.0, 40.0));
-        assert_eq!(t, SimDuration::from_secs(10));
-        assert_eq!(dev.pos, Point::new(0.0, 40.0));
-        assert!((dev.battery.consumed_j() - 900.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn on_board_execution_is_slower_and_costs_energy() {
-        let mut dev = Device::new(0, DeviceProfile::drone(), Point::new(0.0, 0.0));
-        let local = dev.execute(SimDuration::from_millis(100));
-        assert_eq!(local, SimDuration::from_secs(1));
-        assert!(dev.battery.consumed_j() > 0.0);
-    }
-
-    #[test]
     fn car_travels_slower_but_computes_faster() {
         let drone = DeviceProfile::drone();
         let car = DeviceProfile::car();
         assert!(car.speed < drone.speed);
         assert!(car.compute_slowdown < drone.compute_slowdown);
         assert!(car.cores > drone.cores);
-    }
-
-    #[test]
-    fn frames_in_interval() {
-        let c = Camera::drone_default();
-        assert_eq!(c.frames_in(SimDuration::from_secs(10)), 80);
-        assert_eq!(c.frames_in(SimDuration::from_millis(100)), 0);
     }
 
     #[test]
@@ -291,9 +187,8 @@ mod tests {
         assert!(block.cell(1).consumed_j() > 0.0);
         assert_eq!(block.cell(2).consumed_j(), 0.0);
         let total: f64 = block.iter().map(Battery::consumed_j).sum();
-        assert!((total - block.consumed_j_total()).abs() < 1e-12);
         assert_eq!(
-            block.consumed_j_total(),
+            total,
             block.cell(1).consumed_j() + block.cell(3).consumed_j()
         );
     }

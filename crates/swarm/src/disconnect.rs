@@ -1,10 +1,10 @@
-//! Device-side disconnected-operation state: lease clocks, bounded
-//! replay rings, and the exactly-once reconnect session.
+//! Device-side disconnected-operation state: bounded replay rings and
+//! the exactly-once reconnect session.
 //!
 //! During a wireless partition a device cannot tell "cloud is slow" from
 //! "cloud is gone"; the lease piggybacked on each heartbeat ack is the
-//! tie-breaker (same 1 s beat / 3 s window machinery as
-//! [`failover`](crate::failover), read from the device's side). Once the
+//! tie-breaker. The engine computes lease expiry as a pure function of
+//! the fault plan (`Engine::autonomous_at` in `hivemind-core`). Once the
 //! lease expires the device operates autonomously and records every
 //! update it would have uplinked in a [`ReplayRing`] — bounded, oldest
 //! evicted and counted as *expired*, never silent growth. At heal, a
@@ -17,7 +17,6 @@
 //! For every ring/session pair, at every instant:
 //!
 //! ```text
-//! pushed == delivered + duplicates_suppressed? no —
 //! pushed == delivered + expired + still_buffered
 //! ```
 //!
@@ -28,76 +27,7 @@
 
 use std::collections::VecDeque;
 
-use hivemind_sim::time::{SimDuration, SimTime};
-
-use crate::failover::HeartbeatTracker;
-
-impl HeartbeatTracker {
-    /// The lease deadline the controller's ack of `device`'s latest beat
-    /// granted: the device may assume the cloud is reachable until
-    /// `last_beat + timeout` (never having beaten, the grant dates from
-    /// run start). This is the controller-side mirror of the device's
-    /// [`LeaseClock`]; both sides compute the same instant from the same
-    /// beat, which is what lets detection stay deterministic without any
-    /// extra message.
-    pub fn lease_deadline(&self, device: u32, timeout: SimDuration) -> SimTime {
-        self.last_beat(device).unwrap_or(SimTime::ZERO) + timeout
-    }
-}
-
-/// A device's view of its cloud lease.
-///
-/// Each heartbeat ack renews the lease for `timeout`; when `now` passes
-/// the deadline the device flips to autonomous operation. Pure state
-/// machine — no RNG, no wall clock.
-///
-/// # Examples
-///
-/// ```rust
-/// use hivemind_swarm::disconnect::LeaseClock;
-/// use hivemind_sim::time::{SimDuration, SimTime};
-///
-/// let mut lease = LeaseClock::new(SimDuration::from_secs(3));
-/// lease.grant(SimTime::from_secs(10));
-/// assert!(!lease.lost(SimTime::from_secs(13)));
-/// assert!(lease.lost(SimTime::from_secs(14)));
-/// lease.grant(SimTime::from_secs(14));
-/// assert!(!lease.lost(SimTime::from_secs(15)));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaseClock {
-    timeout: SimDuration,
-    deadline: SimTime,
-}
-
-impl LeaseClock {
-    /// A fresh lease clock; the initial grant dates from run start, so a
-    /// device that never hears an ack goes autonomous after one timeout.
-    pub fn new(timeout: SimDuration) -> LeaseClock {
-        LeaseClock {
-            timeout,
-            deadline: SimTime::ZERO + timeout,
-        }
-    }
-
-    /// Renews the lease: an ack received at `now` is good for `timeout`.
-    pub fn grant(&mut self, now: SimTime) {
-        self.deadline = now + self.timeout;
-    }
-
-    /// `true` once `now` is strictly past the deadline — the device must
-    /// assume the cloud is unreachable. Strict comparison mirrors the
-    /// heartbeat tracker's `> timeout` failure test, so both sides flip
-    /// at the same instant.
-    pub fn lost(&self, now: SimTime) -> bool {
-        now > self.deadline
-    }
-
-    /// The current lease deadline.
-    pub fn deadline(&self) -> SimTime {
-        self.deadline
-    }
-}
+use hivemind_sim::time::SimTime;
 
 /// A bounded ring of updates awaiting replay, with explicit expiry.
 ///
@@ -241,34 +171,6 @@ impl ReplaySession {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lease_expires_strictly_after_deadline() {
-        let mut lease = LeaseClock::new(SimDuration::from_secs(3));
-        // Initial grant dates from run start.
-        assert!(!lease.lost(SimTime::from_secs(3)));
-        assert!(lease.lost(SimTime::from_secs(3) + SimDuration::from_millis(1)));
-        lease.grant(SimTime::from_secs(10));
-        assert_eq!(lease.deadline(), SimTime::from_secs(13));
-        assert!(!lease.lost(SimTime::from_secs(13)));
-        assert!(lease.lost(SimTime::from_secs(14)));
-    }
-
-    #[test]
-    fn tracker_lease_mirrors_device_clock() {
-        let mut hb = HeartbeatTracker::new(2);
-        let timeout = SimDuration::from_secs(3);
-        // Never beaten: grant dates from start, matching LeaseClock::new.
-        assert_eq!(
-            hb.lease_deadline(0, timeout),
-            LeaseClock::new(timeout).deadline()
-        );
-        hb.beat(0, SimTime::from_secs(7));
-        let mut dev = LeaseClock::new(timeout);
-        dev.grant(SimTime::from_secs(7));
-        assert_eq!(hb.lease_deadline(0, timeout), dev.deadline());
-        assert_eq!(hb.lease_deadline(0, timeout), SimTime::from_secs(10));
-    }
 
     #[test]
     fn ring_bounds_memory_and_counts_expiry() {

@@ -7,16 +7,17 @@
 
 use std::fmt;
 
-use hivemind_sim::time::{SimDuration, SimTime};
+use hivemind_sim::faults::DETECTION_WINDOW;
+use hivemind_sim::time::SimTime;
 
 use crate::geometry::Rect;
 
 /// Why a failover operation could not proceed.
 ///
 /// Injected fault storms can drive the tracker and repartitioner into
-/// states that used to abort the run (a heartbeat from an unknown id, a
-/// swarm with no survivors); the `try_*` variants surface those as values
-/// so the caller can degrade gracefully instead.
+/// states that would otherwise abort the run (a heartbeat from an unknown
+/// id, a swarm with no survivors); the tracker and repartitioner surface
+/// those as values so the caller can degrade gracefully instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailoverError {
     /// A device id outside the tracked fleet.
@@ -35,8 +36,6 @@ pub enum FailoverError {
     },
     /// Every device is dead; there is nobody to absorb the area.
     NoSurvivors,
-    /// A tracker or controller over zero devices.
-    EmptyFleet,
 }
 
 impl fmt::Display for FailoverError {
@@ -50,9 +49,6 @@ impl fmt::Display for FailoverError {
             }
             FailoverError::NoSurvivors => {
                 write!(f, "at least one device must be alive to absorb the area")
-            }
-            FailoverError::EmptyFleet => {
-                write!(f, "fleet must contain at least one device")
             }
         }
     }
@@ -69,8 +65,8 @@ impl std::error::Error for FailoverError {}
 /// use hivemind_sim::time::SimTime;
 ///
 /// let mut hb = HeartbeatTracker::new(3);
-/// hb.beat(0, SimTime::from_secs(1));
-/// hb.beat(1, SimTime::from_secs(1));
+/// hb.try_beat(0, SimTime::from_secs(1)).unwrap();
+/// hb.try_beat(1, SimTime::from_secs(1)).unwrap();
 /// // Device 2 never beat: by t = 4 s it has been silent > 3 s, while
 /// // devices 0/1 (last beat t = 1 s) are exactly at the 3 s boundary.
 /// assert_eq!(hb.failed_at(SimTime::from_secs(4)), vec![2]);
@@ -80,8 +76,6 @@ impl std::error::Error for FailoverError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct HeartbeatTracker {
     last_beat: Vec<Option<SimTime>>,
-    start: SimTime,
-    timeout: SimDuration,
     /// Devices already declared failed (latched).
     declared: Vec<bool>,
 }
@@ -91,64 +85,17 @@ impl HeartbeatTracker {
     ///
     /// # Panics
     ///
-    /// Panics on an empty fleet; use [`HeartbeatTracker::try_with_timeout`]
-    /// when `n` comes from untrusted configuration.
+    /// Panics on an empty fleet.
     pub fn new(n: u32) -> HeartbeatTracker {
-        HeartbeatTracker::with_timeout(n, SimDuration::from_secs(3))
-    }
-
-    /// Tracks `n` devices with a custom timeout.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty fleet; use [`HeartbeatTracker::try_with_timeout`]
-    /// when `n` comes from untrusted configuration.
-    pub fn with_timeout(n: u32, timeout: SimDuration) -> HeartbeatTracker {
-        match HeartbeatTracker::try_with_timeout(n, timeout) {
-            Ok(hb) => hb,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`HeartbeatTracker::with_timeout`]: rejects an empty
-    /// fleet as a value instead of aborting, so fault-injected and
-    /// model-checked configurations can treat it as an explorable
-    /// outcome.
-    pub fn try_with_timeout(
-        n: u32,
-        timeout: SimDuration,
-    ) -> Result<HeartbeatTracker, FailoverError> {
-        if n == 0 {
-            return Err(FailoverError::EmptyFleet);
-        }
-        Ok(HeartbeatTracker {
+        assert!(n > 0, "fleet must contain at least one device");
+        HeartbeatTracker {
             last_beat: vec![None; n as usize],
-            start: SimTime::ZERO,
-            timeout,
             declared: vec![false; n as usize],
-        })
-    }
-
-    /// The heartbeat send period devices should use (paper: 1 s).
-    pub fn beat_period() -> SimDuration {
-        SimDuration::from_secs(1)
-    }
-
-    /// Records a heartbeat from `device` at `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device id is out of range; use
-    /// [`HeartbeatTracker::try_beat`] when ids come from untrusted or
-    /// fault-injected sources.
-    pub fn beat(&mut self, device: u32, now: SimTime) {
-        if let Err(e) = self.try_beat(device, now) {
-            panic!("{e}");
         }
     }
 
     /// Records a heartbeat from `device` at `now`, rejecting unknown ids
-    /// instead of panicking.
+    /// as a value: ids can come from fault-injected sources.
     pub fn try_beat(&mut self, device: u32, now: SimTime) -> Result<(), FailoverError> {
         let fleet = self.last_beat.len() as u32;
         let slot = self
@@ -163,8 +110,8 @@ impl HeartbeatTracker {
     /// timeout). Once declared, a device stays failed.
     pub fn failed_at(&mut self, now: SimTime) -> Vec<u32> {
         for (i, last) in self.last_beat.iter().enumerate() {
-            let reference = last.unwrap_or(self.start);
-            if now.saturating_since(reference) > self.timeout {
+            let reference = last.unwrap_or(SimTime::ZERO);
+            if now.saturating_since(reference) > DETECTION_WINDOW {
                 self.declared[i] = true;
             }
         }
@@ -174,11 +121,6 @@ impl HeartbeatTracker {
             .filter(|(_, &f)| f)
             .map(|(i, _)| i as u32)
             .collect()
-    }
-
-    /// Whether `device` has been declared failed.
-    pub fn is_failed(&self, device: u32) -> bool {
-        self.declared.get(device as usize).copied().unwrap_or(false)
     }
 
     /// The last recorded heartbeat from `device` (`None` if it never
@@ -198,22 +140,9 @@ impl HeartbeatTracker {
 ///
 /// Returns the extra sub-regions as `(device, rect)` pairs; `regions` is
 /// not modified (callers usually track "extra assignments" separately from
-/// the initial partition).
-///
-/// # Panics
-///
-/// Panics if `failed` is out of range or every device is failed; use
-/// [`try_repartition`] when either can occur legitimately (e.g. under an
-/// injected fault storm that kills the whole fleet).
-pub fn repartition(regions: &[Rect], alive: &[bool], failed: usize) -> Vec<(usize, Rect)> {
-    match try_repartition(regions, alive, failed) {
-        Ok(extra) => extra,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`repartition`]: returns an error instead of panicking when
-/// `failed` is out of range, the slices disagree, or no device survives.
+/// the initial partition). Errors when `failed` is out of range, the
+/// slices disagree, or no device survives (e.g. under an injected fault
+/// storm that kills the whole fleet).
 pub fn try_repartition(
     regions: &[Rect],
     alive: &[bool],
@@ -278,11 +207,12 @@ pub fn try_assign_rect(
 mod tests {
     use super::*;
     use crate::geometry::partition_field;
+    use hivemind_sim::time::SimDuration;
 
     #[test]
     fn heartbeat_timeout_is_three_seconds() {
         let mut hb = HeartbeatTracker::new(1);
-        hb.beat(0, SimTime::from_secs(10));
+        hb.try_beat(0, SimTime::from_secs(10)).unwrap();
         assert!(hb.failed_at(SimTime::from_secs(13)).is_empty());
         assert_eq!(
             hb.failed_at(SimTime::from_secs(13) + SimDuration::from_millis(1)),
@@ -293,11 +223,10 @@ mod tests {
     #[test]
     fn failure_is_latched() {
         let mut hb = HeartbeatTracker::new(1);
-        hb.beat(0, SimTime::ZERO);
-        let _ = hb.failed_at(SimTime::from_secs(10));
-        assert!(hb.is_failed(0));
+        hb.try_beat(0, SimTime::ZERO).unwrap();
+        assert_eq!(hb.failed_at(SimTime::from_secs(10)), vec![0]);
         // A zombie heartbeat does not resurrect it.
-        hb.beat(0, SimTime::from_secs(10));
+        hb.try_beat(0, SimTime::from_secs(10)).unwrap();
         assert_eq!(hb.failed_at(SimTime::from_secs(10)), vec![0]);
     }
 
@@ -308,7 +237,7 @@ mod tests {
         let alive = vec![true; 16];
         // Fail an interior region; the strips must cover its area exactly.
         let failed = 5;
-        let extra = repartition(&regions, &alive, failed);
+        let extra = try_repartition(&regions, &alive, failed).unwrap();
         assert!(extra.len() >= 2, "interior regions have several neighbours");
         let total: f64 = extra.iter().map(|(_, r)| r.area()).sum();
         assert!((total - regions[failed].area()).abs() < 1e-6);
@@ -324,7 +253,7 @@ mod tests {
         let regions = partition_field(&field, 4);
         let mut alive = vec![true; 4];
         alive[1] = false;
-        let extra = repartition(&regions, &alive, 0);
+        let extra = try_repartition(&regions, &alive, 0).unwrap();
         assert!(extra.iter().all(|(d, _)| alive[*d]));
     }
 
@@ -336,23 +265,17 @@ mod tests {
             Rect::new(50.0, 0.0, 60.0, 10.0),
         ];
         let alive = vec![true, true];
-        let extra = repartition(&regions, &alive, 0);
+        let extra = try_repartition(&regions, &alive, 0).unwrap();
         assert_eq!(extra.len(), 1);
         assert_eq!(extra[0].0, 1);
     }
 
     #[test]
-    #[should_panic(expected = "alive")]
-    fn repartition_with_no_survivors_panics() {
+    fn repartition_with_no_survivors_is_an_error() {
         let regions = vec![Rect::new(0.0, 0.0, 1.0, 1.0), Rect::new(1.0, 0.0, 2.0, 1.0)];
-        let _ = repartition(&regions, &[true, false], 0);
-    }
-
-    #[test]
-    fn empty_fleet_is_a_value_not_an_abort() {
         assert_eq!(
-            HeartbeatTracker::try_with_timeout(0, SimDuration::from_secs(3)),
-            Err(FailoverError::EmptyFleet)
+            try_repartition(&regions, &[true, false], 0),
+            Err(FailoverError::NoSurvivors)
         );
     }
 
@@ -366,7 +289,7 @@ mod tests {
     fn last_beat_reports_what_was_recorded() {
         let mut hb = HeartbeatTracker::new(2);
         assert_eq!(hb.last_beat(0), None);
-        hb.beat(0, SimTime::from_secs(7));
+        hb.try_beat(0, SimTime::from_secs(7)).unwrap();
         assert_eq!(hb.last_beat(0), Some(SimTime::from_secs(7)));
         assert_eq!(hb.last_beat(1), None);
         assert_eq!(hb.last_beat(99), None, "out of range reads as never beat");
@@ -399,7 +322,7 @@ mod tests {
     #[test]
     fn never_beaten_device_fails_from_start_reference() {
         let mut hb = HeartbeatTracker::new(2);
-        hb.beat(0, SimTime::from_secs(5));
+        hb.try_beat(0, SimTime::from_secs(5)).unwrap();
         let failed = hb.failed_at(SimTime::from_secs(5));
         assert_eq!(failed, vec![1], "device 1 was silent since t=0");
     }

@@ -10,18 +10,19 @@
 //! * [`geometry`] — points, rectangles, field partitioning;
 //! * [`field`] — mission worlds: static items (tennis balls), moving
 //!   people (random-waypoint), with deterministic placement;
-//! * [`route`] — A* grid path-finding and boustrophedon coverage planning
-//!   (Scenario A derives per-drone routes with A*, Sec. 2.1);
+//! * [`route`] — boustrophedon coverage lanes (Scenario A's per-drone
+//!   routes, Sec. 2.1) and A* grid path-finding (charged as the Maze
+//!   app's planning cost);
 //! * [`maze`] — seeded maze generation and the Wall Follower traversal
 //!   algorithm used by the S6 benchmark and the cars' Maze scenario;
-//! * [`device`] — device kinematics and compute/camera profiles;
+//! * [`device`] — device speed, camera and compute profiles, and the
+//!   engine's per-shard battery blocks;
 //! * [`battery`] — energy accounting (motion dominates, communication and
 //!   on-board compute also drain, Sec. 5.2);
 //! * [`failover`] — heartbeat tracking (1 s beat / 3 s timeout) and the
 //!   geometric load repartitioning of Fig. 10;
-//! * [`disconnect`] — lease clocks, bounded replay rings, and the
-//!   exactly-once reconnect session used by the disconnected-operation
-//!   plane.
+//! * [`disconnect`] — bounded replay rings and the exactly-once
+//!   reconnect session used by the disconnected-operation plane.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,6 +37,6 @@ pub mod maze;
 pub mod route;
 
 pub use battery::Battery;
-pub use device::{BatteryBlock, Device, DeviceKind};
+pub use device::{BatteryBlock, DeviceKind};
 pub use field::Field;
 pub use geometry::{Point, Rect};

@@ -12,21 +12,8 @@ use hivemind_sim::rng::RngForge;
 use rand::seq::SliceRandom;
 
 /// Why a maze operation could not proceed.
-///
-/// Mirrors the [`FailoverError`](crate::failover::FailoverError) pattern:
-/// the panicking entry points stay for callers holding trusted inputs,
-/// while `try_*` variants surface the same conditions as values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MazeError {
-    /// A cell coordinate outside the grid.
-    CellOutOfBounds {
-        /// The offending cell.
-        cell: (u32, u32),
-        /// Grid width in cells.
-        width: u32,
-        /// Grid height in cells.
-        height: u32,
-    },
     /// Two cells that are not edge-adjacent, so no direction connects
     /// them.
     NonAdjacentMove {
@@ -35,35 +22,15 @@ pub enum MazeError {
         /// Move destination.
         to: (u32, u32),
     },
-    /// A cell with all four walls closed — impossible in a perfect maze,
-    /// so traversal cannot continue (indicates a corrupted grid).
-    NoOpenPassage {
-        /// The walled-in cell.
-        cell: (u32, u32),
-    },
 }
 
 impl fmt::Display for MazeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MazeError::CellOutOfBounds {
-                cell,
-                width,
-                height,
-            } => write!(
-                f,
-                "cell ({}, {}) out of bounds for a {width}x{height} maze",
-                cell.0, cell.1
-            ),
             MazeError::NonAdjacentMove { from, to } => write!(
                 f,
                 "no direction leads from ({}, {}) to non-adjacent ({}, {})",
                 from.0, from.1, to.0, to.1
-            ),
-            MazeError::NoOpenPassage { cell } => write!(
-                f,
-                "cell ({}, {}) has no open passage (corrupted maze)",
-                cell.0, cell.1
             ),
         }
     }
@@ -213,26 +180,16 @@ impl Maze {
     ///
     /// # Panics
     ///
-    /// Panics if the cell is out of bounds; use [`Maze::try_is_open`]
-    /// when coordinates come from untrusted sources.
+    /// Panics if the cell is out of bounds: the flat index would
+    /// otherwise silently read a neighbouring row's cell.
     pub fn is_open(&self, x: u32, y: u32, d: Dir) -> bool {
-        match self.try_is_open(x, y, d) {
-            Ok(open) => open,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Whether the wall from `(x, y)` toward `d` is open, rejecting
-    /// out-of-bounds cells instead of panicking.
-    pub fn try_is_open(&self, x: u32, y: u32, d: Dir) -> Result<bool, MazeError> {
-        if x >= self.width || y >= self.height {
-            return Err(MazeError::CellOutOfBounds {
-                cell: (x, y),
-                width: self.width,
-                height: self.height,
-            });
-        }
-        Ok(self.open[(y * self.width + x) as usize][dir_index(d)])
+        assert!(
+            x < self.width && y < self.height,
+            "cell ({x}, {y}) out of bounds for a {}x{} maze",
+            self.width,
+            self.height
+        );
+        self.open[(y * self.width + x) as usize][dir_index(d)]
     }
 
     /// Number of open wall pairs — a perfect maze on `n` cells has exactly
@@ -264,7 +221,8 @@ impl Traversal {
 
 /// Traverses the maze from `(0, 0)` to `(width-1, height-1)` using the
 /// right-hand rule: keep turning right when possible, else straight, else
-/// left, else back.
+/// left, else back. A walled-in cell (which a generated perfect maze never
+/// has) ends the traversal short of the exit.
 ///
 /// # Examples
 ///
@@ -278,17 +236,6 @@ impl Traversal {
 /// assert_eq!(*t.path.last().unwrap(), (11, 11));
 /// ```
 pub fn wall_follower(maze: &Maze) -> Traversal {
-    match try_wall_follower(maze) {
-        Ok(t) => t,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`wall_follower`]: returns [`MazeError::NoOpenPassage`]
-/// instead of panicking when a cell has all four walls closed (which a
-/// generated perfect maze never has, but a hand-built or corrupted grid
-/// can).
-pub fn try_wall_follower(maze: &Maze) -> Result<Traversal, MazeError> {
     let goal = (maze.width() - 1, maze.height() - 1);
     let mut pos = (0u32, 0u32);
     let mut facing = Dir::North;
@@ -299,27 +246,25 @@ pub fn try_wall_follower(maze: &Maze) -> Result<Traversal, MazeError> {
     let budget = 8 * (maze.width() * maze.height()) as usize + 8;
     for _ in 0..budget {
         if pos == goal {
-            return Ok(Traversal {
+            return Traversal {
                 path,
                 reached: true,
-            });
+            };
         }
         // Right-hand rule.
         let choices = [facing.right(), facing, facing.left(), facing.opposite()];
-        let d = choices
-            .iter()
-            .find(|&&d| maze.is_open(pos.0, pos.1, d))
-            .copied()
-            .ok_or(MazeError::NoOpenPassage { cell: pos })?;
+        let Some(&d) = choices.iter().find(|&&d| maze.is_open(pos.0, pos.1, d)) else {
+            break;
+        };
         let (dx, dy) = d.delta();
         pos = ((pos.0 as i64 + dx) as u32, (pos.1 as i64 + dy) as u32);
         facing = d;
         path.push(pos);
     }
-    Ok(Traversal {
+    Traversal {
         path,
         reached: false,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -414,28 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn try_is_open_rejects_out_of_bounds() {
-        let m = Maze::generate(4, 3, RngForge::new(1));
-        assert!(m.try_is_open(3, 2, Dir::North).is_ok());
-        assert_eq!(
-            m.try_is_open(4, 0, Dir::North),
-            Err(MazeError::CellOutOfBounds {
-                cell: (4, 0),
-                width: 4,
-                height: 3
-            })
-        );
-        assert_eq!(
-            m.try_is_open(0, 3, Dir::East),
-            Err(MazeError::CellOutOfBounds {
-                cell: (0, 3),
-                width: 4,
-                height: 3
-            })
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "out of bounds")]
     fn is_open_panics_out_of_bounds() {
         let m = Maze::generate(2, 2, RngForge::new(1));
@@ -443,23 +366,20 @@ mod tests {
     }
 
     #[test]
-    fn try_wall_follower_surfaces_corrupted_grids() {
+    fn wall_follower_stops_in_a_walled_in_cell() {
         // A hand-built grid whose entrance has all four walls closed.
         let m = Maze {
             width: 2,
             height: 1,
             open: vec![[false; 4]; 2],
         };
-        assert_eq!(
-            try_wall_follower(&m),
-            Err(MazeError::NoOpenPassage { cell: (0, 0) })
-        );
+        let t = wall_follower(&m);
+        assert!(!t.reached);
+        assert_eq!(t.path, vec![(0, 0)]);
     }
 
     #[test]
     fn maze_error_messages_name_the_cell() {
-        let e = MazeError::NoOpenPassage { cell: (3, 7) };
-        assert!(e.to_string().contains("(3, 7)"));
         let e = MazeError::NonAdjacentMove {
             from: (0, 0),
             to: (5, 5),
