@@ -12,12 +12,6 @@
 //!   round-trips between servers on the same ToR and 12.4 Mrps per core for
 //!   64 B RPCs ([`rpc_accel`]).
 //!
-//! [`fpga`] models the shared device: LUT budget (the paper reports 18 % of
-//! LUTs for remote memory and 24 % for RPC offload), hard reconfiguration
-//! (swapping bitstreams, e.g. changing the transport between TCP and UDP)
-//! and soft reconfiguration (register-file tweaks: CCI-P batch size, queue
-//! provisioning, number of active RPC flows, load-balancing scheme).
-//!
 //! Everything here is a calibrated latency/throughput model — the fidelity
 //! target is the *relative* cost difference between the accelerated and
 //! software paths, which is what Figs. 12 and 13 measure.
@@ -25,10 +19,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fpga;
 pub mod remote_mem;
 pub mod rpc_accel;
 
-pub use fpga::{FpgaConfig, FpgaFabric, ReconfigKind};
 pub use remote_mem::RemoteMemoryFabric;
 pub use rpc_accel::accelerated_rpc_profile;

@@ -11,7 +11,7 @@
 //!
 //! The model charges each object exchange a small fixed setup cost plus
 //! bytes/bandwidth at near-interconnect speed, and supports bounded
-//! concurrency per board (queue pairs from the soft registers).
+//! concurrency per board (a fixed number of queue pairs).
 
 use hivemind_sim::dist::Dist;
 use hivemind_sim::time::{SimDuration, SimTime};

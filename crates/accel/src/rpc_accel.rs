@@ -6,8 +6,8 @@
 //! headline numbers (Sec. 4.5): **2.1 µs round-trip** between servers under
 //! the same ToR switch and **12.4 Mrps per core** for 64 B RPCs.
 //!
-//! This module derives an accelerated [`RpcProfile`] from those constants
-//! and provides a small throughput model used by the Fig. 13 ablations.
+//! This module derives an accelerated [`RpcProfile`] from those constants;
+//! the Fig. 13 ablations switch it on and off per platform.
 
 use hivemind_net::rpc::RpcProfile;
 use hivemind_sim::dist::Dist;
@@ -47,17 +47,6 @@ pub fn accelerated_rpc_profile() -> RpcProfile {
     }
 }
 
-/// Sustainable requests/second on one core for RPCs of `bytes`, accounting
-/// for the FPGA's packet-to-completion pipeline: small RPCs are bound by
-/// the 12.4 Mrps doorbell rate, large ones by CCI-P payload bandwidth.
-pub fn accel_core_throughput_rps(bytes: u64) -> f64 {
-    // CCI-P over UPI moves payload at ~16 GB/s.
-    const CCIP_BYTES_PER_SEC: f64 = 16e9;
-    let rate_bound = ACCEL_MRPS_PER_CORE;
-    let bw_bound = CCIP_BYTES_PER_SEC / (bytes.max(64) as f64);
-    rate_bound.min(bw_bound)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,17 +58,6 @@ mod tests {
         // 2.1 µs budget (the remainder is wire time modeled by the fabric).
         let four_sides = 2.0 * p.mean_one_way_secs(64);
         assert!(four_sides < ACCEL_RTT_SECS * 1.1, "host share {four_sides}");
-    }
-
-    #[test]
-    fn small_rpc_rate_is_doorbell_bound() {
-        assert_eq!(accel_core_throughput_rps(64), ACCEL_MRPS_PER_CORE);
-    }
-
-    #[test]
-    fn large_rpc_rate_is_bandwidth_bound() {
-        let rps = accel_core_throughput_rps(1_000_000);
-        assert!((rps - 16_000.0).abs() < 1.0, "1 MB at 16 GB/s, got {rps}");
     }
 
     #[test]

@@ -1,30 +1,18 @@
-//! Real algorithmic kernels behind the benchmark suite.
+//! Real algorithmic kernels behind the missions.
 //!
 //! The latency figures need only cost profiles, but the *semantic*
-//! results — how many tennis balls were found, how many unique people were
-//! counted, what a sign says — come from these working implementations:
+//! results — how many unique people were counted, what a sign says — come
+//! from these working implementations:
 //!
-//! * [`svm`] — linear SVM trained by SGD (S3 drone detection: the paper
-//!   trains an SVM on the drones' orange tags).
 //! * [`embedding`] — a FaceNet-style identity embedding space where
 //!   Euclidean distance encodes face similarity (S1, S5).
 //! * [`dedup`] — union-find clustering over embeddings to count unique
 //!   people (S5, Scenario B).
-//! * [`weather`] — least-squares regression over temperature/humidity
-//!   series (S7).
-//! * [`soil`] — soil-hydration estimation from humidity plus image
-//!   features (S8).
 //! * [`ocr`] — template-matching OCR over a 5×7 bitmap font (S9, and the
 //!   Treasure Hunt instruction panels).
-//! * [`slam`] — log-odds occupancy-grid mapping with scan-matching
-//!   localization (S10).
 //!
 //! S6 (maze traversal) lives in [`hivemind_swarm::maze`].
 
 pub mod dedup;
 pub mod embedding;
 pub mod ocr;
-pub mod slam;
-pub mod soil;
-pub mod svm;
-pub mod weather;

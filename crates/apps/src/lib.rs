@@ -9,13 +9,11 @@
 //!   edge execution models. These drive every latency/bandwidth/battery
 //!   figure.
 //! * **Real kernels** ([`kernels`]) — working implementations of the
-//!   algorithmic hearts of the suite: a linear SVM (S3 drone detection —
-//!   the paper trains an SVM on the drones' orange tags), an embedding
-//!   matcher in FaceNet's style (S1/S5), union-find deduplication (S5),
-//!   least-squares weather analytics (S7), soil-hydration estimation
-//!   (S8), template-matching OCR (S9, and the cars' Treasure Hunt
-//!   instruction panels), and an occupancy-grid SLAM core (S10). The maze
-//!   traversal (S6) reuses `hivemind_swarm::maze`'s Wall Follower.
+//!   algorithmic hearts the missions run: an embedding matcher in
+//!   FaceNet's style (S1/S5), union-find deduplication (S5), and
+//!   template-matching OCR (S9, and the cars' Treasure Hunt instruction
+//!   panels). The maze traversal (S6) reuses `hivemind_swarm::maze`'s
+//!   Wall Follower.
 //! * **Online learning** ([`learning`]) — a real logistic-regression
 //!   detector whose accuracy grows with training data, reproducing the
 //!   continuous-learning comparison of Fig. 15 (no retraining vs

@@ -147,15 +147,6 @@ impl App {
         }
     }
 
-    /// Profile when the task executes on the edge device itself.
-    pub fn edge_profile(self) -> AppProfile {
-        let cloud = self.cloud_profile();
-        AppProfile {
-            exec: cloud.exec.scaled(self.edge_slowdown()),
-            ..cloud
-        }
-    }
-
     /// How many functions one task fans into when intra-task parallelism
     /// is enabled (Fig. 5a).
     pub fn intra_parallelism(self) -> u32 {
@@ -230,14 +221,6 @@ mod tests {
         assert!(App::DroneDetection.edge_slowdown() < 2.0);
         assert!(App::WeatherAnalytics.edge_slowdown() < 2.0);
         assert!(App::FaceRecognition.edge_slowdown() >= 10.0);
-    }
-
-    #[test]
-    fn edge_profile_scales_exec_only() {
-        let cloud = App::FaceRecognition.cloud_profile();
-        let edge = App::FaceRecognition.edge_profile();
-        assert!((edge.exec.mean_secs() - 10.0 * cloud.exec.mean_secs()).abs() < 1e-9);
-        assert_eq!(edge.input_bytes, cloud.input_bytes);
     }
 
     #[test]

@@ -4,9 +4,6 @@
 use hivemind_apps::kernels::dedup::{deduplicate, score, Observation};
 use hivemind_apps::kernels::embedding::{observe, Gallery};
 use hivemind_apps::kernels::ocr::{parse_instruction, recognize, Instruction, SignImage};
-use hivemind_apps::kernels::slam::{localize, odometry_frame, OccupancyGrid, World};
-use hivemind_apps::kernels::svm::{tag_dataset, LinearSvm};
-use hivemind_apps::kernels::weather::{analyze, Reading};
 use hivemind_sim::rng::RngForge;
 use hivemind_swarm::maze::{wall_follower, Maze};
 use rand::Rng;
@@ -83,91 +80,6 @@ fn treasure_hunt_instruction_chain() {
     }
     assert!(reached_goal);
     assert_eq!(pos, (10 + 7 - 4 + 1, 10 + 3 - 2));
-}
-
-/// SLAM + navigation: map a walled world from a survey, then localize a
-/// drifted robot repeatedly as it walks a corridor.
-#[test]
-fn slam_supports_sustained_navigation() {
-    let mut world = World::new(50, 50);
-    for i in 0..50 {
-        world.add_obstacle(i, 0);
-        world.add_obstacle(i, 49);
-        world.add_obstacle(0, i);
-        world.add_obstacle(49, i);
-    }
-    for i in 10..40 {
-        world.add_obstacle(i, 25);
-    }
-    let mut map = OccupancyGrid::new(50, 50);
-    for x in (5..45).step_by(5) {
-        for y in [10u32, 20, 40] {
-            for _ in 0..2 {
-                map.integrate((x, y), &world.scan_from((x, y), 50));
-            }
-        }
-    }
-    assert!(map.coverage() > 0.3, "survey mapped the world");
-
-    let mut recovered = 0;
-    let mut total = 0;
-    for x in (8..40).step_by(4) {
-        let true_pose = (x, 12u32);
-        let drift = ((x + 2).min(49), 13u32);
-        let scan = odometry_frame(&world.scan_from(true_pose, 50), true_pose, drift);
-        total += 1;
-        if localize(&map, drift, &scan, 3) == true_pose {
-            recovered += 1;
-        }
-    }
-    assert!(
-        recovered * 10 >= total * 6,
-        "scan matching recovers most poses: {recovered}/{total}"
-    );
-}
-
-/// The obstacle-avoidance classifier story: an SVM trained on the swarm's
-/// pooled data beats one trained on a single device's share.
-#[test]
-fn swarm_pooling_helps_the_svm() {
-    let mut rng = RngForge::new(43).stream("svm");
-    let swarm_data = tag_dataset(&mut rng, 640, 8, 0.8);
-    let test = tag_dataset(&mut rng, 400, 8, 0.8);
-
-    let mut single = LinearSvm::new(8, 0.01);
-    single.fit(&swarm_data[..40], 3); // one device's 1/16 share
-    let mut pooled = LinearSvm::new(8, 0.01);
-    pooled.fit(&swarm_data, 3);
-
-    assert!(
-        pooled.accuracy(&test) >= single.accuracy(&test),
-        "pooled {} vs single {}",
-        pooled.accuracy(&test),
-        single.accuracy(&test)
-    );
-}
-
-/// Weather analytics on a synthetic day: the forecast flips from clear to
-/// rain as the air saturates.
-#[test]
-fn weather_forecast_tracks_conditions() {
-    let morning: Vec<Reading> = (0..60)
-        .map(|i| Reading {
-            t: i as f64,
-            temperature: 18.0 + 0.05 * i as f64,
-            humidity: 55.0 - 0.1 * i as f64,
-        })
-        .collect();
-    assert!(!analyze(&morning, 120.0).rain_likely);
-
-    let evening: Vec<Reading> = (0..60)
-        .map(|i| Reading {
-            t: i as f64,
-            temperature: 16.0 - 0.04 * i as f64,
-            humidity: (88.0 + 0.2 * i as f64).min(100.0),
-        })
-        .collect();
-    assert!(analyze(&evening, 120.0).rain_likely);
 }
 
 /// Maze generation + wall following stays robust across shapes and seeds

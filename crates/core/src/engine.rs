@@ -95,7 +95,6 @@ use crate::platform::Platform;
 use crate::synthesis;
 use captures::CaptureRun;
 use fifo::FifoServer;
-use hivemind_accel::fpga::{FpgaConfig, FpgaFabric, SoftRegisters};
 
 use hivemind_swarm::device::DeviceProfile;
 use hivemind_swarm::disconnect::{ReplayRing, ReplaySession};
@@ -627,10 +626,6 @@ pub struct Engine {
     /// receive side for the hub.
     ctx: ShardCtx,
     cloud_rpc: RpcProfile,
-    /// The servers' FPGA boards, present on accelerated platforms. The
-    /// model charges their reconfiguration costs at registration time and
-    /// exposes the device for area/reconfiguration accounting.
-    fpga: Option<FpgaFabric>,
     tracer: TraceHandle,
     ledger: FaultLedger,
     shed_ledger: ShedLedger,
@@ -799,29 +794,6 @@ impl Engine {
             .map(|&app| (app, synthesis::single_app_placement(app, cfg.platform)))
             .collect();
 
-        // Accelerated platforms carry the FPGA fabric; buffer sizes are
-        // "configured on a per-application basis, online, through partial
-        // reconfiguration" (Sec. 4.5) — one soft reconfiguration per app.
-        let fpga = if cfg.platform.network_accelerated() {
-            let mut board = FpgaFabric::new(FpgaConfig::default());
-            for app in App::ALL {
-                let profile = app.cloud_profile();
-                let _ = board.configure(SoftRegisters {
-                    // Deeper queues for chatty small-payload apps, fewer
-                    // larger buffers for bulk-frame apps.
-                    queue_depth: if profile.input_bytes > 1_000_000 {
-                        64
-                    } else {
-                        512
-                    },
-                    ..SoftRegisters::default()
-                });
-            }
-            Some(board)
-        } else {
-            None
-        };
-
         // The controller-failover window is known up front (the trace is
         // sorted at finish time, so future-timestamped instants are fine).
         let mut ledger = FaultLedger::default();
@@ -931,7 +903,6 @@ impl Engine {
             placements,
             ctx,
             cloud_rpc: cfg.platform.cloud_rpc_profile(),
-            fpga,
             tracer,
             ledger,
             shed_ledger: ShedLedger::default(),
@@ -993,11 +964,6 @@ impl Engine {
     /// Drains the collected trace, or `None` when tracing is disabled.
     pub fn take_trace(&mut self) -> Option<Trace> {
         self.tracer.finish()
-    }
-
-    /// The acceleration fabric, when this platform carries one.
-    pub fn fpga(&self) -> Option<&FpgaFabric> {
-        self.fpga.as_ref()
     }
 
     /// Whether this platform has any cloud execution backend (serverless
@@ -2685,16 +2651,6 @@ mod tests {
             "monitors observe the in-flight load"
         );
         let _ = engine.run_to_completion();
-    }
-
-    #[test]
-    fn accelerated_platforms_carry_the_fpga() {
-        let hm = Engine::new(EngineConfig::testbed(Platform::HiveMind));
-        let board = hm.fpga().expect("HiveMind deploys the fabric");
-        // Ten apps registered → ten soft reconfigurations, no hard ones.
-        assert_eq!(board.reconfig_counts(), (0, 10));
-        let cen = Engine::new(EngineConfig::testbed(Platform::CentralizedFaaS));
-        assert!(cen.fpga().is_none(), "stock OpenWhisk has no FPGA");
     }
 
     #[test]

@@ -121,41 +121,33 @@ impl Platform {
         cores_per_server: u32,
         fault_rate: f64,
     ) -> Option<ClusterParams> {
-        let exchange = if self.remote_memory() {
-            ExchangeProtocol::RemoteMemory
-        } else {
-            ExchangeProtocol::CouchDb
+        let preset = match self {
+            Platform::CentralizedIaaS
+            | Platform::DistributedEdge
+            | Platform::DistributedNetAccel => return None,
+            Platform::CentralizedFaaS
+            | Platform::CentralizedNetAccel
+            | Platform::CentralizedNetRemoteMem => {
+                let exchange = if self.remote_memory() {
+                    ExchangeProtocol::RemoteMemory
+                } else {
+                    ExchangeProtocol::CouchDb
+                };
+                ClusterParams {
+                    exchange_in: exchange,
+                    exchange_out: exchange,
+                    ..ClusterParams::default()
+                }
+            }
+            Platform::HiveMind => ClusterParams::hivemind(),
+            Platform::HiveMindNoAccel => ClusterParams::hivemind_no_accel(),
         };
-        let base = ClusterParams {
+        Some(ClusterParams {
             servers,
             cores_per_server,
             fault_rate,
-            exchange_in: exchange,
-            exchange_out: exchange,
-            ..ClusterParams::default()
-        };
-        match self {
-            Platform::CentralizedIaaS
-            | Platform::DistributedEdge
-            | Platform::DistributedNetAccel => None,
-            Platform::CentralizedFaaS
-            | Platform::CentralizedNetAccel
-            | Platform::CentralizedNetRemoteMem => Some(base),
-            Platform::HiveMind => Some(ClusterParams {
-                policy: hivemind_faas::scheduler::SchedulerPolicy::HiveMind,
-                container: hivemind_faas::container::ContainerParams::hivemind(),
-                straggler_mitigation: true,
-                ..base
-            }),
-            Platform::HiveMindNoAccel => Some(ClusterParams {
-                policy: hivemind_faas::scheduler::SchedulerPolicy::HiveMind,
-                container: hivemind_faas::container::ContainerParams::hivemind(),
-                straggler_mitigation: true,
-                exchange_in: ExchangeProtocol::CouchDb,
-                exchange_out: ExchangeProtocol::CouchDb,
-                ..base
-            }),
-        }
+            ..preset
+        })
     }
 
     /// Fixed-pool parameters for the IaaS platform: reserved cores of
@@ -210,6 +202,7 @@ mod tests {
         let params = p.cluster_params(12, 40, 0.0).unwrap();
         assert!(params.straggler_mitigation);
         assert_eq!(params.exchange_in, ExchangeProtocol::RemoteMemory);
+        assert_eq!(p.cloud_rpc_profile(), accelerated_rpc_profile());
     }
 
     #[test]
@@ -218,8 +211,17 @@ mod tests {
         assert!(p.is_hybrid());
         assert!(!p.network_accelerated());
         assert!(!p.remote_memory());
-        let params = p.cluster_params(12, 40, 0.0).unwrap();
-        assert_eq!(params.exchange_in, ExchangeProtocol::CouchDb);
+        assert_eq!(p.cloud_rpc_profile(), RpcProfile::software());
+        // Fig. 13's one-technique ablation: only the data plane differs.
+        let hivemind = Platform::HiveMind.cluster_params(12, 40, 0.0).unwrap();
+        assert_eq!(
+            p.cluster_params(12, 40, 0.0).unwrap(),
+            ClusterParams {
+                exchange_in: ExchangeProtocol::CouchDb,
+                exchange_out: ExchangeProtocol::CouchDb,
+                ..hivemind
+            }
+        );
     }
 
     #[test]

@@ -178,16 +178,6 @@ pub struct RunSet {
 }
 
 impl RunSet {
-    /// Builds a run set directly from parts (replicate order).
-    pub fn from_parts(root_seed: u64, seeds: Vec<u64>, outcomes: Vec<Outcome>) -> RunSet {
-        assert_eq!(seeds.len(), outcomes.len(), "one seed per outcome");
-        RunSet {
-            root_seed,
-            seeds,
-            outcomes,
-        }
-    }
-
     /// The root seed the replicate seeds were derived from.
     pub fn root_seed(&self) -> u64 {
         self.root_seed

@@ -1359,24 +1359,6 @@ impl Cluster {
             .values()
             .fold(SimDuration::ZERO, |acc, b| acc + b.total_open_time(now))
     }
-
-    /// Mean unloaded latency of a root invocation of `app` under this
-    /// configuration — used by the analytical cross-model.
-    pub fn mean_unloaded_latency_secs(&self, app: AppId, warm_fraction: f64) -> f64 {
-        let profile = &self.apps[&app];
-        let p = &self.params;
-        let inst = warm_fraction * p.container.warm_start.mean_secs()
-            + (1.0 - warm_fraction) * p.container.cold_start.mean_secs();
-        p.policy.management_cost().mean_secs()
-            + inst
-            + self
-                .dataplane
-                .mean_exchange_secs(p.exchange_in, profile.input_bytes)
-            + profile.exec.mean_secs()
-            + self
-                .dataplane
-                .mean_exchange_secs(p.exchange_out, profile.output_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -1697,13 +1679,5 @@ mod tests {
         }
         assert_eq!(done.len(), 8, "the limit queues, it never drops");
         assert_eq!(c.overload_counters().shed_total(), 0);
-    }
-
-    #[test]
-    fn mean_unloaded_latency_is_sane() {
-        let c = small_cluster(ClusterParams::default());
-        let m = c.mean_unloaded_latency_secs(AppId(0), 0.5);
-        // 100 ms exec + management + ~60 ms mixed instantiation + data I/O.
-        assert!(m > 0.1 && m < 0.5, "mean {m}");
     }
 }

@@ -192,11 +192,6 @@ impl DataPlane {
         &self.couchdb
     }
 
-    /// The remote-memory fabric accounting.
-    pub fn remote_fabric(&self) -> &RemoteMemoryFabric {
-        &self.remote
-    }
-
     /// A logical exchange session over `protocol`: CouchDB persists the
     /// stored object across store-node crashes; the in-memory, RPC and
     /// remote-memory paths hold it in volatile state that a crash wipes.

@@ -24,7 +24,6 @@ use std::hash::{Hash, Hasher};
 
 use crate::overload::{BreakerConfig, BreakerDecision, BreakerEvent, BreakerState};
 use crate::time::SimTime;
-use crate::trace::{ArgValue, TraceHandle};
 
 /// A protocol lifted behind a pure step function, explorable by [`check`].
 ///
@@ -53,7 +52,7 @@ pub trait McModel: Clone + Hash {
     /// counterexample replays on the DES clock.
     fn now(&self) -> SimTime;
 
-    /// Human-readable label for an action (schedule/trace rendering).
+    /// Human-readable label for an action (schedule rendering).
     fn describe(&self, action: &Self::Action) -> String {
         format!("{action:?}")
     }
@@ -157,24 +156,6 @@ impl<A> Schedule<A> {
     /// `true` when the violation is in the initial state itself.
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
-    }
-
-    /// Emits the schedule as trace instants (category `"mc"`, one
-    /// `"step"` event per action), so a counterexample can ride the
-    /// standard `sim::trace` export pipeline next to DES events.
-    pub fn emit_trace(&self, tracer: &TraceHandle) {
-        for (i, step) in self.steps.iter().enumerate() {
-            tracer.instant(
-                "mc",
-                "step",
-                0,
-                step.at,
-                vec![
-                    ("index", ArgValue::U64(i as u64)),
-                    ("action", ArgValue::Str(step.label.clone())),
-                ],
-            );
-        }
     }
 }
 

@@ -125,12 +125,6 @@ impl OverloadPolicy {
         self
     }
 
-    /// Replaces the full breaker configuration.
-    pub fn breaker_config(mut self, cfg: BreakerConfig) -> Self {
-        self.breaker = Some(cfg);
-        self
-    }
-
     /// Enables brownout spillover with the default degraded model
     /// (see [`Spillover`]).
     pub fn spillover(mut self) -> Self {

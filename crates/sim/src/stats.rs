@@ -410,17 +410,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
-
-    /// The center value of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        assert!(i < self.counts.len());
-        let width = (self.max - self.min) / self.counts.len() as f64;
-        self.min + width * (i as f64 + 0.5)
-    }
 }
 
 /// A time-stamped series of scalar observations.
@@ -470,24 +459,6 @@ impl TimeSeries {
             0 => None,
             idx => Some(self.points[idx - 1].1),
         }
-    }
-
-    /// Resamples the series at a fixed period over `[start, end]`,
-    /// carrying the last value forward (0.0 before the first point).
-    pub fn resample(
-        &self,
-        start: SimTime,
-        end: SimTime,
-        period: SimDuration,
-    ) -> Vec<(SimTime, f64)> {
-        assert!(period > SimDuration::ZERO);
-        let mut out = Vec::new();
-        let mut t = start;
-        while t <= end {
-            out.push((t, self.value_at(t).unwrap_or(0.0)));
-            t += period;
-        }
-        out
     }
 
     /// Maximum observed value; `0.0` when empty.
@@ -641,8 +612,6 @@ mod tests {
         assert_eq!(h.total(), 100);
         assert!(h.counts().iter().all(|&c| c == 10));
         assert_eq!(h.range(), (0.0, 99.0));
-        let c0 = h.bin_center(0);
-        assert!(c0 > 0.0 && c0 < 99.0 / 10.0);
     }
 
     #[test]
@@ -663,20 +632,6 @@ mod tests {
         assert_eq!(ts.value_at(SimTime::from_secs(2)), Some(10.0));
         assert_eq!(ts.value_at(SimTime::from_secs(5)), Some(30.0));
         assert_eq!(ts.max(), 30.0);
-    }
-
-    #[test]
-    fn time_series_resample() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::from_secs(1), 1.0);
-        ts.record(SimTime::from_secs(2), 2.0);
-        let r = ts.resample(
-            SimTime::ZERO,
-            SimTime::from_secs(3),
-            SimDuration::from_secs(1),
-        );
-        let vals: Vec<f64> = r.iter().map(|&(_, v)| v).collect();
-        assert_eq!(vals, vec![0.0, 1.0, 2.0, 2.0]);
     }
 
     #[test]

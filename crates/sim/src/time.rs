@@ -124,18 +124,6 @@ impl SimDuration {
         }
     }
 
-    /// Creates a duration from fractional milliseconds (clamping like
-    /// [`SimDuration::from_secs_f64`]).
-    pub fn from_millis_f64(millis: f64) -> Self {
-        Self::from_secs_f64(millis / 1e3)
-    }
-
-    /// Creates a duration from fractional microseconds (clamping like
-    /// [`SimDuration::from_secs_f64`]).
-    pub fn from_micros_f64(micros: f64) -> Self {
-        Self::from_secs_f64(micros / 1e6)
-    }
-
     /// Returns the raw nanosecond count.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -351,8 +339,6 @@ mod tests {
 
     #[test]
     fn fractional_constructors() {
-        assert_eq!(SimDuration::from_millis_f64(1.5).as_nanos(), 1_500_000);
-        assert_eq!(SimDuration::from_micros_f64(2.5).as_nanos(), 2_500);
         assert_eq!(SimDuration::from_millis(3).as_millis_f64(), 3.0);
         assert_eq!(SimDuration::from_micros(7).as_micros_f64(), 7.0);
     }

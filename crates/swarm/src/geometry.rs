@@ -108,31 +108,6 @@ impl Rect {
             })
             .collect()
     }
-
-    /// Splits into a grid of `rows × cols` cells, row-major from the
-    /// south-west corner. Used to divide a field "equally among the
-    /// drones" at time zero (Scenario A).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows == 0` or `cols == 0`.
-    pub fn split_grid(&self, rows: u32, cols: u32) -> Vec<Rect> {
-        assert!(rows > 0 && cols > 0);
-        let w = self.width() / cols as f64;
-        let h = self.height() / rows as f64;
-        let mut out = Vec::with_capacity((rows * cols) as usize);
-        for r in 0..rows {
-            for c in 0..cols {
-                out.push(Rect::new(
-                    self.x0 + w * c as f64,
-                    self.y0 + h * r as f64,
-                    self.x0 + w * (c + 1) as f64,
-                    self.y0 + h * (r + 1) as f64,
-                ));
-            }
-        }
-        out
-    }
 }
 
 /// Partitions a field among `n` devices as near-square grid cells.
@@ -201,17 +176,6 @@ mod tests {
         assert_eq!(strips.len(), 3);
         assert!(strips.iter().all(|s| (s.area() - 16.0).abs() < 1e-9));
         assert_eq!(strips[0].x1, strips[1].x0);
-    }
-
-    #[test]
-    fn grid_split_row_major() {
-        let r = Rect::new(0.0, 0.0, 4.0, 2.0);
-        let cells = r.split_grid(2, 2);
-        assert_eq!(cells.len(), 4);
-        assert_eq!(cells[0].x0, 0.0);
-        assert_eq!(cells[0].y0, 0.0);
-        assert_eq!(cells[1].x0, 2.0);
-        assert_eq!(cells[2].y0, 1.0);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! * [`field`] — mission worlds: static items (tennis balls), moving
 //!   people (random-waypoint), with deterministic placement;
 //! * [`route`] — boustrophedon coverage lanes (Scenario A's per-drone
-//!   routes, Sec. 2.1) and A* grid path-finding (charged as the Maze
-//!   app's planning cost);
+//!   routes, Sec. 2.1);
 //! * [`maze`] — seeded maze generation and the Wall Follower traversal
 //!   algorithm used by the S6 benchmark and the cars' Maze scenario;
 //! * [`device`] — device speed, camera and compute profiles, and the

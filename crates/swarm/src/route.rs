@@ -1,164 +1,12 @@
-//! Route planning: A* shortest paths and boustrophedon coverage.
+//! Route planning: boustrophedon coverage lanes.
 //!
-//! Scenario A divides the field among the drones and derives routes within
-//! each region using A*, "where each drone tries to minimize the total
-//! distance traveled" (Sec. 2.1). We provide:
-//!
-//! * [`GridMap`] + [`astar`] — 4-connected grid shortest path with
-//!   obstacle support (also reused by the obstacle-avoidance benchmark);
-//! * [`coverage_lanes`] — the serpentine sweep a drone flies to photograph
-//!   an entire region with a camera footprint of 6.7 m × 8.75 m;
-//! * [`visit_order`] — nearest-neighbour + 2-opt tour over item waypoints,
-//!   the practical "minimize total distance" heuristic.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Scenario A divides the field among the drones, and each drone sweeps its
+//! region (Sec. 2.1). [`coverage_lanes`] is the serpentine sweep a drone
+//! flies to photograph an entire region with a camera footprint of
+//! 6.7 m × 8.75 m, and [`path_length`] measures it. The paper's A* route
+//! planning is charged as a cost profile (the Maze app), not run here.
 
 use crate::geometry::{Point, Rect};
-
-/// A 4-connected occupancy grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GridMap {
-    width: u32,
-    height: u32,
-    blocked: Vec<bool>,
-}
-
-/// A cell coordinate in a [`GridMap`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Cell {
-    /// Column.
-    pub x: u32,
-    /// Row.
-    pub y: u32,
-}
-
-impl GridMap {
-    /// Creates an empty (all-free) grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero dimensions.
-    pub fn new(width: u32, height: u32) -> GridMap {
-        assert!(width > 0 && height > 0, "grid must be non-empty");
-        GridMap {
-            width,
-            height,
-            blocked: vec![false; (width * height) as usize],
-        }
-    }
-
-    /// Grid width in cells.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Grid height in cells.
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    fn idx(&self, c: Cell) -> usize {
-        (c.y * self.width + c.x) as usize
-    }
-
-    /// Marks a cell as an obstacle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell is out of bounds.
-    pub fn block(&mut self, c: Cell) {
-        assert!(self.in_bounds(c), "cell out of bounds");
-        let i = self.idx(c);
-        self.blocked[i] = true;
-    }
-
-    /// Whether a cell is free (in bounds and unblocked).
-    pub fn is_free(&self, c: Cell) -> bool {
-        self.in_bounds(c) && !self.blocked[self.idx(c)]
-    }
-
-    fn in_bounds(&self, c: Cell) -> bool {
-        c.x < self.width && c.y < self.height
-    }
-
-    /// The 4-neighbourhood of `c` that is free.
-    pub fn neighbors(&self, c: Cell) -> Vec<Cell> {
-        let mut out = Vec::with_capacity(4);
-        if c.x > 0 {
-            out.push(Cell { x: c.x - 1, y: c.y });
-        }
-        if c.x + 1 < self.width {
-            out.push(Cell { x: c.x + 1, y: c.y });
-        }
-        if c.y > 0 {
-            out.push(Cell { x: c.x, y: c.y - 1 });
-        }
-        if c.y + 1 < self.height {
-            out.push(Cell { x: c.x, y: c.y + 1 });
-        }
-        out.retain(|&n| self.is_free(n));
-        out
-    }
-}
-
-fn manhattan(a: Cell, b: Cell) -> u32 {
-    a.x.abs_diff(b.x) + a.y.abs_diff(b.y)
-}
-
-/// A* shortest path on a grid; returns the cell sequence including both
-/// endpoints, or `None` if unreachable.
-///
-/// # Examples
-///
-/// ```rust
-/// use hivemind_swarm::route::{astar, Cell, GridMap};
-///
-/// let mut map = GridMap::new(5, 5);
-/// for y in 0..4 {
-///     map.block(Cell { x: 2, y });
-/// }
-/// let path = astar(&map, Cell { x: 0, y: 0 }, Cell { x: 4, y: 0 }).unwrap();
-/// assert_eq!(path.first(), Some(&Cell { x: 0, y: 0 }));
-/// assert_eq!(path.last(), Some(&Cell { x: 4, y: 0 }));
-/// assert_eq!(path.len(), 13, "must detour around the wall");
-/// ```
-pub fn astar(map: &GridMap, start: Cell, goal: Cell) -> Option<Vec<Cell>> {
-    if !map.is_free(start) || !map.is_free(goal) {
-        return None;
-    }
-    let n = (map.width() * map.height()) as usize;
-    let mut g = vec![u32::MAX; n];
-    let mut parent: Vec<Option<Cell>> = vec![None; n];
-    let mut open: BinaryHeap<Reverse<(u32, u32, Cell)>> = BinaryHeap::new();
-    g[map.idx(start)] = 0;
-    open.push(Reverse((manhattan(start, goal), 0, start)));
-    while let Some(Reverse((_, gc, cell))) = open.pop() {
-        if cell == goal {
-            let mut path = vec![goal];
-            let mut cur = goal;
-            while let Some(p) = parent[map.idx(cur)] {
-                path.push(p);
-                cur = p;
-            }
-            path.reverse();
-            return Some(path);
-        }
-        if gc > g[map.idx(cell)] {
-            continue; // stale heap entry
-        }
-        for nb in map.neighbors(cell) {
-            let ng = gc + 1;
-            let i = map.idx(nb);
-            if ng < g[i] {
-                g[i] = ng;
-                parent[i] = Some(cell);
-                open.push(Reverse((ng + manhattan(nb, goal), ng, nb)));
-            }
-        }
-    }
-    None
-}
 
 /// Serpentine (boustrophedon) sweep waypoints covering `region` with lanes
 /// spaced `lane_width` apart, starting at the south-west corner.
@@ -192,98 +40,9 @@ pub fn path_length(points: &[Point]) -> f64 {
     points.windows(2).map(|w| w[0].distance(w[1])).sum()
 }
 
-/// Orders waypoints to visit starting from `start`, using nearest-neighbour
-/// construction followed by 2-opt improvement. Returns indices into
-/// `targets`.
-pub fn visit_order(start: Point, targets: &[Point]) -> Vec<usize> {
-    if targets.is_empty() {
-        return vec![];
-    }
-    // Nearest neighbour.
-    let mut order: Vec<usize> = Vec::with_capacity(targets.len());
-    let mut remaining: Vec<usize> = (0..targets.len()).collect();
-    let mut cur = start;
-    while !remaining.is_empty() {
-        let (pos, _) = remaining
-            .iter()
-            .enumerate()
-            .min_by(|(_, &a), (_, &b)| {
-                cur.distance(targets[a])
-                    .total_cmp(&cur.distance(targets[b]))
-            })
-            .expect("remaining is non-empty");
-        let next = remaining.swap_remove(pos);
-        cur = targets[next];
-        order.push(next);
-    }
-    // 2-opt until no improvement.
-    let tour_len = |order: &[usize]| -> f64 {
-        let mut len = start.distance(targets[order[0]]);
-        len += order
-            .windows(2)
-            .map(|w| targets[w[0]].distance(targets[w[1]]))
-            .sum::<f64>();
-        len
-    };
-    let mut improved = true;
-    while improved {
-        improved = false;
-        for i in 0..order.len().saturating_sub(1) {
-            for j in i + 1..order.len() {
-                let mut candidate = order.clone();
-                candidate[i..=j].reverse();
-                if tour_len(&candidate) + 1e-9 < tour_len(&order) {
-                    order = candidate;
-                    improved = true;
-                }
-            }
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn astar_straight_line() {
-        let map = GridMap::new(10, 10);
-        let path = astar(&map, Cell { x: 0, y: 0 }, Cell { x: 9, y: 0 }).unwrap();
-        assert_eq!(path.len(), 10);
-    }
-
-    #[test]
-    fn astar_finds_optimal_around_obstacle() {
-        let mut map = GridMap::new(7, 7);
-        for y in 0..6 {
-            map.block(Cell { x: 3, y });
-        }
-        let path = astar(&map, Cell { x: 0, y: 0 }, Cell { x: 6, y: 0 }).unwrap();
-        // Manhattan 6 + detour up to row 6 and back: 6 + 12 = 18 steps → 19 cells.
-        assert_eq!(path.len(), 19);
-        // Path cells must be free and connected.
-        for w in path.windows(2) {
-            assert_eq!(manhattan(w[0], w[1]), 1);
-            assert!(map.is_free(w[1]));
-        }
-    }
-
-    #[test]
-    fn astar_unreachable_returns_none() {
-        let mut map = GridMap::new(5, 5);
-        for y in 0..5 {
-            map.block(Cell { x: 2, y });
-        }
-        assert!(astar(&map, Cell { x: 0, y: 0 }, Cell { x: 4, y: 4 }).is_none());
-    }
-
-    #[test]
-    fn astar_blocked_endpoint_returns_none() {
-        let mut map = GridMap::new(3, 3);
-        map.block(Cell { x: 2, y: 2 });
-        assert!(astar(&map, Cell { x: 0, y: 0 }, Cell { x: 2, y: 2 }).is_none());
-    }
 
     #[test]
     fn coverage_covers_width() {
@@ -304,36 +63,6 @@ mod tests {
         let small = coverage_lanes(&Rect::new(0.0, 0.0, 10.0, 40.0), 6.7);
         let large = coverage_lanes(&Rect::new(0.0, 0.0, 40.0, 40.0), 6.7);
         assert!(path_length(&large) > path_length(&small) * 2.0);
-    }
-
-    #[test]
-    fn visit_order_is_permutation_and_short() {
-        let targets = vec![
-            Point::new(10.0, 0.0),
-            Point::new(0.0, 10.0),
-            Point::new(10.0, 10.0),
-            Point::new(5.0, 5.0),
-        ];
-        let order = visit_order(Point::new(0.0, 0.0), &targets);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3]);
-        // 2-opt tour should beat the pathological identity tour for this
-        // layout. Compute both lengths.
-        let len = |ord: &[usize]| {
-            let mut l = Point::new(0.0, 0.0).distance(targets[ord[0]]);
-            l += ord
-                .windows(2)
-                .map(|w| targets[w[0]].distance(targets[w[1]]))
-                .sum::<f64>();
-            l
-        };
-        assert!(len(&order) <= len(&[0, 1, 2, 3]) + 1e-9);
-    }
-
-    #[test]
-    fn visit_order_empty() {
-        assert!(visit_order(Point::new(0.0, 0.0), &[]).is_empty());
     }
 
     #[test]

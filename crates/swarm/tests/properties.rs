@@ -5,8 +5,8 @@ use hivemind_sim::time::{SimDuration, SimTime};
 use hivemind_swarm::battery::{Battery, BatteryParams};
 use hivemind_swarm::failover::{try_repartition, FailoverError, HeartbeatTracker};
 use hivemind_swarm::field::{Field, FieldParams};
-use hivemind_swarm::geometry::{partition_field, Point, Rect};
-use hivemind_swarm::route::{coverage_lanes, path_length, visit_order};
+use hivemind_swarm::geometry::{partition_field, Rect};
+use hivemind_swarm::route::{coverage_lanes, path_length};
 use proptest::prelude::*;
 
 proptest! {
@@ -30,35 +30,6 @@ proptest! {
             prop_assert!(((pair[0].y - pair[1].y).abs() - h).abs() < 1e-9);
         }
         prop_assert!(path_length(&lanes) >= h * n_lanes as f64);
-    }
-
-    /// 2-opt visit orders are permutations and locally optimal (no
-    /// single segment reversal can shorten them).
-    #[test]
-    fn visit_order_is_a_short_permutation(
-        targets in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..12),
-    ) {
-        let pts: Vec<Point> = targets.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let start = Point::new(0.0, 0.0);
-        let order = visit_order(start, &pts);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(sorted, (0..pts.len()).collect::<Vec<_>>());
-        let tour = |ord: &[usize]| -> f64 {
-            let mut len = start.distance(pts[ord[0]]);
-            len += ord.windows(2).map(|w| pts[w[0]].distance(pts[w[1]])).sum::<f64>();
-            len
-        };
-        // 2-opt local optimality: no single segment reversal improves the
-        // returned tour.
-        let base = tour(&order);
-        for i in 0..order.len() {
-            for j in i + 1..order.len() {
-                let mut candidate = order.clone();
-                candidate[i..=j].reverse();
-                prop_assert!(tour(&candidate) + 1e-9 >= base);
-            }
-        }
     }
 
     /// Battery accounting is additive and monotone under any activity mix.

@@ -12,7 +12,6 @@ use hivemind::sim::stats::Summary;
 use hivemind::sim::time::{SimDuration, SimTime};
 use hivemind::swarm::geometry::{partition_field, Rect};
 use hivemind::swarm::maze::{wall_follower, Maze};
-use hivemind::swarm::route::{astar, Cell, GridMap};
 use proptest::prelude::*;
 
 proptest! {
@@ -94,33 +93,6 @@ proptest! {
         prop_assert_eq!(maze.passage_count(), (w * h - 1) as usize);
         let t = wall_follower(&maze);
         prop_assert!(t.reached);
-    }
-
-    /// A* paths, when they exist, are connected, obstacle-free, and no
-    /// longer than the naive perimeter route.
-    #[test]
-    fn astar_paths_are_valid(
-        blocks in prop::collection::vec((0u32..20, 0u32..20), 0..60),
-        seed in 0u64..100,
-    ) {
-        let mut map = GridMap::new(20, 20);
-        for &(x, y) in &blocks {
-            if (x, y) != (0, 0) && (x, y) != (19, 19) {
-                map.block(Cell { x, y });
-            }
-        }
-        let _ = seed;
-        if let Some(path) = astar(&map, Cell { x: 0, y: 0 }, Cell { x: 19, y: 19 }) {
-            prop_assert_eq!(path[0], Cell { x: 0, y: 0 });
-            prop_assert_eq!(*path.last().unwrap(), Cell { x: 19, y: 19 });
-            for pair in path.windows(2) {
-                let dx = pair[0].x.abs_diff(pair[1].x);
-                let dy = pair[0].y.abs_diff(pair[1].y);
-                prop_assert_eq!(dx + dy, 1);
-                prop_assert!(map.is_free(pair[1]));
-            }
-            prop_assert!(path.len() <= 400);
-        }
     }
 
     /// Union-find set counts never increase, and dedup's unique count is
