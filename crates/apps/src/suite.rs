@@ -90,14 +90,11 @@ impl App {
         }
     }
 
-    /// The FaaS registry id (stable: S1 → 0 … S10 → 9).
+    /// The FaaS registry id (stable: S1 → 0 … S10 → 9): the enum
+    /// discriminant, which declaration order keeps equal to the app's
+    /// index in [`App::ALL`].
     pub fn app_id(self) -> AppId {
-        AppId(
-            App::ALL
-                .iter()
-                .position(|&a| a == self)
-                .expect("member of ALL") as u16,
-        )
+        AppId(self as u16)
     }
 
     /// Recovers an app from its [`AppId`], if in range.

@@ -72,7 +72,7 @@ pub mod fifo;
 mod worker;
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use hivemind_apps::suite::App;
 use hivemind_faas::cluster::Cluster;
@@ -324,9 +324,34 @@ enum Action {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TagPurpose {
-    Upload { task: u32 },
-    Response { task: u32 },
-    ResultUpload { task: u32 },
+    Upload,
+    Response,
+    ResultUpload,
+    /// A reconnect replay summary; the hub ignores its delivery.
+    ReplaySummary,
+}
+
+/// Fabric transfer tags carry their task (or replay sequence number) and
+/// purpose arithmetically (purpose in the two low bits), so deliveries
+/// decode without a side table.
+fn transfer_tag(id: u64, purpose: TagPurpose) -> u64 {
+    id * 4
+        + match purpose {
+            TagPurpose::Upload => 0,
+            TagPurpose::Response => 1,
+            TagPurpose::ResultUpload => 2,
+            TagPurpose::ReplaySummary => 3,
+        }
+}
+
+fn decode_transfer_tag(tag: u64) -> (u32, TagPurpose) {
+    let purpose = match tag % 4 {
+        0 => TagPurpose::Upload,
+        1 => TagPurpose::Response,
+        2 => TagPurpose::ResultUpload,
+        _ => TagPurpose::ReplaySummary,
+    };
+    ((tag / 4) as u32, purpose)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -574,6 +599,15 @@ struct ShardCtx {
     device_factor: f64,
     trace: bool,
     edge_rpc: RpcProfile,
+    /// Each app's calibrated cloud profile, indexed by `App as usize`;
+    /// built once, read by both the shard phase and the hub.
+    profiles: [AppProfile; App::ALL.len()],
+}
+
+impl ShardCtx {
+    fn profile(&self, app: App) -> &AppProfile {
+        &self.profiles[app as usize]
+    }
 }
 
 /// The simulation engine.
@@ -606,10 +640,6 @@ pub struct Engine {
     action_ops: u64,
     seq: u64,
     tasks: Vec<TaskState>,
-    /// Purpose of each in-flight transfer, indexed by its dense
-    /// [`TransferId`](hivemind_net::fabric::TransferId) — a direct-mapped
-    /// table instead of a hash map on the per-delivery path.
-    tags: Vec<Option<TagPurpose>>,
     records: Vec<TaskRecord>,
     /// Reusable per-epoch buffers (the hot loop stays allocation-free).
     delivery_scratch: Vec<hivemind_net::fabric::Delivery>,
@@ -621,7 +651,8 @@ pub struct Engine {
     spill_inbox: Vec<(SimTime, u32, u64, SimDuration)>,
     rng: SmallRng,
     next_server: u32,
-    placements: HashMap<App, PlacementSite>,
+    /// Per-app placement, indexed by `App as usize`.
+    placements: [PlacementSite; App::ALL.len()],
     /// What the shard phase reads; `ctx.edge_rpc` is also the devices'
     /// receive side for the hub.
     ctx: ShardCtx,
@@ -789,10 +820,7 @@ impl Engine {
             }
         }
 
-        let placements = App::ALL
-            .iter()
-            .map(|&app| (app, synthesis::single_app_placement(app, cfg.platform)))
-            .collect();
+        let placements = App::ALL.map(|app| synthesis::single_app_placement(app, cfg.platform));
 
         // The controller-failover window is known up front (the trace is
         // sorted at finish time, so future-timestamped instants are fine).
@@ -877,6 +905,7 @@ impl Engine {
             device_factor: cfg.device_profile.compute_slowdown / 10.0,
             trace: tracer.is_enabled(),
             edge_rpc: RpcProfile::edge_software(),
+            profiles: App::ALL.map(App::cloud_profile),
         };
         let mut engine = Engine {
             shards,
@@ -893,7 +922,6 @@ impl Engine {
             action_ops: 0,
             seq: 0,
             tasks: Vec::new(),
-            tags: Vec::new(),
             records: Vec::new(),
             delivery_scratch: Vec::new(),
             completion_scratch: Vec::new(),
@@ -1022,13 +1050,13 @@ impl Engine {
 
     /// The resolved placement for an app on this platform.
     pub fn placement_of(&self, app: App) -> PlacementSite {
-        self.placements[&app]
+        self.placements[app as usize]
     }
 
     /// Overrides the placement of one app (missions pin obstacle
     /// avoidance to the edge on every platform).
     pub fn pin_placement(&mut self, app: App, site: PlacementSite) {
-        self.placements.insert(app, site);
+        self.placements[app as usize] = site;
     }
 
     /// Injects a task: device `device` captured a frame batch for `app`
@@ -1046,7 +1074,7 @@ impl Engine {
     pub fn submit_task(&mut self, at: SimTime, device: u32, app: App, label: u32) -> u32 {
         assert!(at >= self.now, "cannot submit into the past");
         assert!(device < self.cfg.devices, "device out of range");
-        let placement = self.placements[&app];
+        let placement = self.placements[app as usize];
         let id = self.tasks.len() as u32;
         self.tasks.push(TaskState {
             app,
@@ -1098,18 +1126,6 @@ impl Engine {
         self.seq += 1;
         self.action_ops += 1;
         self.actions.push(Reverse((at, seq, action)));
-    }
-
-    /// Records the purpose of transfer `id` (ids are dense, so the table
-    /// grows at most once per new transfer).
-    fn set_tag(&mut self, id: u64, purpose: TagPurpose) {
-        let i = id as usize;
-        if self.tags.len() <= i {
-            // Grow to a power of two so the table reallocates O(log n)
-            // times over a run, not once per new transfer id.
-            self.tags.resize((i + 1).next_power_of_two(), None);
-        }
-        self.tags[i] = Some(purpose);
     }
 
     /// Resolves a device id to its `(shard index, block offset)` pair.
@@ -1510,16 +1526,15 @@ impl Engine {
                 }
                 self.hub_draw(device, Draw::Radio(bytes));
                 let server = self.pick_server();
-                let tag = self.fabric.send(
+                self.fabric.send(
                     at,
                     Transfer {
                         src: Node::Device(device),
                         dst: Node::Server(server),
                         bytes,
-                        tag: task as u64,
+                        tag: transfer_tag(task as u64, TagPurpose::Upload),
                     },
                 );
-                self.set_tag(tag.0, TagPurpose::Upload { task });
             }
             Effect::ResultUplink {
                 task,
@@ -1544,16 +1559,15 @@ impl Engine {
                     return;
                 }
                 let server = self.pick_server();
-                let tag = self.fabric.send(
+                self.fabric.send(
                     at,
                     Transfer {
                         src: Node::Device(device),
                         dst: Node::Server(server),
                         bytes,
-                        tag: task as u64,
+                        tag: transfer_tag(task as u64, TagPurpose::ResultUpload),
                     },
                 );
-                self.set_tag(tag.0, TagPurpose::ResultUpload { task });
             }
             Effect::FinishLocal { task, queued } => {
                 self.tasks[task as usize].management += queued;
@@ -1592,18 +1606,17 @@ impl Engine {
             }
             Action::Response { task, from_server } => {
                 let st = &self.tasks[task as usize];
-                let bytes = st.app.cloud_profile().output_bytes;
+                let bytes = self.ctx.profile(st.app).output_bytes;
                 let device = st.device;
-                let tag = self.fabric.send(
+                self.fabric.send(
                     t,
                     Transfer {
                         src: Node::Server(from_server),
                         dst: Node::Device(device),
                         bytes,
-                        tag: task as u64,
+                        tag: transfer_tag(task as u64, TagPurpose::Response),
                     },
                 );
-                self.set_tag(tag.0, TagPurpose::Response { task });
             }
             Action::Finish { task } => self.finish_task(t, task),
             Action::Reconnect => self.reconcile_reconnect(t),
@@ -1677,9 +1690,8 @@ impl Engine {
     /// resubmitted at the (shard-count-invariant) epoch boundary.
     fn run_degraded(&mut self, at: SimTime, device: u32, task: u32, speedup: f64) {
         let app = self.tasks[task as usize].app;
-        let factor = self.cfg.device_profile.compute_slowdown / 10.0;
         self.rng_draws += 1;
-        let service = edge_service_from(&mut self.rng, app, factor).mul_f64(1.0 / speedup);
+        let service = edge_service(&mut self.rng, &self.ctx, app).mul_f64(1.0 / speedup);
         let st = &mut self.tasks[task as usize];
         st.placement = PlacementSite::Edge;
         st.exec = st.exec.max(service);
@@ -1744,13 +1756,13 @@ impl Engine {
                 self.reconnect_ledger.staleness_secs_sum += (t - u.at).as_secs_f64();
                 self.hub_draw(device, Draw::Radio(summary_bytes));
                 let server = self.pick_server();
-                let _ = self.fabric.send(
+                self.fabric.send(
                     t,
                     Transfer {
                         src: Node::Device(device),
                         dst: Node::Server(server),
                         bytes: summary_bytes,
-                        tag: u.seq,
+                        tag: transfer_tag(u.seq, TagPurpose::ReplaySummary),
                     },
                 );
                 if self.tracer.is_enabled() {
@@ -1776,18 +1788,16 @@ impl Engine {
     }
 
     fn handle_delivery(&mut self, d: hivemind_net::fabric::Delivery) {
-        let Some(purpose) = self.tags.get_mut(d.id.0 as usize).and_then(Option::take) else {
-            return;
-        };
+        let (task, purpose) = decode_transfer_tag(d.tag);
         match purpose {
-            TagPurpose::Upload { task } => {
+            TagPurpose::Upload => {
                 self.tasks[task as usize].network += d.latency();
                 self.rng_draws += 1;
                 let recv = self.cloud_rpc.recv_cost(&mut self.rng, d.bytes);
                 self.tasks[task as usize].network += recv;
                 self.push_action(d.delivered_at + recv, Action::SubmitCloud { task });
             }
-            TagPurpose::Response { task } => {
+            TagPurpose::Response => {
                 let device = {
                     let st = &mut self.tasks[task as usize];
                     st.network += d.latency();
@@ -1799,13 +1809,14 @@ impl Engine {
                 self.hub_draw(device, Draw::Radio(d.bytes));
                 self.push_action(d.delivered_at + recv, Action::Finish { task });
             }
-            TagPurpose::ResultUpload { task } => {
+            TagPurpose::ResultUpload => {
                 self.tasks[task as usize].network += d.latency();
                 self.rng_draws += 1;
                 let recv = self.cloud_rpc.recv_cost(&mut self.rng, d.bytes);
                 self.tasks[task as usize].network += recv;
                 self.push_action(d.delivered_at + recv, Action::Finish { task });
             }
+            TagPurpose::ReplaySummary => {}
         }
     }
 
@@ -1846,7 +1857,7 @@ impl Engine {
                 st.done = true;
             }
             (
-                st.app.cloud_profile().output_bytes,
+                self.ctx.profile(st.app).output_bytes,
                 st.sub_done,
                 st.device,
                 st.failed,
@@ -2201,8 +2212,8 @@ fn shard_capture(sh: &mut Shard, ctx: &ShardCtx, at: SimTime, c: Capture) {
     match placement {
         PlacementSite::Edge => {
             sh.rng_draws += 1;
-            let service = edge_service_from(&mut sh.rngs[di], app, ctx.device_factor);
-            let bytes = app.cloud_profile().output_bytes.max(1);
+            let service = edge_service(&mut sh.rngs[di], ctx, app);
+            let bytes = ctx.profile(app).output_bytes.max(1);
             sh.draw(di, Draw::Compute(service));
             sh.pending_jobs
                 .insert(task, EdgePending::Exec { bytes, service });
@@ -2216,8 +2227,7 @@ fn shard_capture(sh: &mut Shard, ctx: &ShardCtx, at: SimTime, c: Capture) {
             );
         }
         PlacementSite::Cloud => {
-            let mut upload =
-                (scaled_input_bytes(app, ctx.input_scale) as f64) * ctx.upload_fraction;
+            let mut upload = (scaled_input_bytes(ctx, app) as f64) * ctx.upload_fraction;
             if ctx.hybrid {
                 // The synthesized collect tier is rate-adaptive: it
                 // never offers more than ~70% of the device's fair
@@ -2233,7 +2243,7 @@ fn shard_capture(sh: &mut Shard, ctx: &ShardCtx, at: SimTime, c: Capture) {
                 // cheap salience detector, far lighter than the full
                 // model (bounded so it never dominates the device).
                 sh.rng_draws += 1;
-                let filter = edge_service_from(&mut sh.rngs[di], app, ctx.device_factor)
+                let filter = edge_service(&mut sh.rngs[di], ctx, app)
                     .mul_f64(0.02)
                     .min(SimDuration::from_millis(40));
                 sh.draw(di, Draw::Compute(filter));
@@ -2360,14 +2370,14 @@ fn edge_completion(
 
 /// On-device service time: the app's edge slow-down is calibrated for
 /// the drone's Cortex-A8; other device classes scale proportionally.
-fn edge_service_from(rng: &mut SmallRng, app: App, device_factor: f64) -> SimDuration {
-    let factor = (app.edge_slowdown() * device_factor).max(1.0);
-    let cloud = app.cloud_profile().exec.sample(rng);
+fn edge_service(rng: &mut SmallRng, ctx: &ShardCtx, app: App) -> SimDuration {
+    let factor = (app.edge_slowdown() * ctx.device_factor).max(1.0);
+    let cloud = ctx.profile(app).exec.sample(rng);
     cloud.mul_f64(factor)
 }
 
-fn scaled_input_bytes(app: App, input_scale: f64) -> u64 {
-    ((app.cloud_profile().input_bytes as f64) * input_scale).max(1.0) as u64
+fn scaled_input_bytes(ctx: &ShardCtx, app: App) -> u64 {
+    ((ctx.profile(app).input_bytes as f64) * ctx.input_scale).max(1.0) as u64
 }
 
 fn scaled_profile(app: App, cfg: &EngineConfig) -> AppProfile {

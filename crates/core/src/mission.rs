@@ -251,8 +251,8 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
     }
 
     // --- Flight + per-frame tasks. ---
-    // recognition task id → (device, capture time); sighting bookkeeping.
-    let mut batch_tasks: HashMap<u32, (u32, SimTime)> = HashMap::new();
+    // Whether each task id is a recognition batch; sighting bookkeeping.
+    let mut is_batch: Vec<bool> = Vec::new();
     let mut item_sightings: Vec<(u32, u32)> = Vec::new(); // (task, item)
     let mut people_sightings: Vec<(u32, u32, u32)> = Vec::new(); // (task, person, device)
     let mut flight_ends: Vec<SimTime> = Vec::new();
@@ -376,7 +376,10 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
             engine.submit_task(t, dev, App::ObstacleAvoidance, 1);
             let task = engine.submit_task(t, dev, recognition_app, 2);
             batch_of_task.push(Some(task));
-            batch_tasks.insert(task, (dev, t));
+            if is_batch.len() <= task as usize {
+                is_batch.resize(task as usize + 1, false);
+            }
+            is_batch[task as usize] = true;
         }
         batch_lists.push(batch_of_task);
     }
@@ -454,11 +457,13 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
 
     // --- Run the per-frame pipeline to completion. ---
     let records = engine.run_to_completion();
-    let rec_done: HashMap<u32, SimTime> = records
-        .iter()
-        .filter(|r| batch_tasks.contains_key(&r.task))
-        .map(|r| (r.task, r.done))
-        .collect();
+    // Whether each batch task finished (has a record).
+    let mut rec_done = vec![false; is_batch.len()];
+    for r in &records {
+        if is_batch.get(r.task as usize) == Some(&true) {
+            rec_done[r.task as usize] = true;
+        }
+    }
 
     // --- Scenario-specific aggregation. ---
     let targets_found;
@@ -474,7 +479,7 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
         Scenario::StationaryItems => {
             let mut found: Vec<u32> = Vec::new();
             for &(task, item) in &item_sightings {
-                if rec_done.contains_key(&task)
+                if rec_done[task as usize]
                     && rng.gen::<f64>() < detect_prob(cfg.retrain)
                     && !found.contains(&item)
                 {
@@ -494,7 +499,7 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
             let sigma = embedding_sigma(cfg.retrain);
             let observations: Vec<Observation> = people_sightings
                 .iter()
-                .filter(|(task, _, _)| rec_done.contains_key(task))
+                .filter(|&&(task, _, _)| rec_done[task as usize])
                 .map(|&(_, person, device)| Observation {
                     device,
                     embedding: observe(person, sigma, &mut rng),

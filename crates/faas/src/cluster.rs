@@ -10,9 +10,10 @@
 //! probation, Sec. 4.6).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use hivemind_sim::faults::{self, RetryDecision, RetryPolicy};
+use hivemind_sim::hash::DetHashMap;
 use hivemind_sim::overload::{self, BreakerDecision, BreakerEvent, CircuitBreaker, OverloadPolicy};
 use hivemind_sim::rng::RngForge;
 use hivemind_sim::stats::{QuantileTracker, TimeSeries};
@@ -23,6 +24,7 @@ use rand::Rng;
 
 use crate::container::{ContainerParams, WarmPool};
 use crate::dataplane::{DataPlane, ExchangeProtocol};
+use crate::idset::IdSet;
 use crate::scheduler::SchedulerPolicy;
 #[cfg(debug_assertions)]
 use crate::scheduler::ServerView;
@@ -153,6 +155,8 @@ enum Ev {
 #[derive(Debug)]
 struct InvState {
     inv: Invocation,
+    /// Submission order. Slots are recycled, so the slot index is not.
+    serial: u64,
     arrived: SimTime,
     ready: SimTime, // arrived + management
     management: SimDuration,
@@ -166,58 +170,13 @@ struct InvState {
     colocated: bool,
     /// Whether a core has been occupied for it (post-`admit`).
     placed: bool,
-    /// Lost to a server crash; its pending events are dead letters and a
-    /// clone has been resubmitted under a fresh index.
+    /// Lost to a server crash; its one pending event is a dead letter
+    /// (which frees the slot when it pops) and a clone has been
+    /// resubmitted under a fresh slot.
     aborted: bool,
     /// Admitted as a half-open circuit-breaker probe; cleared once its
     /// outcome is reported back to the breaker.
     probe: bool,
-}
-
-/// Server-id bitset for the placement index. Iterates in ascending id
-/// order — the chooser's tie-break depends on that — and inserts and
-/// removes in O(1) within a buffer sized once for every server, so
-/// busy-level changes never touch the allocator.
-#[derive(Debug, Clone)]
-struct IdSet(Vec<u64>);
-
-impl IdSet {
-    /// An empty set able to hold ids `0..ids`.
-    fn new(ids: u32) -> Self {
-        IdSet(vec![0; (ids as usize).div_ceil(64)])
-    }
-
-    /// The set holding every id in `0..ids`.
-    fn full(ids: u32) -> Self {
-        let mut s = IdSet::new(ids);
-        for id in 0..ids {
-            s.insert(id);
-        }
-        s
-    }
-
-    fn insert(&mut self, id: u32) {
-        self.0[(id / 64) as usize] |= 1 << (id % 64);
-    }
-
-    fn remove(&mut self, id: u32) {
-        self.0[(id / 64) as usize] &= !(1 << (id % 64));
-    }
-
-    /// Members in ascending order.
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.0.iter().enumerate().flat_map(|(w, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let b = bits.trailing_zeros();
-                bits &= bits - 1;
-                Some(w as u32 * 64 + b)
-            })
-        })
-    }
 }
 
 /// The serverless cluster.
@@ -244,14 +203,20 @@ impl IdSet {
 #[derive(Debug)]
 pub struct Cluster {
     params: ClusterParams,
-    apps: HashMap<AppId, AppProfile>,
+    apps: DetHashMap<AppId, AppProfile>,
     busy: Vec<u32>,
     probation_until: Vec<SimTime>,
     straggler_events: Vec<VecDeque<SimTime>>,
     warm: WarmPool,
     dataplane: DataPlane,
     rng: SmallRng,
+    /// Invocation slots, indexed by the `u32` the events carry. A slot
+    /// returns to `free_slots` when its invocation resolves (completes,
+    /// is shed, or its crash dead letter pops), so the table is sized by
+    /// the peak in-flight and queued work, not by the run length.
     invs: Vec<InvState>,
+    free_slots: Vec<u32>,
+    next_serial: u64,
     /// Internal events keyed `(time, unique seq)`, so the event never
     /// decides the pop order.
     heap: BinaryHeap<Reverse<(SimTime, u64, Ev)>>,
@@ -279,7 +244,7 @@ pub struct Cluster {
     /// per completion, so this is a [`QuantileTracker`] (O(log n) both
     /// ways) rather than a [`Summary`], whose hot sorted cache would
     /// make each record a linear insert — quadratic over a mission.
-    exec_history: HashMap<AppId, QuantileTracker>,
+    exec_history: DetHashMap<AppId, QuantileTracker>,
     active_series: TimeSeries,
     stragglers_mitigated: u64,
     faults_recovered: u64,
@@ -296,10 +261,10 @@ pub struct Cluster {
     outages: Vec<(SimTime, SimTime)>,
     crash_stats: CrashStats,
     /// Per-app circuit breakers, created on demand (overload plane only).
-    breakers: HashMap<AppId, CircuitBreaker>,
+    breakers: DetHashMap<AppId, CircuitBreaker>,
     /// Concurrent running invocations per app, maintained only while a
     /// per-app limit is configured.
-    app_running: HashMap<AppId, u32>,
+    app_running: DetHashMap<AppId, u32>,
     shed_counters: OverloadCounters,
 }
 
@@ -360,8 +325,10 @@ impl Cluster {
             straggler_events: (0..servers).map(|_| VecDeque::with_capacity(8)).collect(),
             dataplane: DataPlane::for_cluster(params.servers),
             rng: forge.stream("faas-cluster"),
-            apps: HashMap::new(),
+            apps: DetHashMap::default(),
             invs: Vec::new(),
+            free_slots: Vec::new(),
+            next_serial: 0,
             heap: BinaryHeap::new(),
             seq: 0,
             wait_queue: VecDeque::new(),
@@ -376,7 +343,7 @@ impl Cluster {
             with_free: IdSet::full(params.servers),
             #[cfg(debug_assertions)]
             view_scratch: Vec::with_capacity(servers),
-            exec_history: HashMap::new(),
+            exec_history: DetHashMap::default(),
             active_series: TimeSeries::new(),
             stragglers_mitigated: 0,
             faults_recovered: 0,
@@ -386,8 +353,8 @@ impl Cluster {
             pending_recover: Vec::new(),
             outages: Vec::new(),
             crash_stats: CrashStats::default(),
-            breakers: HashMap::new(),
-            app_running: HashMap::new(),
+            breakers: DetHashMap::default(),
+            app_running: DetHashMap::default(),
             shed_counters: OverloadCounters::default(),
             params,
         }
@@ -472,9 +439,9 @@ impl Cluster {
         // scheduler slot, then pay the per-decision management cost.
         let control_wait = (decision_at - now) + self.controller_gate.admit(decision_at);
         let management = control_wait + self.params.policy.management_cost().sample(&mut self.rng);
-        let idx = self.invs.len() as u32;
-        self.invs.push(InvState {
+        let state = InvState {
             inv,
+            serial: self.next_serial,
             arrived: now,
             ready: now + management,
             management,
@@ -488,7 +455,18 @@ impl Cluster {
             placed: false,
             aborted: false,
             probe: false,
-        });
+        };
+        self.next_serial += 1;
+        let idx = match self.free_slots.pop() {
+            Some(idx) => {
+                self.invs[idx as usize] = state;
+                idx
+            }
+            None => {
+                self.invs.push(state);
+                (self.invs.len() - 1) as u32
+            }
+        };
         self.push_event(now + management, Ev::Admit(idx));
     }
 
@@ -588,7 +566,7 @@ impl Cluster {
                     now,
                     &self.invs[idx as usize].inv,
                     &self.view_scratch,
-                    &self.warm
+                    &mut self.warm
                 ),
                 "indexed placement diverged from the reference policy"
             );
@@ -738,6 +716,7 @@ impl Cluster {
             in_memory_exchange: false,
             outcome: st.outcome,
         });
+        self.free_slots.push(idx);
     }
 
     /// Counts and (when tracing) emits a breaker state transition.
@@ -1118,6 +1097,7 @@ impl Cluster {
             in_memory_exchange: st.in_memory,
             outcome: st.outcome,
         });
+        self.free_slots.push(idx);
 
         self.drain_wait_queue(now);
     }
@@ -1179,9 +1159,11 @@ impl Cluster {
                 // An unresolved probe dies with the server: its breaker
                 // slot must be released so half-open doesn't wedge.
                 let probe = std::mem::replace(&mut st.probe, false);
-                resubmit.push((st.inv.clone(), probe));
+                resubmit.push((st.serial, st.inv.clone(), probe));
             }
         }
+        // Recycled slots are not in submission order; resubmit in it.
+        resubmit.sort_unstable_by_key(|&(serial, ..)| serial);
         let lost = resubmit.len() as u32;
         debug_assert_eq!(lost, self.busy[server as usize], "core accounting");
         self.set_busy(server, 0);
@@ -1213,7 +1195,7 @@ impl Cluster {
             self.tracer.counter("faas", "server.busy", server, now, 0.0);
             self.sample_occupancy(now);
         }
-        for (inv, probe) in resubmit {
+        for (_, inv, probe) in resubmit {
             if self.params.overload.admission.per_app_limit.is_some() {
                 if let Some(n) = self.app_running.get_mut(&inv.app) {
                     *n = n.saturating_sub(1);
@@ -1293,10 +1275,14 @@ impl Cluster {
         debug_assert!(t >= self.last_event_time);
         self.last_event_time = t;
         match ev {
-            // Events of a crash-aborted invocation are dead letters:
-            // the clone resubmitted at crash time carries on instead.
+            // A crash-aborted invocation's one pending event is a dead
+            // letter: the clone resubmitted at crash time carries on
+            // instead, and the slot is free once the letter pops.
             Ev::Admit(idx) | Ev::DataIn(idx) | Ev::DataOut(idx) | Ev::Complete(idx)
-                if self.invs[idx as usize].aborted => {}
+                if self.invs[idx as usize].aborted =>
+            {
+                self.free_slots.push(idx)
+            }
             Ev::Admit(idx) => self.admit(t, idx),
             Ev::DataIn(idx) => self.data_in_stage(t, idx),
             Ev::DataOut(idx) => self.data_out_stage(t, idx),
@@ -1679,5 +1665,91 @@ mod tests {
         }
         assert_eq!(done.len(), 8, "the limit queues, it never drops");
         assert_eq!(c.overload_counters().shed_total(), 0);
+    }
+
+    #[test]
+    fn recycled_slots_resubmit_crash_losses_in_submission_order() {
+        let params = ClusterParams {
+            servers: 1,
+            cores_per_server: 8,
+            ..ClusterParams::hivemind()
+        };
+        let mut c = Cluster::new(params, RngForge::new(3));
+        for app in 0..3u16 {
+            c.register_app(
+                AppId(app),
+                AppProfile::test_profile(50.0 + 100.0 * app as f64),
+            );
+        }
+        let crash_at = SimTime::ZERO + SimDuration::from_millis(20_100);
+        c.schedule_server_crash(crash_at, 0, SimDuration::from_secs(1));
+        let (mut done, mut submitted, mut peak) = (Vec::new(), 0u64, 0usize);
+        // Each wave mixes three exec lengths, so its invocations retire
+        // (and free their slots) out of submission order; the third wave
+        // is still running when the server crashes.
+        for wave in 0..3u64 {
+            let at = SimTime::from_secs(10 * wave);
+            for i in 0..6u16 {
+                c.submit(at, Invocation::root(AppId(i % 3), submitted));
+                submitted += 1;
+            }
+            peak = peak.max(submitted as usize - done.len());
+            let until = if wave < 2 {
+                at + SimDuration::from_secs(5)
+            } else {
+                crash_at
+            };
+            while let Some(t) = c.next_wakeup().filter(|&t| t <= until) {
+                c.advance_into(t, &mut done);
+            }
+        }
+        let lost = c.crash_stats().invocations_lost;
+        assert!(
+            lost >= 3,
+            "the crash must catch several invocations: {lost}"
+        );
+        // The lost originals, in slot order: recycling scrambled it...
+        let aborted: Vec<u64> = c
+            .invs
+            .iter()
+            .filter(|st| st.aborted)
+            .map(|st| st.inv.tag)
+            .collect();
+        assert_eq!(aborted.len() as u64, lost);
+        assert!(
+            aborted.windows(2).any(|w| w[0] > w[1]),
+            "slot order must differ from submission order: {aborted:?}"
+        );
+        // ...yet their clones were resubmitted in submission order.
+        let mut clones: Vec<(u64, u64)> = c
+            .invs
+            .iter()
+            .filter(|st| !st.aborted && !st.done && aborted.contains(&st.inv.tag))
+            .map(|st| (st.serial, st.inv.tag))
+            .collect();
+        clones.sort_unstable();
+        let mut expected = aborted;
+        expected.sort_unstable();
+        assert_eq!(
+            clones.iter().map(|&(_, tag)| tag).collect::<Vec<_>>(),
+            expected
+        );
+
+        done.extend(run_all(&mut c));
+        let mut tags: Vec<u64> = done.iter().map(|d| d.tag).collect();
+        tags.sort_unstable();
+        assert_eq!(
+            tags,
+            (0..submitted).collect::<Vec<_>>(),
+            "each tag completes once"
+        );
+        // A crash-lost original keeps its slot until its dead letter pops,
+        // alongside its clone.
+        assert!(
+            c.invs.len() <= peak + lost as usize,
+            "{} slots for a peak of {peak} in flight plus {lost} dead letters",
+            c.invs.len()
+        );
+        assert_eq!(c.free_slots.len(), c.invs.len(), "every slot returns");
     }
 }

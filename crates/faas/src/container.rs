@@ -8,12 +8,11 @@
 //! empirically chosen 10–30 s window (Sec. 4.3) so short-lived edge tasks
 //! mostly hit warm containers.
 
-use std::collections::{BTreeMap, HashMap};
-
 use hivemind_sim::dist::Dist;
 use hivemind_sim::time::{SimDuration, SimTime};
 use rand::Rng;
 
+use crate::idset::IdSet;
 use crate::types::AppId;
 
 /// Instantiation cost calibration.
@@ -59,7 +58,9 @@ impl ContainerParams {
 ///
 /// Containers are keyed by `(server, app)`; each entry records when the
 /// container expires. Expiry is evaluated lazily at lookup time, which is
-/// exact because reuse only matters at lookup instants.
+/// exact because reuse only matters at lookup instants. Calls must come
+/// in non-decreasing `now` order (cluster time never goes backwards):
+/// [`WarmPool::warm_server`] forgets servers it finds expired.
 ///
 /// # Examples
 ///
@@ -78,20 +79,28 @@ impl ContainerParams {
 #[derive(Debug, Clone, Default)]
 pub struct WarmPool {
     params: ContainerParams,
-    /// (server, app) -> expiry times of idle containers. Entries are
-    /// never removed once created — an emptied slot keeps its `Vec`'s
-    /// capacity — so steady-state park/take cycles stay off the
-    /// allocator.
-    idle: HashMap<(u32, AppId), Vec<SimTime>>,
-    /// app -> server -> latest idle-container expiry. Mirrors `idle` so
-    /// `warm_server` can walk servers in ascending id order and stop at
-    /// the first live one instead of scanning the whole pool. A server
-    /// whose containers are all gone keeps its entry as a tombstone with
-    /// a past expiry (readers check `expiry > now` anyway); removing and
-    /// re-inserting would churn tree nodes on every park/take cycle.
-    by_app: HashMap<AppId, BTreeMap<u32, SimTime>>,
+    /// Per-app warm index, indexed by `AppId`; grown on first park.
+    apps: Vec<AppWarm>,
     warm_hits: u64,
     cold_misses: u64,
+}
+
+/// One app's idle containers, indexed by server id. Sized by the
+/// highest server that ever hosted the app; lookups cost one bit scan.
+#[derive(Debug, Clone, Default)]
+struct AppWarm {
+    /// Server -> expiry times of its idle containers, in park order.
+    /// An emptied `Vec` keeps its capacity, so steady-state park/take
+    /// cycles stay off the allocator.
+    idle: Vec<Vec<SimTime>>,
+    /// Server -> latest idle-container expiry; at most the time of its
+    /// last write once the server has no idle container left.
+    latest: Vec<SimTime>,
+    /// Servers whose `latest` may still be live: every server with
+    /// `latest > now` is a member. Only `park` adds one; the lookup
+    /// drops each one it finds expired, which stays correct until the
+    /// next write to that server because time never goes backwards.
+    maybe_warm: IdSet,
 }
 
 impl Default for ContainerParams {
@@ -105,8 +114,7 @@ impl WarmPool {
     pub fn new(params: ContainerParams) -> Self {
         WarmPool {
             params,
-            idle: HashMap::new(),
-            by_app: HashMap::new(),
+            apps: Vec::new(),
             warm_hits: 0,
             cold_misses: 0,
         }
@@ -121,28 +129,40 @@ impl WarmPool {
     /// reuse until the keep-alive window expires.
     pub fn park(&mut self, now: SimTime, server: u32, app: AppId) {
         let expiry = now + self.params.keep_alive;
-        self.idle.entry((server, app)).or_default().push(expiry);
-        let slot = self
-            .by_app
-            .entry(app)
-            .or_default()
-            .entry(server)
-            .or_insert(expiry);
-        *slot = (*slot).max(expiry);
+        let a = app.0 as usize;
+        if self.apps.len() <= a {
+            self.apps.resize_with(a + 1, AppWarm::default);
+        }
+        let table = &mut self.apps[a];
+        let s = server as usize;
+        if table.latest.len() <= s {
+            table.idle.resize_with(s + 1, Vec::new);
+            table.latest.resize(s + 1, SimTime::ZERO);
+            table.maybe_warm.grow(server + 1);
+        }
+        table.idle[s].push(expiry);
+        table.latest[s] = table.latest[s].max(expiry);
+        table.maybe_warm.insert(server);
     }
 
     /// Attempts to take a warm container for `app` on `server`. Returns
     /// `true` on a warm hit (and consumes the container).
     pub fn try_take(&mut self, now: SimTime, server: u32, app: AppId) -> bool {
+        let s = server as usize;
         let mut hit = false;
-        if let Some(expiries) = self.idle.get_mut(&(server, app)) {
+        if let Some(table) = self
+            .apps
+            .get_mut(app.0 as usize)
+            .filter(|t| s < t.idle.len())
+        {
+            let expiries = &mut table.idle[s];
             expiries.retain(|&e| e > now);
             hit = expiries.pop().is_some();
-            // `None` leaves a tombstone: `now` is never `> now`, so the
-            // server stops being offered until the next park refreshes it.
-            let latest = expiries.iter().copied().max().unwrap_or(now);
-            if let Some(slot) = self.by_app.get_mut(&app).and_then(|m| m.get_mut(&server)) {
-                *slot = latest;
+            // An emptied server reads `now`, which is never `> now`: it
+            // stops being offered until the next park refreshes it.
+            table.latest[s] = expiries.iter().copied().max().unwrap_or(now);
+            if expiries.is_empty() {
+                table.maybe_warm.remove(server);
             }
         }
         if hit {
@@ -156,30 +176,22 @@ impl WarmPool {
     /// Drops every idle container on `server` (the server crashed; its
     /// containers died with it).
     pub fn flush_server(&mut self, server: u32) {
-        for (&(s, _), expiries) in self.idle.iter_mut() {
-            if s == server {
-                expiries.clear();
-            }
-        }
-        for servers in self.by_app.values_mut() {
-            if let Some(slot) = servers.get_mut(&server) {
-                *slot = SimTime::ZERO;
-            }
+        let s = server as usize;
+        for table in self.apps.iter_mut().filter(|t| s < t.idle.len()) {
+            table.idle[s].clear();
+            table.latest[s] = SimTime::ZERO;
+            table.maybe_warm.remove(server);
         }
     }
 
-    /// Any server holding a warm container for `app` at `now`, if one
-    /// exists (used by schedulers to steer invocations toward warm nodes).
-    pub fn warm_server(&self, now: SimTime, app: AppId) -> Option<u32> {
-        // Ascending-id walk over the per-app index; the first entry whose
-        // latest expiry is still live is exactly the `min` the old
-        // whole-pool scan produced. Entries that expired without being
-        // taken are skipped here and reaped by `try_take`/`flush_server`.
-        self.by_app
-            .get(&app)?
-            .iter()
-            .find(|&(_, &expiry)| expiry > now)
-            .map(|(&s, _)| s)
+    /// The lowest-id server holding a warm container for `app` at `now`,
+    /// if one exists (used by schedulers to steer invocations toward warm
+    /// nodes). Takes `&mut self` to forget the expired servers it passes.
+    pub fn warm_server(&mut self, now: SimTime, app: AppId) -> Option<u32> {
+        let AppWarm {
+            latest, maybe_warm, ..
+        } = self.apps.get_mut(app.0 as usize)?;
+        maybe_warm.first_pruning(|s| latest[s as usize] > now)
     }
 
     /// Samples the instantiation latency for a hit/miss.
@@ -194,14 +206,6 @@ impl WarmPool {
     /// `(warm_hits, cold_misses)` since construction.
     pub fn hit_stats(&self) -> (u64, u64) {
         (self.warm_hits, self.cold_misses)
-    }
-
-    /// Number of currently idle (non-expired) containers.
-    pub fn idle_count(&self, now: SimTime) -> usize {
-        self.idle
-            .values()
-            .map(|v| v.iter().filter(|&&e| e > now).count())
-            .sum()
     }
 }
 
@@ -274,14 +278,5 @@ mod tests {
         // The paper gives 10–30 s for HiveMind's empirical setting.
         let ka = ContainerParams::hivemind().keep_alive.as_secs_f64();
         assert!((10.0..=30.0).contains(&ka));
-    }
-
-    #[test]
-    fn idle_count_respects_expiry() {
-        let mut p = WarmPool::new(ContainerParams::hivemind());
-        p.park(SimTime::ZERO, 0, AppId(0));
-        p.park(SimTime::ZERO, 1, AppId(1));
-        assert_eq!(p.idle_count(SimTime::from_secs(1)), 2);
-        assert_eq!(p.idle_count(SimTime::from_secs(25)), 0);
     }
 }

@@ -11,8 +11,9 @@
 //! milliseconds.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
+use hivemind_sim::hash::DetHashMap;
 use hivemind_sim::rng::RngForge;
 use hivemind_sim::stats::TimeSeries;
 use hivemind_sim::time::{SimDuration, SimTime};
@@ -73,7 +74,7 @@ impl Default for FixedPoolParams {
 #[derive(Debug)]
 pub struct FixedPool {
     params: FixedPoolParams,
-    apps: HashMap<AppId, AppProfile>,
+    apps: DetHashMap<AppId, AppProfile>,
     dataplane: DataPlane,
     rng: SmallRng,
     /// Completion times of busy workers.
@@ -97,7 +98,7 @@ impl FixedPool {
         assert!(params.workers > 0, "pool needs at least one worker");
         FixedPool {
             params,
-            apps: HashMap::new(),
+            apps: DetHashMap::default(),
             dataplane: DataPlane::new(),
             rng: forge.stream("iaas-pool"),
             busy: BinaryHeap::new(),

@@ -30,6 +30,7 @@ pub mod cluster;
 pub mod container;
 pub mod dataplane;
 pub mod iaas;
+mod idset;
 pub mod scheduler;
 pub mod types;
 

@@ -62,7 +62,7 @@ impl SchedulerPolicy {
         now: SimTime,
         inv: &Invocation,
         servers: &[ServerView],
-        warm: &WarmPool,
+        warm: &mut WarmPool,
     ) -> Option<u32> {
         match self {
             SchedulerPolicy::OpenWhiskDefault => {
@@ -157,11 +157,21 @@ mod tests {
     fn openwhisk_probes_past_full_home() {
         let policy = SchedulerPolicy::OpenWhiskDefault;
         let mut s = servers(&[0, 0, 5]);
-        let choice = policy.choose(SimTime::ZERO, &Invocation::root(AppId(0), 0), &s, &pool());
+        let choice = policy.choose(
+            SimTime::ZERO,
+            &Invocation::root(AppId(0), 0),
+            &s,
+            &mut pool(),
+        );
         assert_eq!(choice, Some(2));
         s[2].busy_cores = 40;
         assert_eq!(
-            policy.choose(SimTime::ZERO, &Invocation::root(AppId(0), 0), &s, &pool()),
+            policy.choose(
+                SimTime::ZERO,
+                &Invocation::root(AppId(0), 0),
+                &s,
+                &mut pool()
+            ),
             None
         );
     }
@@ -171,7 +181,7 @@ mod tests {
         let policy = SchedulerPolicy::HiveMind;
         let s = servers(&[10, 10, 10]);
         let inv = Invocation::child_of(AppId(0), 0, 2, true);
-        assert_eq!(policy.choose(SimTime::ZERO, &inv, &s, &pool()), Some(2));
+        assert_eq!(policy.choose(SimTime::ZERO, &inv, &s, &mut pool()), Some(2));
     }
 
     #[test]
@@ -182,7 +192,7 @@ mod tests {
         warm.park(SimTime::ZERO, 1, AppId(7));
         let inv = Invocation::root(AppId(7), 0);
         assert_eq!(
-            policy.choose(SimTime::from_secs(1), &inv, &s, &warm),
+            policy.choose(SimTime::from_secs(1), &inv, &s, &mut warm),
             Some(1)
         );
     }
@@ -198,7 +208,7 @@ mod tests {
         let mut inv = Invocation::root(AppId(7), 0);
         inv.isolate = true;
         assert_eq!(
-            policy.choose(SimTime::from_secs(1), &inv, &s, &warm),
+            policy.choose(SimTime::from_secs(1), &inv, &s, &mut warm),
             Some(0)
         );
     }
@@ -208,7 +218,7 @@ mod tests {
         let policy = SchedulerPolicy::HiveMind;
         let s = servers(&[1, 30, 10]);
         let inv = Invocation::root(AppId(3), 0);
-        assert_eq!(policy.choose(SimTime::ZERO, &inv, &s, &pool()), Some(1));
+        assert_eq!(policy.choose(SimTime::ZERO, &inv, &s, &mut pool()), Some(1));
     }
 
     #[test]
@@ -217,10 +227,10 @@ mod tests {
         let mut s = servers(&[40, 40]);
         s[0].on_probation = true;
         let inv = Invocation::root(AppId(0), 0);
-        assert_eq!(policy.choose(SimTime::ZERO, &inv, &s, &pool()), Some(1));
+        assert_eq!(policy.choose(SimTime::ZERO, &inv, &s, &mut pool()), Some(1));
         // Only the probationed server has room: still place rather than stall.
         s[1].busy_cores = 40;
-        assert_eq!(policy.choose(SimTime::ZERO, &inv, &s, &pool()), Some(0));
+        assert_eq!(policy.choose(SimTime::ZERO, &inv, &s, &mut pool()), Some(0));
     }
 
     #[test]
@@ -242,7 +252,12 @@ mod tests {
     fn empty_cluster_yields_none() {
         for p in [SchedulerPolicy::OpenWhiskDefault, SchedulerPolicy::HiveMind] {
             assert_eq!(
-                p.choose(SimTime::ZERO, &Invocation::root(AppId(0), 0), &[], &pool()),
+                p.choose(
+                    SimTime::ZERO,
+                    &Invocation::root(AppId(0), 0),
+                    &[],
+                    &mut pool()
+                ),
                 None
             );
         }

@@ -1,6 +1,9 @@
 //! Property-based tests for the serverless substrate.
 
+use std::collections::BTreeMap;
+
 use hivemind_faas::cluster::{Cluster, ClusterParams};
+use hivemind_faas::container::{ContainerParams, WarmPool};
 use hivemind_faas::iaas::{FixedPool, FixedPoolParams};
 use hivemind_faas::types::{AppId, AppProfile, Completion, Invocation, Outcome};
 use hivemind_sim::faults::RetryPolicy;
@@ -67,6 +70,69 @@ fn drive_cluster(submits: &[(SimTime, u16)], run_ahead: bool) -> (Vec<Completion
         }
     }
     (out, visited)
+}
+
+/// Brute-force reference for [`WarmPool`]: every `(app, server)` pair's
+/// idle expiries plus each server's latest expiry, kept by the pool's
+/// rules. A park appends `now + keep_alive` and raises the latest; a
+/// take drops expired containers, consumes the newest live one, and
+/// resets the latest to the largest survivor (or `now`); a flush empties
+/// the server; the warm server is the lowest id whose latest expiry is
+/// `> now`, found by walking every server that ever hosted the app.
+#[derive(Default)]
+struct WarmModel {
+    idle: BTreeMap<(u16, u32), Vec<SimTime>>,
+    latest: BTreeMap<(u16, u32), SimTime>,
+    hits: u64,
+    misses: u64,
+}
+
+impl WarmModel {
+    fn park(&mut self, now: SimTime, keep_alive: SimDuration, server: u32, app: u16) {
+        let expiry = now + keep_alive;
+        self.idle.entry((app, server)).or_default().push(expiry);
+        let latest = self.latest.entry((app, server)).or_insert(expiry);
+        *latest = (*latest).max(expiry);
+    }
+
+    fn try_take(&mut self, now: SimTime, server: u32, app: u16) -> bool {
+        let hit = match self.idle.get_mut(&(app, server)) {
+            Some(expiries) => {
+                expiries.retain(|&e| e > now);
+                let hit = expiries.pop().is_some();
+                self.latest
+                    .insert((app, server), expiries.iter().copied().max().unwrap_or(now));
+                hit
+            }
+            None => false,
+        };
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    fn flush_server(&mut self, server: u32) {
+        for (&(_, s), expiries) in self.idle.iter_mut() {
+            if s == server {
+                expiries.clear();
+            }
+        }
+        for (&(_, s), latest) in self.latest.iter_mut() {
+            if s == server {
+                *latest = SimTime::ZERO;
+            }
+        }
+    }
+
+    fn warm_server(&self, now: SimTime, app: u16) -> Option<u32> {
+        self.latest
+            .range((app, 0)..=(app, u32::MAX))
+            .find(|&(_, &latest)| latest > now)
+            .map(|(&(_, s), _)| s)
+    }
 }
 
 proptest! {
@@ -284,5 +350,51 @@ proptest! {
         prop_assert_eq!(done.len(), arrivals.len());
         prop_assert!(pool.active_series().max() <= workers as f64);
         prop_assert_eq!(pool.queued(), 0);
+    }
+
+    /// The warm-container index returns exactly the reference walk's
+    /// server at every lookup, agrees on every take, and counts the same
+    /// hits and misses, over random park/take/flush/lookup sequences at
+    /// non-decreasing times on up to 256 servers (several bitset words)
+    /// and 3 apps.
+    #[test]
+    fn warm_index_matches_reference_walk(
+        ops in prop::collection::vec(
+            (0u64..3_000, 0u8..8, any::<bool>(), 0u32..256, 0u16..3),
+            1..300,
+        ),
+    ) {
+        let params = ContainerParams::hivemind();
+        let keep_alive = params.keep_alive;
+        let mut pool = WarmPool::new(params);
+        let mut model = WarmModel::default();
+        let mut now = SimTime::ZERO;
+        for (dt_ms, op, crowded, server, app) in ops {
+            // Half the ops crowd onto four servers, so containers pile
+            // up and takes hit.
+            let server = if crowded { server % 4 } else { server };
+            now += SimDuration::from_millis(dt_ms);
+            match op {
+                0..=2 => {
+                    pool.park(now, server, AppId(app));
+                    model.park(now, keep_alive, server, app);
+                }
+                3 | 4 => prop_assert_eq!(
+                    pool.try_take(now, server, AppId(app)),
+                    model.try_take(now, server, app),
+                    "take of app {} on server {} at {:?}", app, server, now
+                ),
+                5 => {
+                    pool.flush_server(server);
+                    model.flush_server(server);
+                }
+                _ => prop_assert_eq!(
+                    pool.warm_server(now, AppId(app)),
+                    model.warm_server(now, app),
+                    "warm server of app {} at {:?}", app, now
+                ),
+            }
+        }
+        prop_assert_eq!(pool.hit_stats(), (model.hits, model.misses));
     }
 }
