@@ -83,7 +83,7 @@ use hivemind_net::rpc::RpcProfile;
 use hivemind_net::topology::{Node, Topology, TopologyParams};
 use hivemind_sim::disconnect::{self, DisconnectPolicy};
 use hivemind_sim::faults::{self, FaultPlan};
-use hivemind_sim::overload::OverloadPolicy;
+use hivemind_sim::overload::{OverloadPolicy, DEGRADED_ACCURACY_PENALTY_PCT, DEGRADED_SPEEDUP};
 use hivemind_sim::rng::RngForge;
 use hivemind_sim::shard::{merge_keyed_into, shards_from_env, EffectKey, ShardMap};
 use hivemind_sim::time::{SimDuration, SimTime};
@@ -712,14 +712,11 @@ impl Engine {
     pub fn new(cfg: EngineConfig) -> Engine {
         assert!(cfg.devices > 0 && cfg.servers > 0);
         assert!(cfg.input_scale > 0.0);
-        if let Err(e) = cfg.faults.validate(cfg.devices, cfg.servers) {
+        if let Err(e) = cfg.faults.validate(cfg.servers) {
             panic!("invalid fault plan: {e}");
         }
         if let Err(e) = cfg.overload.validate() {
             panic!("invalid overload policy: {e}");
-        }
-        if let Err(e) = cfg.disconnect.validate() {
-            panic!("invalid disconnect policy: {e}");
         }
         let forge = RngForge::new(cfg.seed);
         let tracer = if cfg.trace {
@@ -727,20 +724,11 @@ impl Engine {
         } else {
             TraceHandle::disabled()
         };
-        let mut topo_params = TopologyParams {
+        let topology = Topology::new(TopologyParams {
             devices: cfg.devices,
             servers: cfg.servers,
             ..TopologyParams::default()
-        };
-        // Bandwidth degradation is applied once at topology build time so
-        // every wireless transfer slows uniformly; the hybrid uplink
-        // budget below stays at the nominal rate (rate adaptation is
-        // provisioned at design time — degradation is a fault the
-        // application stack does not know about).
-        if cfg.faults.net.bandwidth_factor != 1.0 {
-            topo_params.wireless_bps *= cfg.faults.net.bandwidth_factor;
-        }
-        let topology = Topology::new(topo_params);
+        });
         let lookahead = topology.lookahead();
         let mut fabric = Fabric::new(topology);
         fabric.set_tracer(tracer.clone());
@@ -785,9 +773,7 @@ impl Engine {
                     // primary's death until the backup finishes taking
                     // over (3 s heartbeat detection + state re-sync).
                     let from = SimTime::ZERO + SimDuration::from_secs_f64(at);
-                    let until = from
-                        + faults::DETECTION_WINDOW
-                        + SimDuration::from_secs_f64(cfg.faults.devices.controller_takeover_secs);
+                    let until = from + faults::DETECTION_WINDOW + faults::CONTROLLER_TAKEOVER;
                     c.add_controller_outage(from, until);
                 }
                 c
@@ -827,7 +813,7 @@ impl Engine {
         let mut ledger = FaultLedger::default();
         if let Some(at) = cfg.faults.devices.controller_failover_at_secs {
             let detection = faults::DETECTION_WINDOW.as_secs_f64();
-            let takeover = cfg.faults.devices.controller_takeover_secs;
+            let takeover = faults::CONTROLLER_TAKEOVER.as_secs_f64();
             ledger.controller_failovers = 1;
             ledger.detection_secs_sum += detection;
             ledger.recovery_secs_sum += detection + takeover;
@@ -937,7 +923,7 @@ impl Engine {
             disconnect_armed,
             rings: if disconnect_armed {
                 (0..cfg.devices)
-                    .map(|_| ReplayRing::new(cfg.disconnect.buffer_cap))
+                    .map(|_| ReplayRing::new(disconnect::BUFFER_CAP))
                     .collect()
             } else {
                 Vec::new()
@@ -1210,8 +1196,7 @@ impl Engine {
         // shrink to the true lookahead so the feedback lands within one
         // wireless hop of its causal time, and the shards may not run
         // ahead of it.
-        let feedback =
-            stop_on_record || self.cfg.overload.spillover.enabled || self.disconnect_armed;
+        let feedback = stop_on_record || self.cfg.overload.spillover || self.disconnect_armed;
         let horizon = if feedback {
             self.lookahead
         } else {
@@ -1637,7 +1622,7 @@ impl Engine {
         }
         let t = (at - SimTime::ZERO).as_secs_f64();
         let heal = self.cfg.faults.net.partition_until(t)?;
-        let lease = self.cfg.disconnect.lease_timeout.as_secs_f64();
+        let lease = faults::DETECTION_WINDOW.as_secs_f64();
         // The lease had expired by `at` iff the same merged window
         // already covered `at - lease`; a distinct earlier window means
         // the lease was renewed in the gap between them.
@@ -1684,14 +1669,15 @@ impl Engine {
     }
 
     /// Runs `task` as a degraded on-device job: one hub-stream service
-    /// draw stretched for the device and divided by `speedup`, charged to
-    /// the device battery. The device FIFO belongs to the shard phase,
-    /// which may already have advanced past `at`, so the job is
-    /// resubmitted at the (shard-count-invariant) epoch boundary.
-    fn run_degraded(&mut self, at: SimTime, device: u32, task: u32, speedup: f64) {
+    /// draw stretched for the device and divided by
+    /// [`DEGRADED_SPEEDUP`], charged to the device battery. The device
+    /// FIFO belongs to the shard phase, which may already have advanced
+    /// past `at`, so the job is resubmitted at the (shard-count-invariant)
+    /// epoch boundary.
+    fn run_degraded(&mut self, at: SimTime, device: u32, task: u32) {
         let app = self.tasks[task as usize].app;
         self.rng_draws += 1;
-        let service = edge_service(&mut self.rng, &self.ctx, app).mul_f64(1.0 / speedup);
+        let service = edge_service(&mut self.rng, &self.ctx, app).mul_f64(1.0 / DEGRADED_SPEEDUP);
         let st = &mut self.tasks[task as usize];
         st.placement = PlacementSite::Edge;
         st.exec = st.exec.max(service);
@@ -1701,14 +1687,13 @@ impl Engine {
     }
 
     /// Re-routes a cloud-bound task to degraded autonomous on-device
-    /// execution — the brownout spillover path with the disconnect
-    /// policy's speedup/penalty — and buffers its update summary.
+    /// execution — the brownout spillover path — and buffers its update
+    /// summary.
     fn degrade_task(&mut self, at: SimTime, device: u32, task: u32, heal: f64) {
         self.note_autonomous(at, device, heal);
-        let policy = self.cfg.disconnect;
-        self.run_degraded(at, device, task, policy.degraded_speedup);
+        self.run_degraded(at, device, task);
         self.reconnect_ledger.tasks_degraded += 1;
-        self.reconnect_ledger.accuracy_penalty_sum_pct += policy.accuracy_penalty_pct;
+        self.reconnect_ledger.accuracy_penalty_sum_pct += DEGRADED_ACCURACY_PENALTY_PCT;
         self.buffer_update(at, device, task);
         if self.tracer.is_enabled() {
             self.tracer.instant(
@@ -1742,7 +1727,6 @@ impl Engine {
                 )],
             );
         }
-        let summary_bytes = self.cfg.disconnect.summary_bytes;
         for device in 0..self.cfg.devices {
             self.autonomy_heal[device as usize] = None;
             if self.rings[device as usize].is_empty() {
@@ -1754,14 +1738,14 @@ impl Engine {
                     continue;
                 }
                 self.reconnect_ledger.staleness_secs_sum += (t - u.at).as_secs_f64();
-                self.hub_draw(device, Draw::Radio(summary_bytes));
+                self.hub_draw(device, Draw::Radio(disconnect::SUMMARY_BYTES));
                 let server = self.pick_server();
                 self.fabric.send(
                     t,
                     Transfer {
                         src: Node::Device(device),
                         dst: Node::Server(server),
-                        bytes: summary_bytes,
+                        bytes: disconnect::SUMMARY_BYTES,
                         tag: transfer_tag(u.seq, TagPurpose::ReplaySummary),
                     },
                 );
@@ -1881,11 +1865,10 @@ impl Engine {
             // The overload plane refused (at least) one sub-invocation.
             // Brownout spillover re-routes the whole task to a degraded
             // on-device model; without spillover the task is shed outright.
-            let spill = self.cfg.overload.spillover;
-            if spill.enabled {
-                self.run_degraded(sub_done, device, task, spill.degraded_speedup);
+            if self.cfg.overload.spillover {
+                self.run_degraded(sub_done, device, task);
                 self.shed_ledger.tasks_spilled += 1;
-                self.shed_ledger.accuracy_penalty_sum_pct += spill.accuracy_penalty_pct;
+                self.shed_ledger.accuracy_penalty_sum_pct += DEGRADED_ACCURACY_PENALTY_PCT;
                 if self.tracer.is_enabled() {
                     self.tracer.instant(
                         "task",
@@ -2624,21 +2607,19 @@ mod tests {
         cfg.faults = FaultPlan::default()
             .partition(5.0, 15.0)
             .partition(16.0, 30.0);
-        cfg.disconnect = DisconnectPolicy::default()
-            .autonomous()
-            .lease_timeout(SimDuration::from_secs(2));
+        cfg.disconnect = DisconnectPolicy::default().autonomous();
         let engine = Engine::new(cfg);
         let at = |ms: u64| engine.autonomous_at(SimTime::ZERO + SimDuration::from_millis(ms));
-        // Connected, then the first 2 s of a partition: the lease holds.
+        // Connected, then the first 3 s of a partition: the lease holds.
         assert_eq!(at(4_000), None);
-        assert_eq!(at(6_999), None);
+        assert_eq!(at(7_999), None);
         // Expired from one lease timeout in until the heal.
-        assert_eq!(at(7_000), Some(15.0));
+        assert_eq!(at(8_000), Some(15.0));
         assert_eq!(at(14_999), Some(15.0));
         // The 1 s gap renews the lease, so the second window starts over.
         assert_eq!(at(15_500), None);
-        assert_eq!(at(17_999), None);
-        assert_eq!(at(18_000), Some(30.0));
+        assert_eq!(at(18_999), None);
+        assert_eq!(at(19_000), Some(30.0));
     }
 
     #[test]

@@ -163,15 +163,6 @@ impl RunPlan {
         self
     }
 
-    /// Whether any plane deviates from the inert default in a way that
-    /// can change metrics (sharding and tracing never do).
-    pub fn is_active(&self) -> bool {
-        self.faults.is_active()
-            || self.overload.is_active()
-            || self.disconnect.is_active()
-            || !self.device_failures.is_empty()
-    }
-
     /// Cross-checks every plane against the workload it will run under:
     /// `fail_device` entries must target a device inside the fleet and
     /// fire within `horizon_secs`, the fault plan and overload policy
@@ -198,14 +189,11 @@ impl RunPlan {
             }
         }
         self.faults
-            .validate(devices, servers)
+            .validate(servers)
             .map_err(ConfigError::InvalidFaultPlan)?;
         self.overload
             .validate()
             .map_err(ConfigError::InvalidOverloadPolicy)?;
-        self.disconnect
-            .validate()
-            .map_err(ConfigError::InvalidDisconnectPolicy)?;
         if self.shards > devices {
             return Err(ConfigError::InvalidShardPlan {
                 shards: self.shards,
@@ -278,13 +266,9 @@ pub enum ConfigError {
     /// the typed variant names the first problem precisely.
     InvalidFaultPlan(FaultPlanError),
     /// The overload policy is inconsistent (zero deadline, zero cooldown,
-    /// out-of-range spillover model…); the string is the policy's own
-    /// description of the first problem.
+    /// zero ingress bound…); the string is the policy's own description
+    /// of the first problem.
     InvalidOverloadPolicy(String),
-    /// The disconnect policy is inconsistent (zero lease timeout, zero
-    /// buffer, sub-unity speedup…); the string is the policy's own
-    /// description of the first problem.
-    InvalidDisconnectPolicy(String),
     /// The pinned shard count exceeds the fleet (a shard must own at
     /// least one device).
     InvalidShardPlan {
@@ -314,9 +298,6 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidFaultPlan(msg) => write!(f, "invalid fault plan: {msg}"),
             ConfigError::InvalidOverloadPolicy(msg) => {
                 write!(f, "invalid overload policy: {msg}")
-            }
-            ConfigError::InvalidDisconnectPolicy(msg) => {
-                write!(f, "invalid disconnect policy: {msg}")
             }
             ConfigError::InvalidShardPlan { shards, fleet } => write!(
                 f,
@@ -945,11 +926,12 @@ mod tests {
 
     #[test]
     fn invalid_overload_policy_is_rejected() {
-        let cfg = ExperimentConfig::single_app(App::FaceRecognition)
-            .plan(RunPlan::new().overload(OverloadPolicy::default().per_app_limit(0)));
+        let cfg = ExperimentConfig::single_app(App::FaceRecognition).plan(
+            RunPlan::new().overload(OverloadPolicy::default().queue_deadline(SimDuration::ZERO)),
+        );
         match Experiment::try_new(cfg) {
             Err(ConfigError::InvalidOverloadPolicy(msg)) => {
-                assert!(msg.contains("per_app_limit"), "{msg}");
+                assert!(msg.contains("queue_deadline"), "{msg}");
             }
             other => panic!("expected InvalidOverloadPolicy, got {other:?}"),
         }
@@ -974,14 +956,14 @@ mod tests {
         assert!(with_default.reconnect.is_none());
     }
 
-    fn partitioned(policy: DisconnectPolicy) -> Outcome {
+    fn partitioned(policy: DisconnectPolicy, from: f64, until: f64) -> Outcome {
         Experiment::new(
             ExperimentConfig::single_app(App::FaceRecognition)
                 .platform(Platform::CentralizedFaaS)
                 .duration_secs(25.0)
                 .plan(
                     RunPlan::new()
-                        .faults(FaultPlan::default().partition(5.0, 15.0))
+                        .faults(FaultPlan::default().partition(from, until))
                         .disconnect(policy),
                 )
                 .seed(9),
@@ -991,7 +973,7 @@ mod tests {
 
     #[test]
     fn partition_with_autonomy_degrades_and_replays() {
-        let o = partitioned(DisconnectPolicy::default().autonomous());
+        let o = partitioned(DisconnectPolicy::default().autonomous(), 5.0, 15.0);
         let r = o.reconnect.expect("armed plane populates reconnect stats");
         assert_eq!(r.partitions, 1);
         assert!(r.lease_expirations > 0, "leases expire inside the window");
@@ -1011,14 +993,10 @@ mod tests {
 
     #[test]
     fn lease_longer_than_partition_never_degrades() {
-        // The device's lease outlives the whole outage, so it keeps
-        // trusting the cloud and every transfer simply holds (the
+        // The device's 3 s lease outlives the whole 2.5 s outage, so it
+        // keeps trusting the cloud and every transfer simply holds (the
         // baseline path) — the plane is armed but never fires.
-        let o = partitioned(
-            DisconnectPolicy::default()
-                .autonomous()
-                .lease_timeout(SimDuration::from_secs(30)),
-        );
+        let o = partitioned(DisconnectPolicy::default().autonomous(), 5.0, 7.5);
         let r = o.reconnect.expect("armed plane populates reconnect stats");
         assert_eq!(r.partitions, 1, "the heal still reconciles");
         assert_eq!(r.tasks_degraded, 0);
@@ -1027,34 +1005,12 @@ mod tests {
     }
 
     #[test]
-    fn invalid_disconnect_policy_is_rejected() {
-        let cfg = ExperimentConfig::single_app(App::FaceRecognition)
-            .plan(RunPlan::new().disconnect(DisconnectPolicy::default().buffer_cap(0)));
-        match Experiment::try_new(cfg) {
-            Err(ConfigError::InvalidDisconnectPolicy(msg)) => {
-                assert!(msg.contains("buffer_cap"), "{msg}");
-            }
-            other => panic!("expected InvalidDisconnectPolicy, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn plan_activity_and_validation() {
-        // Tracing and sharding never change a metric, so they leave a
-        // plan inert; every other plane makes it active.
-        assert!(!RunPlan::new().trace(true).shards(2).is_active());
-        let planes = [
-            RunPlan::new().fail_device(20.0, 5),
-            RunPlan::new().faults(FaultPlan::default().packet_loss(0.05)),
-            RunPlan::new().overload(OverloadPolicy::default().per_app_limit(8)),
-        ];
-        assert!(planes.iter().all(RunPlan::is_active));
+    fn combined_plan_validates() {
         let plan = RunPlan::new()
             .fail_device(20.0, 5)
             .faults(FaultPlan::default().packet_loss(0.05))
-            .overload(OverloadPolicy::default().per_app_limit(8))
+            .overload(OverloadPolicy::default().queue_bound(8))
             .trace(true);
-        assert!(plan.is_active());
         ExperimentConfig::single_app(App::FaceRecognition)
             .plan(plan)
             .validate()

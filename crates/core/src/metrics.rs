@@ -127,7 +127,7 @@ pub struct BatteryStats {
 pub struct RecoveryStats {
     /// Wireless retransmission rounds forced by packet loss.
     pub packets_lost: u64,
-    /// Transfers held back by a disconnect window or partition.
+    /// Transfers held back by a partition.
     pub transfers_held: u64,
     /// Cloud servers that crashed.
     pub server_crashes: u32,

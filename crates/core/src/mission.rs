@@ -315,7 +315,7 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
     if let Some(at) = cfg.plan.faults.devices.controller_failover_at_secs {
         let _ = controller.fail_primary(
             SimTime::ZERO + SimDuration::from_secs_f64(at),
-            SimDuration::from_secs_f64(cfg.plan.faults.devices.controller_takeover_secs),
+            hivemind_sim::faults::CONTROLLER_TAKEOVER,
         );
     }
     // Disconnected operation: with the disconnect plane armed, devices

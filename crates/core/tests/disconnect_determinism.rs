@@ -17,13 +17,17 @@ use hivemind_core::prelude::*;
 use hivemind_core::runner::RunSet;
 
 fn partitioned(policy: DisconnectPolicy) -> ExperimentConfig {
+    partitioned_over(policy, 5.0, 15.0)
+}
+
+fn partitioned_over(policy: DisconnectPolicy, from: f64, until: f64) -> ExperimentConfig {
     ExperimentConfig::single_app(App::FaceRecognition)
         .platform(Platform::CentralizedFaaS)
         .duration(SimDuration::from_secs(25))
         .seed(17)
         .plan(
             RunPlan::new()
-                .faults(FaultPlan::default().partition(5.0, 15.0))
+                .faults(FaultPlan::default().partition(from, until))
                 .disconnect(policy),
         )
 }
@@ -107,14 +111,15 @@ fn mission_survives_repeated_partitions() {
 
 #[test]
 fn unexpired_lease_changes_only_the_reconnect_block() {
-    // With the lease outliving the outage the device never degrades, so
-    // the armed run must behave byte-for-byte like the hold-only
-    // baseline except for reporting the (empty) reconnect session.
-    let hold_only = Experiment::new(partitioned(DisconnectPolicy::default())).run();
-    let armed = Experiment::new(partitioned(
-        DisconnectPolicy::default()
-            .autonomous()
-            .lease_timeout(SimDuration::from_secs(60)),
+    // With the 3 s lease outliving a 2.5 s outage the device never
+    // degrades, so the armed run must behave byte-for-byte like the
+    // hold-only baseline except for reporting the (empty) reconnect
+    // session.
+    let hold_only = Experiment::new(partitioned_over(DisconnectPolicy::default(), 5.0, 7.5)).run();
+    let armed = Experiment::new(partitioned_over(
+        DisconnectPolicy::default().autonomous(),
+        5.0,
+        7.5,
     ))
     .run();
     assert!(hold_only.reconnect.is_none());

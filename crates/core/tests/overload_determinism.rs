@@ -125,9 +125,9 @@ fn bad_overload_policies_are_rejected() {
     let err = Experiment::try_new(
         ExperimentConfig::single_app(App::FaceRecognition)
             .platform(Platform::CentralizedFaaS)
-            .plan(RunPlan::new().overload(OverloadPolicy::default().per_app_limit(0))),
+            .plan(RunPlan::new().overload(OverloadPolicy::default().net_ingress_bound(0))),
     )
-    .expect_err("a zero concurrency cap must be rejected");
+    .expect_err("a zero ingress bound must be rejected");
     assert!(matches!(err, ConfigError::InvalidOverloadPolicy(_)));
-    assert!(err.to_string().contains("per_app_limit"));
+    assert!(err.to_string().contains("ingress_bound"));
 }

@@ -99,14 +99,7 @@ fn overloaded_run_is_shard_invariant() {
         .duration_secs(20.0)
         .rate_scale(4.0)
         .seed(9)
-        .plan(
-            RunPlan::new().overload(
-                OverloadPolicy::default()
-                    .per_app_limit(4)
-                    .queue_bound(16)
-                    .spillover(),
-            ),
-        );
+        .plan(RunPlan::new().overload(OverloadPolicy::default().queue_bound(16).spillover()));
     let reference = sharded(&base, 1);
     for shards in [2u32, 8] {
         assert_eq!(

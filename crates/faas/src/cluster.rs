@@ -73,13 +73,13 @@ pub struct ClusterParams {
     /// Number of scheduler shards (Sec. 4.3: HiveMind falls back to
     /// multiple schedulers with shared state when one saturates).
     pub scheduler_shards: u32,
-    /// Retry/timeout/backoff policy for faulted function attempts. The
-    /// default reproduces the historical behaviour (up to 5 respawns,
-    /// final attempt always succeeds) with a bit-identical RNG sequence.
+    /// Retry/backoff policy for faulted function attempts. The default
+    /// reproduces the historical behaviour (up to 5 respawns, final
+    /// attempt always succeeds) with a bit-identical RNG sequence.
     pub retry: RetryPolicy,
     /// Overload-control plane (bounded admission queue, queueing
-    /// deadline, per-app concurrency limit, circuit breaker). The inert
-    /// default draws no RNG and changes no byte of any run.
+    /// deadline, circuit breaker). The inert default draws no RNG and
+    /// changes no byte of any run.
     pub overload: OverloadPolicy,
 }
 
@@ -262,9 +262,6 @@ pub struct Cluster {
     crash_stats: CrashStats,
     /// Per-app circuit breakers, created on demand (overload plane only).
     breakers: DetHashMap<AppId, CircuitBreaker>,
-    /// Concurrent running invocations per app, maintained only while a
-    /// per-app limit is configured.
-    app_running: DetHashMap<AppId, u32>,
     shed_counters: OverloadCounters,
 }
 
@@ -354,7 +351,6 @@ impl Cluster {
             outages: Vec::new(),
             crash_stats: CrashStats::default(),
             breakers: DetHashMap::default(),
-            app_running: DetHashMap::default(),
             shed_counters: OverloadCounters::default(),
             params,
         }
@@ -606,7 +602,7 @@ impl Cluster {
     }
 
     fn admit(&mut self, now: SimTime, idx: u32) {
-        if self.params.overload.is_active() && self.overload_gate(now, idx) {
+        if self.breaker_gate(now, idx) {
             return;
         }
         if self.running >= self.params.max_concurrent {
@@ -620,34 +616,28 @@ impl Cluster {
         self.place(now, idx, server);
     }
 
-    /// Overload-plane admission gate: sheds on an open circuit breaker
-    /// and queues at the per-app concurrency limit. Returns `true` if the
-    /// invocation was consumed (shed or queued) and admission must stop.
-    fn overload_gate(&mut self, now: SimTime, idx: u32) -> bool {
+    /// Overload-plane admission gate: sheds on an open circuit breaker.
+    /// Returns `true` if the invocation was shed and admission must stop.
+    fn breaker_gate(&mut self, now: SimTime, idx: u32) -> bool {
+        let Some(cfg) = self.params.overload.breaker else {
+            return false;
+        };
         let app = self.invs[idx as usize].inv.app;
-        if let Some(cfg) = self.params.overload.breaker {
-            let (decision, event) = self
-                .breakers
-                .entry(app)
-                .or_insert_with(|| CircuitBreaker::new(cfg))
-                .admit_traced(now);
-            if let Some(ev) = event {
-                self.note_breaker_event(now, app, ev);
-            }
-            match decision {
-                BreakerDecision::Reject => {
-                    self.shed(now, idx, ShedReason::BreakerOpen);
-                    return true;
-                }
-                BreakerDecision::Probe => self.invs[idx as usize].probe = true,
-                BreakerDecision::Admit => {}
-            }
+        let (decision, event) = self
+            .breakers
+            .entry(app)
+            .or_insert_with(|| CircuitBreaker::new(cfg))
+            .admit_traced(now);
+        if let Some(ev) = event {
+            self.note_breaker_event(now, app, ev);
         }
-        if let Some(limit) = self.params.overload.admission.per_app_limit {
-            if self.app_running.get(&app).copied().unwrap_or(0) >= limit {
-                self.enqueue_or_shed(now, idx);
+        match decision {
+            BreakerDecision::Reject => {
+                self.shed(now, idx, ShedReason::BreakerOpen);
                 return true;
             }
+            BreakerDecision::Probe => self.invs[idx as usize].probe = true,
+            BreakerDecision::Admit => {}
         }
         false
     }
@@ -757,10 +747,6 @@ impl Cluster {
                 st.inv.parent_in_memory,
             )
         };
-        if self.params.overload.admission.per_app_limit.is_some() {
-            *self.app_running.entry(app).or_insert(0) += 1;
-        }
-
         // --- Container acquisition. ---
         let colocated = parent_server == Some(server) && parent_in_memory;
         let warm_hit = if isolate {
@@ -855,29 +841,6 @@ impl Cluster {
         let mut gave_up = false;
         let final_exec = loop {
             let draw = profile.exec.sample(&mut self.rng);
-            if let Some(to) = rp.timeout {
-                // Attempts over budget are killed and retried without an
-                // extra RNG draw (the kill is deterministic given the
-                // sample), so enabling a timeout only reshapes `wasted`.
-                if draw > to {
-                    match rp.on_fault(respawns) {
-                        RetryDecision::Retry { backoff } => {
-                            wasted += to;
-                            wasted += self.warm.instantiation_cost(true, &mut self.rng);
-                            wasted += backoff;
-                            respawns += 1;
-                            continue;
-                        }
-                        RetryDecision::GiveUp => {
-                            wasted += to;
-                            gave_up = true;
-                            break SimDuration::ZERO;
-                        }
-                        // Out of attempts but forced to succeed: let it run.
-                        RetryDecision::ForceSuccess => {}
-                    }
-                }
-            }
             // The match guards reproduce the legacy draw order exactly: a
             // fault coin is flipped only on arms that flipped one before
             // this was expressed through `RetryPolicy::on_fault`, and a
@@ -1064,11 +1027,6 @@ impl Cluster {
         self.set_busy(server, self.busy[server as usize] - 1);
         self.running -= 1;
         self.active_series.record(now, self.running as f64);
-        if self.params.overload.admission.per_app_limit.is_some() {
-            if let Some(n) = self.app_running.get_mut(&app) {
-                *n = n.saturating_sub(1);
-            }
-        }
         if !matches!(self.invs[idx as usize].outcome, Outcome::Failed { .. }) {
             // A failed invocation's container died with it — nothing to
             // keep warm.
@@ -1118,12 +1076,6 @@ impl Cluster {
                         self.wait_queue.pop_front();
                         self.shed(now, head, ShedReason::DeadlineExpired);
                         continue;
-                    }
-                }
-                if let Some(limit) = self.params.overload.admission.per_app_limit {
-                    let app = self.invs[head as usize].inv.app;
-                    if self.app_running.get(&app).copied().unwrap_or(0) >= limit {
-                        break;
                     }
                 }
             }
@@ -1196,11 +1148,6 @@ impl Cluster {
             self.sample_occupancy(now);
         }
         for (_, inv, probe) in resubmit {
-            if self.params.overload.admission.per_app_limit.is_some() {
-                if let Some(n) = self.app_running.get_mut(&inv.app) {
-                    *n = n.saturating_sub(1);
-                }
-            }
             if probe {
                 if let Some(b) = self.breakers.get_mut(&inv.app) {
                     b.release_probe();
@@ -1646,25 +1593,6 @@ mod tests {
             .filter(|d| matches!(d.outcome, Outcome::Shed { .. }))
             .count();
         assert_eq!(failed + shed, 10, "all-faulting cluster: fail or shed");
-    }
-
-    #[test]
-    fn per_app_limit_caps_concurrency() {
-        let params = ClusterParams {
-            overload: OverloadPolicy::default().per_app_limit(2),
-            ..ClusterParams::default()
-        };
-        let mut c = small_cluster(params);
-        for tag in 0..8 {
-            c.submit(SimTime::ZERO, Invocation::root(AppId(0), tag));
-        }
-        let mut done = Vec::new();
-        while let Some(t) = c.next_wakeup() {
-            c.advance_into(t, &mut done);
-            assert!(c.running() <= 2, "per-app cap violated: {}", c.running());
-        }
-        assert_eq!(done.len(), 8, "the limit queues, it never drops");
-        assert_eq!(c.overload_counters().shed_total(), 0);
     }
 
     #[test]

@@ -14,9 +14,9 @@ use hivemind_sim::dist::Dist;
 use hivemind_sim::time::{SimDuration, SimTime};
 use rand::Rng;
 
-// The retry/timeout/backoff policy governing failed data-plane attempts
-// is part of the fault-injection vocabulary; re-exported here because the
-// data plane (input fetch / execution / output store) is where it applies.
+// The retry/backoff policy governing failed data-plane attempts is part
+// of the fault-injection vocabulary; re-exported here because the data
+// plane (input fetch / execution / output store) is where it applies.
 pub use hivemind_sim::faults::{RetryDecision, RetryPolicy};
 
 /// The protocol used for one exchange.
@@ -249,7 +249,7 @@ pub enum ExchangeInput {
 /// execution: however the environment interleaves, duplicates or drops
 /// messages and crashes the store, the child must run at most once (and,
 /// absent give-up, at least once eventually).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ExchangeSession {
     retry: RetryPolicy,
     /// The store survives [`ExchangeInput::StoreCrash`] (CouchDB); a
@@ -265,29 +265,6 @@ pub struct ExchangeSession {
     store_sends: u32,
     fetch_sends: u32,
     failed: bool,
-}
-
-impl std::hash::Hash for ExchangeSession {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // RetryPolicy carries f64 knobs, so it cannot derive Hash; its
-        // bits are hashed explicitly (NaN never occurs in configured
-        // policies, and bitwise equality is the determinism contract).
-        self.retry.max_attempts.hash(state);
-        self.retry.timeout.map(|t| t.as_nanos()).hash(state);
-        self.retry.backoff_base.as_nanos().hash(state);
-        self.retry.backoff_factor.to_bits().hash(state);
-        self.retry.backoff_max.as_nanos().hash(state);
-        self.retry.give_up.hash(state);
-        self.durable.hash(state);
-        self.dedup.hash(state);
-        self.stored.hash(state);
-        self.acked.hash(state);
-        self.delivered.hash(state);
-        self.executed.hash(state);
-        self.store_sends.hash(state);
-        self.fetch_sends.hash(state);
-        self.failed.hash(state);
-    }
 }
 
 impl ExchangeSession {

@@ -9,7 +9,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use hivemind_sim::faults::{self, NetFaults};
-use hivemind_sim::overload::NetBackpressure;
+use hivemind_sim::overload::{NetBackpressure, INGRESS_RETRY_DELAY};
 use hivemind_sim::stats::Meter;
 use hivemind_sim::time::{SimDuration, SimTime};
 use hivemind_sim::trace::{ArgValue, TraceHandle};
@@ -67,9 +67,9 @@ impl Delivery {
 pub struct NetFaultStats {
     /// Retransmission rounds forced by packet loss.
     pub packets_lost: u64,
-    /// Transfers held back by a disconnect window or partition.
+    /// Transfers held back by a partition.
     pub transfers_held: u64,
-    /// Most transfers simultaneously held behind outage/partition windows.
+    /// Most transfers simultaneously held behind partition windows.
     pub held_high_water: u64,
     /// Transfers tail-dropped because a hold would have exceeded
     /// `NetFaults::hold_bound` (0 when the bound is unset).
@@ -79,14 +79,14 @@ pub struct NetFaultStats {
 /// Per-transfer fault state: the plan's network knobs plus a private RNG
 /// drawn from the dedicated fault lane of the seed chain. Absent (`None`
 /// on the fabric) unless the experiment's `FaultPlan` asks for loss or
-/// outages, so fault-free runs make zero extra draws.
+/// partitions, so fault-free runs make zero extra draws.
 #[derive(Debug)]
 struct FabricFaults {
     cfg: NetFaults,
     rng: SmallRng,
     stats: NetFaultStats,
-    /// Transfers currently held behind outage/partition windows; bounded
-    /// by `cfg.hold_bound` when set.
+    /// Transfers currently held behind partition windows; bounded by
+    /// `cfg.hold_bound` when set.
     held_now: u64,
 }
 
@@ -121,8 +121,8 @@ struct HopState {
 #[derive(Debug)]
 struct Delayed {
     at: SimTime,
-    /// `true` when the delay came from an outage/partition window (the
-    /// hold is charged against `hold_bound` and released on re-entry);
+    /// `true` when the delay came from a partition window (the hold is
+    /// charged against `hold_bound` and released on re-entry);
     /// `false` for backpressure re-offers and retransmit pauses.
     fault_hold: bool,
     state: HopState,
@@ -212,7 +212,7 @@ pub struct Fabric {
     /// Bounded-ingress backpressure; `None` unless armed by an overload
     /// policy.
     backpressure: Option<Backpressure>,
-    /// Transfers held back by an outage/partition, min-ordered by release
+    /// Transfers held back by a partition, min-ordered by release
     /// time. Released in `(time, id)` order interleaved with hop
     /// completions.
     delayed: BinaryHeap<Reverse<Delayed>>,
@@ -242,8 +242,7 @@ impl Fabric {
         }
     }
 
-    /// Arms the per-transfer fault pass (packet loss, disconnect windows,
-    /// partitions). `rng` must come from the dedicated `"faults"` lane of
+    /// Arms the per-transfer fault pass (packet loss, partitions). `rng` must come from the dedicated `"faults"` lane of
     /// the replicate's seed chain so arming it never perturbs the
     /// fault-free streams.
     pub fn set_faults(&mut self, cfg: NetFaults, rng: SmallRng) {
@@ -257,7 +256,7 @@ impl Fabric {
         }
     }
 
-    /// Transfers currently held behind outage/partition windows.
+    /// Transfers currently held behind partition windows.
     pub fn held_transfers_now(&self) -> u64 {
         self.faults.as_ref().map(|f| f.held_now).unwrap_or(0)
     }
@@ -269,7 +268,7 @@ impl Fabric {
 
     /// Arms bounded-ingress backpressure: a transfer whose first hop's
     /// link already holds `ingress_bound` items is held and re-offered
-    /// after `retry_delay` instead of joining the queue. Unlike
+    /// after [`INGRESS_RETRY_DELAY`] instead of joining the queue. Unlike
     /// [`Fabric::set_faults`] this needs no RNG — every hold decision is
     /// a pure function of link occupancy at the offer instant, so arming
     /// an inactive policy changes nothing.
@@ -358,38 +357,21 @@ impl Fabric {
 
     /// Applies the armed fault plan to a wireless-crossing transfer.
     /// Returns `Some((start, fault_hold))` — the instant the transfer may
-    /// actually enter the fabric, and whether an outage/partition window
-    /// held it (charged against `hold_bound`) — or `None` when the hold
+    /// actually enter the fabric, and whether a partition window held
+    /// it (charged against `hold_bound`) — or `None` when the hold
     /// bound is full and the transfer is tail-dropped. No-op (and zero
     /// RNG draws) when no faults are armed.
     fn apply_faults(&mut self, now: SimTime, state: &HopState) -> Option<(SimTime, bool)> {
         let Some(f) = self.faults.as_mut() else {
             return Some((now, false));
         };
-        let mut start = now;
-        // Hold the transfer while any partition, or a disconnect window of
-        // an endpoint device, covers its start instant. Windows may chain
-        // (release into a later window), hence the loop.
-        loop {
-            let t = start.as_secs_f64();
-            let mut release: Option<f64> = None;
-            for p in &f.cfg.partitions {
-                if t >= p.from_secs && t < p.until_secs {
-                    release = Some(release.map_or(p.until_secs, |r: f64| r.max(p.until_secs)));
-                }
-            }
-            for o in &f.cfg.disconnects {
-                let hit =
-                    state.src == Node::Device(o.device) || state.dst == Node::Device(o.device);
-                if hit && t >= o.from_secs && t < o.until_secs {
-                    release = Some(release.map_or(o.until_secs, |r: f64| r.max(o.until_secs)));
-                }
-            }
-            match release {
-                Some(r) => start = SimTime::ZERO + SimDuration::from_secs_f64(r),
-                None => break,
-            }
-        }
+        // Hold the transfer while a partition covers its start instant,
+        // until the (possibly chained) windows heal: the same fold the
+        // disconnect plane's autonomy decision reads.
+        let mut start = match f.cfg.partition_until(now.as_secs_f64()) {
+            Some(heal) => SimTime::ZERO + SimDuration::from_secs_f64(heal),
+            None => now,
+        };
         let fault_hold = start > now;
         if fault_hold {
             // Bounded hold accounting: a full hold buffer tail-drops the
@@ -416,6 +398,8 @@ impl Fabric {
             f.stats.transfers_held += 1;
             f.stats.held_high_water = f.stats.held_high_water.max(f.held_now);
             if self.tracer.is_enabled() {
+                // The kind stays `link_outage` so partition traces keep
+                // their bytes.
                 self.tracer
                     .counter("net", "held_transfers", 0, now, f.held_now as f64);
                 self.tracer.instant(
@@ -450,7 +434,7 @@ impl Fabric {
             }
             if rounds > 0 {
                 f.stats.packets_lost += rounds;
-                start += f.cfg.retransmit * rounds;
+                start += faults::RETRANSMIT * rounds;
                 if self.tracer.is_enabled() {
                     self.tracer.instant(
                         faults::TRACE_CAT,
@@ -511,7 +495,7 @@ impl Fabric {
                             );
                         }
                         self.delayed.push(Reverse(Delayed {
-                            at: now + bp.cfg.retry_delay,
+                            at: now + INGRESS_RETRY_DELAY,
                             fault_hold: false,
                             state,
                         }));
@@ -864,7 +848,6 @@ mod tests {
         let mut bounded = fabric();
         bounded.set_backpressure(NetBackpressure {
             ingress_bound: Some(1),
-            retry_delay: SimDuration::from_millis(5),
         });
         // Device 0 and 2 share router 0: a burst of frames overflows the
         // one-deep ingress bound immediately.

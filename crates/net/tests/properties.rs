@@ -28,7 +28,6 @@ fn drive_fabric(
     if backpressure {
         fabric.set_backpressure(NetBackpressure {
             ingress_bound: Some(2),
-            retry_delay: SimDuration::from_millis(3),
         });
     }
     let (mut out, mut batch, mut visited) = (Vec::new(), Vec::new(), Vec::new());

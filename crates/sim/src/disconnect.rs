@@ -19,15 +19,14 @@
 //!
 //! Like the overload plane, the disconnect plane draws **no randomness of
 //! its own**: whether a device is autonomous is a pure function of the
-//! fault plan's partition windows and the lease timeout; buffer contents
-//! and replay order are pure functions of the event stream. The degraded
-//! execution it triggers samples service times from the *same* hub lane
-//! the spillover path uses. The inert default ([`DisconnectPolicy::default`])
-//! is bit-for-bit invisible: no state is allocated, no epoch boundary
-//! moves, no stream is perturbed.
-
-use crate::faults::DETECTION_WINDOW;
-use crate::time::SimDuration;
+//! fault plan's partition windows and the lease ([`DETECTION_WINDOW`]);
+//! buffer contents and replay order are pure functions of the event
+//! stream. The degraded execution it triggers samples service times from
+//! the *same* hub lane the spillover path uses. The inert default
+//! ([`DisconnectPolicy::default`]) is bit-for-bit invisible: no state is
+//! allocated, no epoch boundary moves, no stream is perturbed.
+//!
+//! [`DETECTION_WINDOW`]: crate::faults::DETECTION_WINDOW
 
 /// Trace category used by every disconnect-plane event.
 pub const TRACE_CAT: &str = "disconnect";
@@ -42,6 +41,15 @@ pub const EV_RECONNECT: &str = "reconnect";
 /// Trace event name emitted per buffered update replayed at heal.
 pub const EV_REPLAYED: &str = "replayed";
 
+/// Capacity of each device's buffered-update ring. When full, the oldest
+/// update is evicted and counted as explicitly expired — bounded memory,
+/// no silent growth.
+pub const BUFFER_CAP: u32 = 64;
+
+/// Size of one replayed update summary on the wire at heal time
+/// (compressed result metadata, not the raw sensor payload).
+pub const SUMMARY_BYTES: u64 = 4096;
+
 /// Disconnected-operation policy attached to a run.
 ///
 /// The default policy is **inert**: [`DisconnectPolicy::is_active`]
@@ -49,61 +57,33 @@ pub const EV_REPLAYED: &str = "replayed";
 /// the simulation byte-identical to one that never heard of it. Arming
 /// autonomy only changes behaviour while a partition from the run's
 /// [`FaultPlan`](crate::faults::FaultPlan) covers the wireless segment.
+/// A device trusts its last lease grant for [`DETECTION_WINDOW`], runs
+/// the overload plane's degraded model ([`DEGRADED_SPEEDUP`]) once it
+/// expires, and buffers up to [`BUFFER_CAP`] summaries of
+/// [`SUMMARY_BYTES`] each.
 ///
 /// # Examples
 ///
 /// ```rust
 /// use hivemind_sim::disconnect::DisconnectPolicy;
-/// use hivemind_sim::time::SimDuration;
 ///
-/// let policy = DisconnectPolicy::default()
-///     .autonomous()
-///     .lease_timeout(SimDuration::from_secs(2))
-///     .buffer_cap(32);
+/// let policy = DisconnectPolicy::default().autonomous();
 /// assert!(policy.is_active());
-/// assert!(policy.validate().is_ok());
 /// assert!(!DisconnectPolicy::default().is_active());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// [`DETECTION_WINDOW`]: crate::faults::DETECTION_WINDOW
+/// [`DEGRADED_SPEEDUP`]: crate::overload::DEGRADED_SPEEDUP
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DisconnectPolicy {
     /// Master switch: when `true`, devices cut off by a partition execute
     /// their tasks on-device with the degraded model instead of stalling
     /// behind held transfers, and buffer result summaries for replay.
     pub autonomy: bool,
-    /// How long a device trusts its last lease grant (the ack of its
-    /// latest heartbeat) before assuming the cloud is unreachable.
-    /// Default: the paper's 3 s heartbeat detection window.
-    pub lease_timeout: SimDuration,
-    /// Capacity of each device's buffered-update ring. When full, the
-    /// oldest update is evicted and counted as explicitly expired —
-    /// bounded memory, no silent growth.
-    pub buffer_cap: u32,
-    /// Speedup of the degraded on-device model relative to the full edge
-    /// model (same semantics as the overload plane's spillover knob).
-    pub degraded_speedup: f64,
-    /// Accuracy points lost per task executed on the degraded model.
-    pub accuracy_penalty_pct: f64,
-    /// Size of one replayed update summary on the wire at heal time
-    /// (compressed result metadata, not the raw sensor payload).
-    pub summary_bytes: u64,
-}
-
-impl Default for DisconnectPolicy {
-    fn default() -> Self {
-        DisconnectPolicy {
-            autonomy: false,
-            lease_timeout: DETECTION_WINDOW,
-            buffer_cap: 64,
-            degraded_speedup: 4.0,
-            accuracy_penalty_pct: 15.0,
-            summary_bytes: 4096,
-        }
-    }
 }
 
 impl DisconnectPolicy {
-    /// `true` if the plane is armed. The tuning knobs only matter once
-    /// autonomy is enabled; a default-valued policy is inert.
+    /// `true` if the plane is armed.
     pub fn is_active(&self) -> bool {
         self.autonomy
     }
@@ -113,62 +93,6 @@ impl DisconnectPolicy {
         self.autonomy = true;
         self
     }
-
-    /// Sets the lease timeout (device-side cloud-loss detection window).
-    pub fn lease_timeout(mut self, timeout: SimDuration) -> Self {
-        self.lease_timeout = timeout;
-        self
-    }
-
-    /// Sets the per-device buffered-update ring capacity.
-    pub fn buffer_cap(mut self, cap: u32) -> Self {
-        self.buffer_cap = cap;
-        self
-    }
-
-    /// Sets the degraded-model speedup and accuracy penalty applied to
-    /// tasks executed autonomously.
-    pub fn degraded(mut self, speedup: f64, accuracy_penalty_pct: f64) -> Self {
-        self.degraded_speedup = speedup;
-        self.accuracy_penalty_pct = accuracy_penalty_pct;
-        self
-    }
-
-    /// Sets the wire size of one replayed update summary.
-    pub fn summary_bytes(mut self, bytes: u64) -> Self {
-        self.summary_bytes = bytes;
-        self
-    }
-
-    /// Checks every knob. Returns a human-readable description of the
-    /// first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.lease_timeout <= SimDuration::ZERO {
-            return Err(format!(
-                "disconnect.lease_timeout must be positive, got {}",
-                self.lease_timeout
-            ));
-        }
-        if self.buffer_cap == 0 {
-            return Err("disconnect.buffer_cap must be at least 1".into());
-        }
-        if !(self.degraded_speedup.is_finite() && self.degraded_speedup >= 1.0) {
-            return Err(format!(
-                "disconnect.degraded_speedup must be >= 1, got {}",
-                self.degraded_speedup
-            ));
-        }
-        if !(0.0..=100.0).contains(&self.accuracy_penalty_pct) {
-            return Err(format!(
-                "disconnect.accuracy_penalty_pct must be in [0, 100], got {}",
-                self.accuracy_penalty_pct
-            ));
-        }
-        if self.summary_bytes == 0 {
-            return Err("disconnect.summary_bytes must be at least 1".into());
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -176,65 +100,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_policy_is_inert_and_valid() {
-        let p = DisconnectPolicy::default();
-        assert!(!p.is_active());
-        assert!(p.validate().is_ok());
-        assert_eq!(p.lease_timeout, DETECTION_WINDOW);
-    }
-
-    #[test]
-    fn builders_chain_and_activate() {
-        let p = DisconnectPolicy::default()
-            .autonomous()
-            .lease_timeout(SimDuration::from_secs(5))
-            .buffer_cap(8)
-            .degraded(2.0, 30.0)
-            .summary_bytes(1024);
-        assert!(p.is_active());
-        assert_eq!(p.lease_timeout, SimDuration::from_secs(5));
-        assert_eq!(p.buffer_cap, 8);
-        assert_eq!(p.degraded_speedup, 2.0);
-        assert_eq!(p.accuracy_penalty_pct, 30.0);
-        assert_eq!(p.summary_bytes, 1024);
-        assert!(p.validate().is_ok());
-    }
-
-    #[test]
-    fn tuning_knobs_alone_stay_inert() {
-        // Only the autonomy switch arms the plane; pre-tuning knobs on an
-        // unarmed policy must not flip consumers into the active path.
-        assert!(!DisconnectPolicy::default().buffer_cap(4).is_active());
-        assert!(!DisconnectPolicy::default()
-            .lease_timeout(SimDuration::from_secs(1))
-            .is_active());
-    }
-
-    #[test]
-    fn validate_rejects_bad_knobs() {
-        assert!(DisconnectPolicy::default()
-            .lease_timeout(SimDuration::ZERO)
-            .validate()
-            .is_err());
-        assert!(DisconnectPolicy::default()
-            .buffer_cap(0)
-            .validate()
-            .is_err());
-        assert!(DisconnectPolicy::default()
-            .degraded(0.5, 10.0)
-            .validate()
-            .is_err());
-        assert!(DisconnectPolicy::default()
-            .degraded(f64::NAN, 10.0)
-            .validate()
-            .is_err());
-        assert!(DisconnectPolicy::default()
-            .degraded(4.0, 150.0)
-            .validate()
-            .is_err());
-        assert!(DisconnectPolicy::default()
-            .summary_bytes(0)
-            .validate()
-            .is_err());
+    fn default_policy_is_inert() {
+        assert!(!DisconnectPolicy::default().is_active());
+        assert!(DisconnectPolicy::default().autonomous().is_active());
     }
 }

@@ -9,7 +9,8 @@
 //! stale work is dropped before it wastes a server, a per-app circuit
 //! breaker stops retry storms at the source, and shed cloud invocations
 //! can spill over to on-device execution with a cheaper, less accurate
-//! model (the paper's edge fallback). Experiments attach a policy via
+//! model (the paper's edge fallback, [`DEGRADED_SPEEDUP`] and
+//! [`DEGRADED_ACCURACY_PENALTY_PCT`]). Experiments attach a policy via
 //! `ExperimentConfig::overload`.
 //!
 //! ## Determinism contract
@@ -28,7 +29,7 @@
 //!
 //! The consumers live in their own crates — `faas::cluster` applies the
 //! admission bounds and drives per-app [`CircuitBreaker`]s,
-//! `core::engine` re-routes shed invocations per [`Spillover`], and
+//! `core::engine` re-routes shed invocations when spillover is on, and
 //! `net::fabric` applies [`NetBackpressure`] — but the vocabulary (and
 //! the breaker state machine itself) is defined here so a policy can be
 //! validated and threaded as one value.
@@ -48,6 +49,19 @@ pub const EV_BREAKER_CLOSE: &str = "close";
 /// alongside `task/lost`).
 pub const EV_SHED: &str = "shed";
 
+/// Service-rate multiplier of the degraded on-device model relative to
+/// the full on-device model: the fallback model is smaller and faster.
+/// Brownout spillover and disconnected autonomy both run it.
+pub const DEGRADED_SPEEDUP: f64 = 4.0;
+
+/// Accuracy points lost per task run on the degraded model, accounted
+/// so experiments can weigh goodput against quality.
+pub const DEGRADED_ACCURACY_PENALTY_PCT: f64 = 15.0;
+
+/// How long a transfer held by ingress backpressure waits before
+/// re-offering itself to its first-hop link (deterministic, no RNG).
+pub const INGRESS_RETRY_DELAY: SimDuration = SimDuration::from_millis(50);
+
 /// A declarative description of every overload-control mechanism armed
 /// for one run.
 ///
@@ -65,7 +79,6 @@ pub const EV_SHED: &str = "shed";
 /// let policy = OverloadPolicy::default()
 ///     .queue_bound(64)
 ///     .queue_deadline(SimDuration::from_secs(2))
-///     .per_app_limit(128)
 ///     .breaker(5, SimDuration::from_secs(1))
 ///     .spillover();
 /// assert!(policy.is_active());
@@ -74,12 +87,14 @@ pub const EV_SHED: &str = "shed";
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct OverloadPolicy {
-    /// Cluster admission bounds (queue bound, deadline, per-app limit).
+    /// Cluster admission bounds (queue bound, deadline).
     pub admission: AdmissionLimits,
     /// Per-app retry circuit breaker; `None` keeps retries unguarded.
     pub breaker: Option<BreakerConfig>,
-    /// Brownout spillover of shed cloud invocations to the device.
-    pub spillover: Spillover,
+    /// Brownout spillover: shed cloud invocations re-route to on-device
+    /// execution with the degraded model ([`DEGRADED_SPEEDUP`],
+    /// [`DEGRADED_ACCURACY_PENALTY_PCT`]) instead of being abandoned.
+    pub spillover: bool,
     /// Network-ingress backpressure (bounded first-hop link queues).
     pub net: NetBackpressure,
 }
@@ -89,7 +104,7 @@ impl OverloadPolicy {
     pub fn is_active(&self) -> bool {
         self.admission.is_active()
             || self.breaker.is_some()
-            || self.spillover.enabled
+            || self.spillover
             || self.net.is_active()
     }
 
@@ -107,12 +122,6 @@ impl OverloadPolicy {
         self
     }
 
-    /// Caps concurrent running invocations per application.
-    pub fn per_app_limit(mut self, limit: u32) -> Self {
-        self.admission.per_app_limit = Some(limit);
-        self
-    }
-
     /// Arms the per-app circuit breaker: open after `open_after`
     /// consecutive faults, fail fast for `cooldown`, then admit half-open
     /// probes (see [`BreakerConfig`] for the probe count).
@@ -125,26 +134,16 @@ impl OverloadPolicy {
         self
     }
 
-    /// Enables brownout spillover with the default degraded model
-    /// (see [`Spillover`]).
+    /// Enables brownout spillover to the degraded on-device model.
     pub fn spillover(mut self) -> Self {
-        self.spillover.enabled = true;
-        self
-    }
-
-    /// Enables spillover with an explicit degraded model: `speedup`× the
-    /// on-device service rate at `accuracy_penalty_pct` points of lost
-    /// accuracy.
-    pub fn spillover_model(mut self, speedup: f64, accuracy_penalty_pct: f64) -> Self {
-        self.spillover.enabled = true;
-        self.spillover.degraded_speedup = speedup;
-        self.spillover.accuracy_penalty_pct = accuracy_penalty_pct;
+        self.spillover = true;
         self
     }
 
     /// Bounds each device's first-hop (ingress) link queue: a transfer
     /// finding `bound` transfers already in flight on its first hop is
-    /// held at the source and re-offered later, so backpressure
+    /// held at the source and re-offered [`INGRESS_RETRY_DELAY`] later,
+    /// so backpressure
     /// propagates instead of buffering infinitely.
     pub fn net_ingress_bound(mut self, bound: u32) -> Self {
         self.net.ingress_bound = Some(bound);
@@ -159,11 +158,6 @@ impl OverloadPolicy {
                 return Err("admission.queue_deadline must be positive".into());
             }
         }
-        if let Some(limit) = self.admission.per_app_limit {
-            if limit == 0 {
-                return Err("admission.per_app_limit must be at least 1".into());
-            }
-        }
         if let Some(b) = &self.breaker {
             if b.open_after == 0 {
                 return Err("breaker.open_after must be at least 1".into());
@@ -175,25 +169,8 @@ impl OverloadPolicy {
                 return Err("breaker.cooldown must be positive".into());
             }
         }
-        if self.spillover.enabled {
-            let s = self.spillover.degraded_speedup;
-            if !(s.is_finite() && s >= 1.0) {
-                return Err(format!("spillover.degraded_speedup must be >= 1, got {s}"));
-            }
-            let p = self.spillover.accuracy_penalty_pct;
-            if !(0.0..=100.0).contains(&p) {
-                return Err(format!(
-                    "spillover.accuracy_penalty_pct must be in [0, 100], got {p}"
-                ));
-            }
-        }
-        if let Some(bound) = self.net.ingress_bound {
-            if bound == 0 {
-                return Err("net.ingress_bound must be at least 1".into());
-            }
-            if self.net.retry_delay == SimDuration::ZERO {
-                return Err("net.retry_delay must be positive".into());
-            }
+        if self.net.ingress_bound == Some(0) {
+            return Err("net.ingress_bound must be at least 1".into());
         }
         Ok(())
     }
@@ -209,14 +186,12 @@ pub struct AdmissionLimits {
     /// Maximum time an invocation may wait in the admission queue; a
     /// queued invocation older than this at placement time is shed.
     pub queue_deadline: Option<SimDuration>,
-    /// Maximum concurrent running invocations per application.
-    pub per_app_limit: Option<u32>,
 }
 
 impl AdmissionLimits {
     /// `true` if any admission knob deviates from the inert default.
     pub fn is_active(&self) -> bool {
-        self.queue_bound.is_some() || self.queue_deadline.is_some() || self.per_app_limit.is_some()
+        self.queue_bound.is_some() || self.queue_deadline.is_some()
     }
 }
 
@@ -241,49 +216,12 @@ impl Default for BreakerConfig {
     }
 }
 
-/// Brownout spillover: shed cloud invocations re-route to on-device
-/// execution with a degraded (smaller, faster, less accurate) model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Spillover {
-    /// Whether shed invocations spill over to the device at all.
-    pub enabled: bool,
-    /// Service-rate multiplier of the degraded on-device model relative
-    /// to the full on-device model (>= 1: the fallback model is smaller
-    /// and faster).
-    pub degraded_speedup: f64,
-    /// Accuracy points lost per spilled invocation, accounted in
-    /// `ShedStats` so experiments can weigh goodput against quality.
-    pub accuracy_penalty_pct: f64,
-}
-
-impl Default for Spillover {
-    fn default() -> Self {
-        Spillover {
-            enabled: false,
-            degraded_speedup: 4.0,
-            accuracy_penalty_pct: 15.0,
-        }
-    }
-}
-
 /// Network-ingress backpressure applied by `net::fabric`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NetBackpressure {
     /// Maximum transfers in flight on a transfer's first-hop link before
-    /// new sends are held at the source.
+    /// new sends are held at the source for [`INGRESS_RETRY_DELAY`].
     pub ingress_bound: Option<u32>,
-    /// How long a held transfer waits before re-offering itself to the
-    /// link (deterministic, no RNG).
-    pub retry_delay: SimDuration,
-}
-
-impl Default for NetBackpressure {
-    fn default() -> Self {
-        NetBackpressure {
-            ingress_bound: None,
-            retry_delay: SimDuration::from_millis(50),
-        }
-    }
 }
 
 impl NetBackpressure {
@@ -537,10 +475,6 @@ mod tests {
             .admission
             .is_active());
         assert!(OverloadPolicy::default()
-            .per_app_limit(4)
-            .admission
-            .is_active());
-        assert!(OverloadPolicy::default()
             .breaker(3, SimDuration::from_secs(1))
             .is_active());
         assert!(OverloadPolicy::default().spillover().is_active());
@@ -557,10 +491,6 @@ mod tests {
             .validate()
             .is_err());
         assert!(OverloadPolicy::default()
-            .per_app_limit(0)
-            .validate()
-            .is_err());
-        assert!(OverloadPolicy::default()
             .breaker(0, SimDuration::from_secs(1))
             .validate()
             .is_err());
@@ -571,14 +501,6 @@ mod tests {
         let mut bad_probe = OverloadPolicy::default().breaker(3, SimDuration::from_secs(1));
         bad_probe.breaker.as_mut().unwrap().half_open_probes = 0;
         assert!(bad_probe.validate().is_err());
-        assert!(OverloadPolicy::default()
-            .spillover_model(0.5, 10.0)
-            .validate()
-            .is_err());
-        assert!(OverloadPolicy::default()
-            .spillover_model(2.0, 150.0)
-            .validate()
-            .is_err());
         assert!(OverloadPolicy::default()
             .net_ingress_bound(0)
             .validate()

@@ -220,50 +220,108 @@ proptest! {
 }
 
 proptest! {
-    // Each case runs two full experiments; keep the fleet small.
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    // Each case runs three full experiments on a 16-device fleet.
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Task conservation under injected chaos: every task the app issues
-    /// either completes (possibly after retries) or is counted lost —
-    /// nothing silently vanishes. With the paper's retry-forever default
-    /// the lost count is exactly zero.
+    /// Task conservation with every run-control plane armed at once:
+    /// function faults under bounded retry, packet loss, a server crash,
+    /// a controller failover, an SLO, one or two disjoint partitions
+    /// behind a hold bound, a bounded admission queue with a deadline,
+    /// the circuit breaker, spillover, ingress backpressure, and
+    /// autonomy on or off. Nothing panics;
+    /// every task the app issues completes or is counted lost, shed, or
+    /// dropped at the hold bound — nothing silently vanishes; and the
+    /// outcome is byte-identical at 1 and 2 shards. With the paper's
+    /// retry-forever default and only loss and function faults armed,
+    /// nothing is lost.
     #[test]
     fn tasks_are_conserved_under_faults(
         fault_rate in 0.0f64..0.3,
         loss in 0.0f64..0.15,
         seed in 0u64..64,
+        // (servers, rate scale, HiveMind rather than centralized FaaS)
+        load in (1u32..3, 1.0f64..6.0, any::<bool>()),
+        // (max attempts, backoff base in ms)
+        retry in (1u32..5, 0u64..60),
+        // (server, crash instant, downtime, failover instant, SLO in ms)
+        crash in (0u32..3, 0.0f64..8.0, 0.1f64..4.0, 0.0f64..8.0, 1u64..2000),
+        // (start, length, gap, second length, second window, hold bound)
+        windows in (0.0f64..6.0, 0.1f64..4.0, 0.0f64..2.0, 0.1f64..3.0, any::<bool>(), 1u32..64),
+        // (queue bound, deadline, breaker open-after, breaker cooldown)
+        admission in (0u32..32, 0.05f64..3.0, 1u32..6, 0.05f64..2.0),
+        // (spillover, ingress bound, autonomy)
+        flags in (any::<bool>(), 1u32..8, any::<bool>()),
     ) {
         use hivemind::core::prelude::*;
 
-        let plan = FaultPlan::default()
+        let (servers, rate_scale, hivemind) = load;
+        let platform = if hivemind { Platform::HiveMind } else { Platform::CentralizedFaaS };
+        let (from, len, gap, len2, two, hold_bound) = windows;
+        let mut faults = FaultPlan::default()
             .function_fault_rate(fault_rate.max(1e-3))
             .packet_loss(loss)
-            .retry(RetryPolicy::bounded(3, SimDuration::from_millis(20)));
+            .retry(RetryPolicy::bounded(retry.0, SimDuration::from_millis(retry.1)))
+            .server_crash(crash.0 % servers, crash.1, crash.2)
+            .controller_failover(crash.3)
+            .slo(SimDuration::from_millis(crash.4))
+            .partition(from, from + len)
+            .partition_hold_bound(hold_bound);
+        if two {
+            let second = from + len + gap;
+            faults = faults.partition(second, second + len2);
+        }
+        let (queue_bound, deadline, open_after, cooldown) = admission;
+        let (spillover, ingress_bound, autonomy) = flags;
+        let mut overload = OverloadPolicy::default()
+            .queue_bound(queue_bound)
+            .queue_deadline(SimDuration::from_secs_f64(deadline))
+            .breaker(open_after, SimDuration::from_secs_f64(cooldown))
+            .net_ingress_bound(ingress_bound);
+        if spillover {
+            overload = overload.spillover();
+        }
+        let disconnect = if autonomy {
+            DisconnectPolicy::default().autonomous()
+        } else {
+            DisconnectPolicy::default()
+        };
         let cfg = ExperimentConfig::single_app(
             hivemind::apps::suite::App::FaceRecognition,
         )
-        .platform(Platform::CentralizedFaaS)
+        .platform(platform)
+        .servers(servers)
+        .rate_scale(rate_scale)
         .duration(SimDuration::from_secs(8))
-        .seed(seed)
-        .plan(RunPlan::new().trace(true));
+        .seed(seed);
+        let armed = RunPlan::new()
+            .trace(true)
+            .faults(faults)
+            .overload(overload)
+            .disconnect(disconnect);
 
-        // Bounded give-up retry: issued = completed + lost.
-        let chaotic =
-            Experiment::new(cfg.clone().plan(RunPlan::new().trace(true).faults(plan.clone()))).run();
-        let issued = chaotic
-            .trace
-            .as_ref()
-            .expect("tracing enabled")
-            .count("task", "submit") as u64;
-        let completed = chaotic.tasks.len() as u64;
-        let lost = chaotic.recovery.map(|r| r.tasks_lost).unwrap_or(0);
-        prop_assert_eq!(issued, completed + lost,
-            "issued {} != completed {} + lost {}", issued, completed, lost);
+        let mut json = Vec::new();
+        for shards in [1u32, 2] {
+            let o = Experiment::new(cfg.clone().plan(armed.clone().shards(shards))).run();
+            let trace = o.trace.as_ref().expect("tracing enabled");
+            let issued = trace.count("task", "submit");
+            let completed = o.tasks.len();
+            let lost = trace.count("task", "lost");
+            let shed = trace.count("task", "shed");
+            let dropped = trace.count("net", "held.drop");
+            prop_assert_eq!(issued, completed + lost + shed + dropped,
+                "{} shards: issued {} != completed {} + lost {} + shed {} + dropped {}",
+                shards, issued, completed, lost, shed, dropped);
+            json.push(o.to_json());
+        }
+        prop_assert_eq!(&json[0], &json[1], "outcome differs between 1 and 2 shards");
 
         // Retry-forever (the paper's respawn semantics): nothing is lost
         // and every issued task completes.
+        let forever = FaultPlan::default()
+            .function_fault_rate(fault_rate.max(1e-3))
+            .packet_loss(loss);
         let forever = Experiment::new(
-            cfg.plan(RunPlan::new().trace(true).faults(plan.retry(RetryPolicy::default()))),
+            cfg.plan(RunPlan::new().trace(true).faults(forever)),
         )
         .run();
         let issued = forever
