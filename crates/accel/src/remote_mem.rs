@@ -114,13 +114,6 @@ impl RemoteMemoryFabric {
         done - now
     }
 
-    /// Mean access latency for an object of `bytes`, for the analytical
-    /// model (ignores queueing).
-    pub fn mean_access_secs(&self, bytes: u64) -> f64 {
-        let wire = (bytes as f64 / self.params.bytes_per_sec).max(self.params.floor.as_secs_f64());
-        self.params.setup.mean_secs() + wire
-    }
-
     /// Number of accesses served.
     pub fn accesses(&self) -> u64 {
         self.accesses
@@ -189,8 +182,11 @@ mod tests {
     fn orders_of_magnitude_vs_couchdb() {
         // Sanity anchor for Fig. 6c: the remote-memory path must be
         // orders of magnitude below a millisecond-scale DB exchange.
-        let f = RemoteMemoryFabric::new(RemoteMemoryParams::default());
-        assert!(f.mean_access_secs(100_000) < 1e-3 / 10.0);
+        // Its unloaded mean for a 100 kB object: setup plus the bytes at
+        // interconnect bandwidth (never below the serialization floor).
+        let p = RemoteMemoryParams::default();
+        let mean = p.setup.mean_secs() + (100_000.0 / p.bytes_per_sec).max(p.floor.as_secs_f64());
+        assert!(mean < 1e-3 / 10.0);
     }
 
     #[test]

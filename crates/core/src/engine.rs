@@ -383,25 +383,41 @@ fn decode_edge_job(job: u64) -> (u32, EdgeJobKind) {
     ((job / 4) as u32, kind)
 }
 
-#[derive(Debug, Clone)]
-struct TaskState {
-    app: App,
-    device: u32,
-    label: u32,
+/// What the hub keeps of every submitted task, indexed by task id, from
+/// submission for the rest of the run: the facts fixed at its birth.
+/// Everything a task accumulates on its way lives in a [`Progress`]
+/// slot instead, held only while the task is in flight.
+#[derive(Debug, Clone, Copy)]
+struct Birth {
     capture: SimTime,
+    label: u32,
+    app: App,
+    /// Where it runs; a degraded task is moved to the edge.
     placement: PlacementSite,
+}
+
+/// [`Engine::slots`] entry of a task the hub has not touched yet.
+const UNTOUCHED: u32 = u32::MAX;
+/// [`Engine::slots`] entry of a task that completed, was lost or was
+/// shed: its progress slot went back to the free list.
+const RESOLVED: u32 = u32::MAX - 1;
+
+/// A task's accumulated state while it is in flight through the hub: a
+/// slab entry taken at its first hub touch (its uplink effect) and freed
+/// when it resolves, so the slab is sized by in-flight work.
+#[derive(Debug, Clone, Copy, Default)]
+struct Progress {
+    device: u32,
+    /// Outstanding cloud sub-invocations (intra-task parallelism).
+    remaining: u32,
     network: SimDuration,
     management: SimDuration,
     instantiation: SimDuration,
     data_io: SimDuration,
     exec: SimDuration,
-    cold: bool,
-    /// Outstanding cloud sub-invocations (intra-task parallelism).
-    remaining: u32,
     /// Latest sub-completion time (the task finishes at the max).
     sub_done: SimTime,
-    upload_bytes: u64,
-    done: bool,
+    cold: bool,
     /// A sub-invocation exhausted its retry budget; the task is lost and
     /// produces no [`TaskRecord`].
     failed: bool,
@@ -409,6 +425,11 @@ struct TaskState {
     /// spills over to the device or is abandoned.
     shed: bool,
 }
+
+// Per queued task the engine holds one capture entry and one birth
+// record plus a 4-byte slot index; these pin the first two.
+const _: () = assert!(std::mem::size_of::<Birth>() == 16);
+const _: () = assert!(std::mem::size_of::<(SimTime, Capture)>() == 24);
 
 /// A capture scheduled on a shard's [`CaptureRun`], which orders it by
 /// `(at, task)`; task ids are unique, so the order is total.
@@ -639,7 +660,17 @@ pub struct Engine {
     /// Lifetime push + pop count of `actions` (profiling breakdown).
     action_ops: u64,
     seq: u64,
-    tasks: Vec<TaskState>,
+    /// Every submitted task's birth facts, indexed by task id.
+    births: Vec<Birth>,
+    /// Every submitted task's progress slot index, or [`UNTOUCHED`] /
+    /// [`RESOLVED`].
+    slots: Vec<u32>,
+    /// The progress slab: slots of in-flight tasks, recycled through
+    /// `free`.
+    progress: Vec<Progress>,
+    free: Vec<u32>,
+    /// Records completed in the current epoch, drained to the caller at
+    /// its end.
     records: Vec<TaskRecord>,
     /// Reusable per-epoch buffers (the hot loop stays allocation-free).
     delivery_scratch: Vec<hivemind_net::fabric::Delivery>,
@@ -907,7 +938,10 @@ impl Engine {
             actions: BinaryHeap::new(),
             action_ops: 0,
             seq: 0,
-            tasks: Vec::new(),
+            births: Vec::new(),
+            slots: Vec::new(),
+            progress: Vec::new(),
+            free: Vec::new(),
             records: Vec::new(),
             delivery_scratch: Vec::new(),
             completion_scratch: Vec::new(),
@@ -1034,6 +1068,11 @@ impl Engine {
         b
     }
 
+    /// Tasks submitted so far (task ids run `0..submitted()`).
+    pub(crate) fn submitted(&self) -> u32 {
+        self.births.len() as u32
+    }
+
     /// The resolved placement for an app on this platform.
     pub fn placement_of(&self, app: App) -> PlacementSite {
         self.placements[app as usize]
@@ -1061,26 +1100,14 @@ impl Engine {
         assert!(at >= self.now, "cannot submit into the past");
         assert!(device < self.cfg.devices, "device out of range");
         let placement = self.placements[app as usize];
-        let id = self.tasks.len() as u32;
-        self.tasks.push(TaskState {
-            app,
-            device,
-            label,
+        let id = self.births.len() as u32;
+        self.births.push(Birth {
             capture: at,
+            label,
+            app,
             placement,
-            network: SimDuration::ZERO,
-            management: SimDuration::ZERO,
-            instantiation: SimDuration::ZERO,
-            data_io: SimDuration::ZERO,
-            exec: SimDuration::ZERO,
-            cold: false,
-            remaining: 0,
-            sub_done: at,
-            upload_bytes: 0,
-            done: false,
-            failed: false,
-            shed: false,
         });
+        self.slots.push(UNTOUCHED);
         if self.tracer.is_enabled() {
             self.tracer.instant(
                 "task",
@@ -1114,6 +1141,44 @@ impl Engine {
         self.actions.push(Reverse((at, seq, action)));
     }
 
+    /// Takes a progress slot for `task` at its first hub touch (its uplink
+    /// effect from `device`); later touches find the slot it holds.
+    fn touch(&mut self, task: u32, device: u32) -> &mut Progress {
+        if self.slots[task as usize] == UNTOUCHED {
+            let fresh = Progress {
+                device,
+                sub_done: self.births[task as usize].capture,
+                ..Progress::default()
+            };
+            let slot = match self.free.pop() {
+                Some(slot) => {
+                    self.progress[slot as usize] = fresh;
+                    slot
+                }
+                None => {
+                    self.progress.push(fresh);
+                    self.progress.len() as u32 - 1
+                }
+            };
+            self.slots[task as usize] = slot;
+        }
+        self.slot(task)
+    }
+
+    /// The progress slot of in-flight `task`.
+    fn slot(&mut self, task: u32) -> &mut Progress {
+        let slot = self.slots[task as usize];
+        debug_assert!(slot < RESOLVED, "task {task} is not in flight");
+        &mut self.progress[slot as usize]
+    }
+
+    /// Returns resolved `task`'s progress slot to the free list.
+    fn release(&mut self, task: u32) {
+        let slot = std::mem::replace(&mut self.slots[task as usize], RESOLVED);
+        debug_assert!(slot < RESOLVED, "task {task} resolved twice");
+        self.free.push(slot);
+    }
+
     /// Resolves a device id to its `(shard index, block offset)` pair.
     #[inline]
     fn locate(&self, device: u32) -> (usize, usize) {
@@ -1135,32 +1200,21 @@ impl Engine {
         .fold(self.actions.peek().map(|&Reverse((t, ..))| t), earliest)
     }
 
-    /// Runs until quiescent or `deadline`, appending the records
-    /// completed since the last call to `out`. Both `out` and the
-    /// internal record buffer keep their capacity, so a warmed-up caller
-    /// polling epoch after epoch never touches the allocator.
-    pub fn run_until_into(&mut self, deadline: SimTime, out: &mut Vec<TaskRecord>) {
-        self.advance_until(deadline);
-        out.append(&mut self.records);
-    }
-
-    fn advance_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.next_wakeup() {
-            if t > deadline {
-                break;
-            }
-            debug_assert!(t >= self.now, "engine time went backwards");
-            self.run_epoch(t, deadline, false);
-        }
-        if deadline > self.now && deadline < SimTime::MAX {
-            self.now = deadline;
-        }
+    /// Runs until quiescent or `deadline`, handing each record to `sink`
+    /// at the end of the epoch that completed it, in completion order —
+    /// the same stream [`Engine::run_to_completion`] returns, without the
+    /// run ever holding it. The engine's per-epoch record buffer keeps its
+    /// capacity, so a warmed-up caller polling epoch after epoch into a
+    /// sink that does not allocate never touches the allocator.
+    pub fn run_until_with(&mut self, deadline: SimTime, mut sink: impl FnMut(TaskRecord)) {
+        self.drive(deadline, false, &mut sink);
     }
 
     /// Runs until every injected task has completed.
     pub fn run_to_completion(&mut self) -> Vec<TaskRecord> {
-        self.advance_until(SimTime::MAX);
-        std::mem::take(&mut self.records)
+        let mut out = Vec::new();
+        self.run_until_with(SimTime::MAX, |r| out.push(r));
+        out
     }
 
     /// Runs until at least one task completes (or the engine quiesces),
@@ -1170,13 +1224,35 @@ impl Engine {
     /// lookahead here, so the caller resumes within one wireless hop of
     /// the completion.
     pub fn run_until_record(&mut self) -> Vec<TaskRecord> {
-        while self.records.is_empty() {
-            let Some(t) = self.next_wakeup() else {
+        let mut out = Vec::new();
+        self.drive(SimTime::MAX, true, &mut |r| out.push(r));
+        out
+    }
+
+    /// The one run loop: epochs until quiescent or `deadline` (or, with
+    /// `stop_on_record`, until an epoch completes a task), draining each
+    /// epoch's records into `sink`.
+    fn drive(
+        &mut self,
+        deadline: SimTime,
+        stop_on_record: bool,
+        sink: &mut impl FnMut(TaskRecord),
+    ) {
+        while let Some(t) = self.next_wakeup() {
+            if t > deadline {
                 break;
-            };
-            self.run_epoch(t, SimTime::MAX, true);
+            }
+            debug_assert!(t >= self.now, "engine time went backwards");
+            self.run_epoch(t, deadline, stop_on_record);
+            let completed = !self.records.is_empty();
+            self.records.drain(..).for_each(&mut *sink);
+            if stop_on_record && completed {
+                return;
+            }
         }
-        std::mem::take(&mut self.records)
+        if deadline > self.now && deadline < SimTime::MAX {
+            self.now = deadline;
+        }
     }
 
     /// Advances one barrier epoch `[start, end]` where
@@ -1497,8 +1573,7 @@ impl Engine {
                 management,
             } => {
                 {
-                    let st = &mut self.tasks[task as usize];
-                    st.upload_bytes = bytes;
+                    let st = self.touch(task, device);
                     st.network += network;
                     st.management += management;
                 }
@@ -1529,7 +1604,7 @@ impl Engine {
                 exec,
             } => {
                 {
-                    let st = &mut self.tasks[task as usize];
+                    let st = self.touch(task, device);
                     st.network += network;
                     st.management += management;
                     st.exec = exec;
@@ -1555,7 +1630,7 @@ impl Engine {
                 );
             }
             Effect::FinishLocal { task, queued } => {
-                self.tasks[task as usize].management += queued;
+                self.slot(task).management += queued;
                 self.finish_task(at, task);
             }
             Effect::QueueDepth { depth } => {
@@ -1568,14 +1643,13 @@ impl Engine {
     fn handle_action(&mut self, t: SimTime, action: Action) {
         match action {
             Action::SubmitCloud { task } => {
-                let st = &self.tasks[task as usize];
-                let app = st.app;
+                let app = self.births[task as usize].app;
                 let k = if self.cfg.intra_task {
                     app.intra_parallelism()
                 } else {
                     1
                 };
-                self.tasks[task as usize].remaining = k;
+                self.slot(task).remaining = k;
                 let app_id = if k > 1 { split_id(app) } else { app.app_id() };
                 for i in 0..k {
                     let tag = (task as u64) * 16 + i as u64;
@@ -1590,9 +1664,11 @@ impl Engine {
                 }
             }
             Action::Response { task, from_server } => {
-                let st = &self.tasks[task as usize];
-                let bytes = self.ctx.profile(st.app).output_bytes;
-                let device = st.device;
+                let bytes = self
+                    .ctx
+                    .profile(self.births[task as usize].app)
+                    .output_bytes;
+                let device = self.slot(task).device;
                 self.fabric.send(
                     t,
                     Transfer {
@@ -1675,11 +1751,12 @@ impl Engine {
     /// past `at`, so the job is resubmitted at the (shard-count-invariant)
     /// epoch boundary.
     fn run_degraded(&mut self, at: SimTime, device: u32, task: u32) {
-        let app = self.tasks[task as usize].app;
+        let birth = &mut self.births[task as usize];
+        birth.placement = PlacementSite::Edge;
+        let app = birth.app;
         self.rng_draws += 1;
         let service = edge_service(&mut self.rng, &self.ctx, app).mul_f64(1.0 / DEGRADED_SPEEDUP);
-        let st = &mut self.tasks[task as usize];
-        st.placement = PlacementSite::Edge;
+        let st = self.slot(task);
         st.exec = st.exec.max(service);
         self.hub_draw(device, Draw::Compute(service));
         self.spill_inbox
@@ -1775,29 +1852,29 @@ impl Engine {
         let (task, purpose) = decode_transfer_tag(d.tag);
         match purpose {
             TagPurpose::Upload => {
-                self.tasks[task as usize].network += d.latency();
+                self.slot(task).network += d.latency();
                 self.rng_draws += 1;
                 let recv = self.cloud_rpc.recv_cost(&mut self.rng, d.bytes);
-                self.tasks[task as usize].network += recv;
+                self.slot(task).network += recv;
                 self.push_action(d.delivered_at + recv, Action::SubmitCloud { task });
             }
             TagPurpose::Response => {
                 let device = {
-                    let st = &mut self.tasks[task as usize];
+                    let st = self.slot(task);
                     st.network += d.latency();
                     st.device
                 };
                 self.rng_draws += 1;
                 let recv = self.ctx.edge_rpc.recv_overhead.sample(&mut self.rng);
-                self.tasks[task as usize].network += recv;
+                self.slot(task).network += recv;
                 self.hub_draw(device, Draw::Radio(d.bytes));
                 self.push_action(d.delivered_at + recv, Action::Finish { task });
             }
             TagPurpose::ResultUpload => {
-                self.tasks[task as usize].network += d.latency();
+                self.slot(task).network += d.latency();
                 self.rng_draws += 1;
                 let recv = self.cloud_rpc.recv_cost(&mut self.rng, d.bytes);
-                self.tasks[task as usize].network += recv;
+                self.slot(task).network += recv;
                 self.push_action(d.delivered_at + recv, Action::Finish { task });
             }
             TagPurpose::ReplaySummary => {}
@@ -1814,8 +1891,8 @@ impl Engine {
         outcome: hivemind_faas::types::Outcome,
     ) {
         let task = (tag / 16) as u32;
-        let (output_bytes, sub_done, device, lost, shed) = {
-            let st = &mut self.tasks[task as usize];
+        let (sub_done, device, lost, shed) = {
+            let st = self.slot(task);
             // Aggregate sub-invocation contributions; the slowest defines
             // the completion time, the cost components take the max (they
             // overlap in wall-clock time), management accumulates.
@@ -1835,20 +1912,12 @@ impl Engine {
             if st.remaining != 0 {
                 return;
             }
-            if st.failed {
-                // The retry policy gave up on (at least) one sub-invocation:
-                // the task is lost — no response, no record.
-                st.done = true;
-            }
-            (
-                self.ctx.profile(st.app).output_bytes,
-                st.sub_done,
-                st.device,
-                st.failed,
-                st.shed,
-            )
+            (st.sub_done, st.device, st.failed, st.shed)
         };
         if lost {
+            // The retry policy gave up on (at least) one sub-invocation:
+            // the task is lost — no response, no record.
+            self.release(task);
             self.ledger.tasks_lost += 1;
             if self.tracer.is_enabled() {
                 self.tracer.instant(
@@ -1879,7 +1948,7 @@ impl Engine {
                     );
                 }
             } else {
-                self.tasks[task as usize].done = true;
+                self.release(task);
                 self.shed_ledger.tasks_shed += 1;
                 if self.tracer.is_enabled() {
                     self.tracer.instant(
@@ -1893,9 +1962,11 @@ impl Engine {
             }
             return;
         }
+        let app = self.births[task as usize].app;
+        let output_bytes = self.ctx.profile(app).output_bytes;
         self.rng_draws += 1;
         let send = self.cloud_rpc.send_cost(&mut self.rng, output_bytes);
-        self.tasks[task as usize].network += send;
+        self.slot(task).network += send;
         self.push_action(
             sub_done + send,
             Action::Response {
@@ -1906,17 +1977,17 @@ impl Engine {
     }
 
     fn finish_task(&mut self, t: SimTime, task: u32) {
-        let st = &mut self.tasks[task as usize];
-        debug_assert!(!st.done, "double finish for task {task}");
-        st.done = true;
+        let birth = self.births[task as usize];
+        let st = *self.slot(task);
+        self.release(task);
         let record = TaskRecord {
             task,
-            app: st.app,
+            app: birth.app,
             device: st.device,
-            label: st.label,
-            capture: st.capture,
+            label: birth.label,
+            capture: birth.capture,
             done: t,
-            placement: st.placement,
+            placement: birth.placement,
             network: st.network,
             management: st.management,
             instantiation: st.instantiation,
@@ -2629,10 +2700,7 @@ mod tests {
             engine.submit_task(SimTime::ZERO, dev, App::Slam, 0);
         }
         // Advance partway: functions should be in flight.
-        engine.run_until_into(
-            SimTime::ZERO + SimDuration::from_millis(400),
-            &mut Vec::new(),
-        );
+        engine.run_until_with(SimTime::ZERO + SimDuration::from_millis(400), drop);
         let cluster = engine.cluster().expect("HiveMind runs a cluster");
         let utils = cluster.server_utilizations();
         assert_eq!(utils.len(), 12);
@@ -2711,24 +2779,28 @@ mod tests {
         counters: PhaseBreakdown,
         events: u64,
         now: SimTime,
+        /// Progress slots still taken after the run.
+        live_slots: usize,
     }
 
     /// Drives 256 devices, two captures per device per second at
     /// staggered phases, alternating an edge-placed and a cloud-placed
     /// app on every device (so each battery takes shard and hub draws),
     /// with `budget` cores for the shard phase. `chunked` feeds the
-    /// arrivals in slices between `run_until_into` calls instead of all up
+    /// arrivals in slices between `run_until_with` calls instead of all up
     /// front, each slice device-major (out of time order, so a shard's
     /// later devices submit captures earlier than its first device's
     /// queued ones) and reaching half a slice past its deadline, so the
     /// fold merges them into a run still holding the previous slice's
-    /// leftovers. Returns what it observed and how many epochs
-    /// overlapped.
+    /// leftovers. `sink` drains the rest of the run through
+    /// [`Engine::run_until_with`] instead of `run_to_completion`. Returns
+    /// what it observed and how many epochs overlapped.
     fn drive_pipelined(
         platform: Platform,
         shards: u32,
         budget: usize,
         chunked: bool,
+        sink: bool,
     ) -> (Observed, u64) {
         const DEVICES: u32 = 256;
         let mut cfg = EngineConfig::testbed(platform);
@@ -2766,7 +2838,7 @@ mod tests {
                     engine.submit_task(at, dev, app, c as u32);
                 }
                 next = end;
-                engine.run_until_into(deadline, &mut records);
+                engine.run_until_with(deadline, |r| records.push(r));
             }
             for &(at, dev, app) in &arrivals[next..] {
                 engine.submit_task(at, dev, app, 0);
@@ -2776,7 +2848,11 @@ mod tests {
                 engine.submit_task(at, dev, app, 0);
             }
         }
-        records.extend(engine.run_to_completion());
+        if sink {
+            engine.run_until_with(SimTime::MAX, |r| records.push(r));
+        } else {
+            records.extend(engine.run_to_completion());
+        }
         let batteries = (0..DEVICES)
             .map(|d| {
                 let b = engine.battery(d);
@@ -2800,6 +2876,7 @@ mod tests {
             counters,
             events: engine.events_processed(),
             now: engine.now(),
+            live_slots: engine.progress.len() - engine.free.len(),
         };
         (observed, engine.overlapped_epochs)
     }
@@ -2813,12 +2890,12 @@ mod tests {
         ] {
             for shards in [1u32, 3] {
                 for chunked in [false, true] {
-                    let (serial, never) = drive_pipelined(platform, shards, 1, chunked);
+                    let (serial, never) = drive_pipelined(platform, shards, 1, chunked, false);
                     assert_eq!(never, 0, "one core must run every epoch inline");
                     assert_eq!(serial.records.len(), 16 * 256);
                     // A budget no concurrent `Runner` test can divide
                     // below two cores per engine.
-                    let (piped, overlapped) = drive_pipelined(platform, shards, 64, chunked);
+                    let (piped, overlapped) = drive_pipelined(platform, shards, 64, chunked, false);
                     assert!(
                         overlapped > 0,
                         "{platform:?} x{shards} chunked={chunked}: no epoch overlapped"
@@ -2833,6 +2910,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn sink_streams_the_run_to_completion_records() {
+        for shards in [1u32, 2] {
+            for budget in [1usize, 64] {
+                for chunked in [false, true] {
+                    let run = format!("x{shards} budget {budget} chunked={chunked}");
+                    let (vec, _) =
+                        drive_pipelined(Platform::HiveMind, shards, budget, chunked, false);
+                    let (sunk, _) =
+                        drive_pipelined(Platform::HiveMind, shards, budget, chunked, true);
+                    assert_eq!(sunk.records.len(), 16 * 256, "{run}: every task");
+                    assert!(vec.records == sunk.records, "{run}: record stream");
+                    assert_eq!(vec.counters, sunk.counters, "{run}: counters");
+                    assert_eq!(vec.now, sunk.now, "{run}: clock");
+                    // A plane-free run resolves every task it touched.
+                    assert_eq!(sunk.live_slots, 0, "{run}: leaked progress slots");
+                    assert_eq!(vec.live_slots, 0, "{run}: leaked progress slots");
+                }
+            }
+        }
+    }
+
+    /// A small `chaos_planes`: every plane armed, two partitions with a
+    /// transfer hold bound low enough to tail-drop held uploads.
+    #[test]
+    fn live_slots_are_the_unresolved_tasks() {
+        let mut cfg = EngineConfig::testbed(Platform::HiveMind);
+        cfg.devices = 32;
+        cfg.servers = 4;
+        cfg.faults = FaultPlan::default()
+            .packet_loss(0.02)
+            .function_fault_rate(0.05)
+            .retry(faults::RetryPolicy::bounded(
+                4,
+                SimDuration::from_millis(50),
+            ))
+            .server_crash(0, 8.0, 4.0)
+            .partition(10.0, 20.0)
+            .partition(30.0, 40.0)
+            .partition_hold_bound(32);
+        cfg.overload = OverloadPolicy::default()
+            .queue_bound(16)
+            .queue_deadline(SimDuration::from_secs(2))
+            .breaker(3, SimDuration::from_secs(2))
+            .spillover()
+            .net_ingress_bound(16);
+        cfg.disconnect = DisconnectPolicy::default().autonomous();
+        let mut engine = Engine::new(cfg);
+        for k in 0..4 * 50u64 {
+            for dev in 0..32 {
+                let at = SimTime::ZERO
+                    + SimDuration::from_millis(250 * k)
+                    + SimDuration::from_micros(7_001 * dev);
+                engine.submit_task(at, dev as u32, App::FaceRecognition, 0);
+            }
+        }
+        let completed = engine.run_to_completion().len() as u64;
+        let submitted = engine.submitted() as u64;
+        let lost = engine.fault_ledger().tasks_lost;
+        let shed = engine.shed_ledger().tasks_shed;
+        let live = (engine.progress.len() - engine.free.len()) as u64;
+        assert_eq!(live, submitted - completed - lost - shed);
+        // Tasks whose held upload was tail-dropped at the hold bound are
+        // never resolved (a known engine defect: no ledger counts them),
+        // so their slots stay taken, one per dropped transfer. Pinned, so
+        // the defect shows as a number here rather than as a silent leak.
+        let dropped = engine.fabric().fault_stats().transfers_dropped;
+        assert_eq!((submitted, live, dropped), (6_400, 852, 852));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! out of time order and then only ever consumes them in order. A
 //! priority queue pays for that input on every push; [`CaptureRun`]
 //! instead appends in-order captures to the run, parks the rest in an
-//! unsorted tail, and folds the tail in with one sort and one merge
-//! before the next pop.
+//! unsorted tail, and folds the tail in with one sort and one in-place
+//! merge before the next pop.
 //!
 //! Entries are keyed `(at, task)`. Task ids grow with submission, so
 //! within one shard this is the order of `(at, submission seq)`: equal
@@ -29,7 +29,9 @@ fn key(&(at, c): &(SimTime, Capture)) -> Key {
 ///
 /// The run is a `VecDeque` so a run that never fully drains (a caller
 /// keeping one capture pending per device) reuses its popped front
-/// instead of growing with the mission. Every buffer keeps its
+/// instead of growing with the mission. The two buffers are all it
+/// holds: a fold merges into whichever has the larger capacity, so a
+/// bulk submission is held once, not once per buffer. Both keep their
 /// high-water capacity, so steady-state epochs allocate nothing.
 pub(super) struct CaptureRun {
     /// Sorted by key, strictly ascending.
@@ -39,8 +41,6 @@ pub(super) struct CaptureRun {
     /// The smallest key in `tail` (`None` iff it is empty), so `peek`
     /// stays exact from `&self`.
     tail_min: Option<Key>,
-    /// Merge target, swapped with `run` by each merging fold.
-    scratch: VecDeque<(SimTime, Capture)>,
     /// Lifetime push + pop count: one term of `PhaseBreakdown::queue_ops`,
     /// which sums pushes + pops across the hub action heap, each shard's
     /// capture run and each shard's wake heap.
@@ -56,7 +56,6 @@ impl CaptureRun {
             run: VecDeque::new(),
             tail: Vec::new(),
             tail_min: None,
-            scratch: VecDeque::new(),
             ops: 0,
             #[cfg(debug_assertions)]
             last_popped: None,
@@ -109,27 +108,55 @@ impl CaptureRun {
     }
 
     /// Sorts the tail into the run. Keys are unique, so the unstable sort
-    /// is deterministic and allocates nothing. A tail that starts after
-    /// the run's end is appended; otherwise both merge through `scratch`,
-    /// which costs O(live run).
+    /// is deterministic and allocates nothing. The two then merge in
+    /// place, from the back, into the buffer with the larger capacity:
+    /// the run when stragglers join a backlog (an append when the tail
+    /// starts after the run's end, O(live run) otherwise), and the tail
+    /// when a bulk submission meets a shorter run, which then becomes the
+    /// run.
     fn fold(&mut self) {
         self.tail.sort_unstable_by_key(key);
-        let first = key(&self.tail[0]);
-        if self.run.back().is_none_or(|b| key(b) < first) {
-            self.run.extend(self.tail.drain(..));
-        } else {
-            self.scratch.clear();
-            let mut tail = self.tail.drain(..).peekable();
-            for entry in self.run.drain(..) {
-                while let Some(t) = tail.next_if(|t| key(t) < key(&entry)) {
-                    self.scratch.push_back(t);
-                }
-                self.scratch.push_back(entry);
-            }
-            self.scratch.extend(tail);
-            std::mem::swap(&mut self.run, &mut self.scratch);
-        }
         self.tail_min = None;
+        if self.run.capacity() >= self.tail.capacity() {
+            let first = key(&self.tail[0]);
+            if self.run.back().is_none_or(|b| key(b) < first) {
+                self.run.extend(self.tail.drain(..));
+                return;
+            }
+            let n = self.run.len();
+            // Placeholders, overwritten by the merge.
+            self.run.extend(self.tail.iter().copied());
+            merge_from_back(self.run.make_contiguous(), n, &self.tail);
+            self.tail.clear();
+        } else {
+            let n = self.tail.len();
+            self.tail.extend(self.run.iter().copied());
+            merge_from_back(&mut self.tail, n, self.run.make_contiguous());
+            self.run.clear();
+            // Both conversions keep their buffers: the merged tail becomes
+            // the run, and the old run's, now empty, the tail.
+            let merged = VecDeque::from(std::mem::take(&mut self.tail));
+            self.tail = Vec::from(std::mem::replace(&mut self.run, merged));
+        }
+    }
+}
+
+/// Merges sorted `src` into `dst`, whose first `n` entries are sorted and
+/// whose last `src.len()` entries are free, from the back so that no
+/// entry is overwritten before it moves. Stops once `src` is placed: the
+/// rest of `dst`'s prefix is already where it belongs.
+fn merge_from_back(dst: &mut [(SimTime, Capture)], n: usize, src: &[(SimTime, Capture)]) {
+    debug_assert_eq!(dst.len(), n + src.len());
+    let (mut i, mut j) = (n, src.len());
+    while j > 0 {
+        let k = i + j - 1;
+        if i > 0 && key(&dst[i - 1]) > key(&src[j - 1]) {
+            dst[k] = dst[i - 1];
+            i -= 1;
+        } else {
+            dst[k] = src[j - 1];
+            j -= 1;
+        }
     }
 }
 

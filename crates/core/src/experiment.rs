@@ -40,7 +40,8 @@ use hivemind_swarm::device::DeviceProfile;
 
 use crate::engine::{Engine, EngineConfig, TaskRecord};
 use crate::metrics::{
-    BandwidthStats, BatteryStats, MissionOutcome, Outcome, ReconnectStats, RecoveryStats, ShedStats,
+    BandwidthStats, BatteryStats, BreakdownSummary, MissionOutcome, Outcome, ReconnectStats,
+    RecoveryStats, ShedStats,
 };
 use crate::mission;
 use crate::platform::Platform;
@@ -499,6 +500,54 @@ pub(crate) enum MotionPolicy {
     PreCharged,
 }
 
+/// What an outcome keeps of the completed-task stream, fed one record at
+/// a time as the engine hands them out: the latency breakdown, the SLO
+/// violation count, each device's last completion and the last
+/// completion overall. No run holds its records.
+#[derive(Debug)]
+pub(crate) struct TaskTally {
+    tasks: BreakdownSummary,
+    slo: Option<SimDuration>,
+    slo_violations: u64,
+    /// Latest completion per device (`ZERO` before its first).
+    last_done: Vec<SimTime>,
+    end: SimTime,
+}
+
+impl TaskTally {
+    /// An empty tally for `cfg`'s fleet with room for `tasks` records.
+    pub(crate) fn new(cfg: &ExperimentConfig, tasks: usize) -> TaskTally {
+        TaskTally {
+            tasks: BreakdownSummary::with_capacity(tasks),
+            slo: cfg.plan.faults.slo,
+            slo_violations: 0,
+            last_done: vec![SimTime::ZERO; cfg.devices as usize],
+            end: SimTime::ZERO,
+        }
+    }
+
+    /// Accounts one completed task.
+    pub(crate) fn record(&mut self, r: &TaskRecord) {
+        self.tasks.record(r);
+        if self.slo.is_some_and(|slo| r.latency() > slo) {
+            self.slo_violations += 1;
+        }
+        let d = &mut self.last_done[r.device as usize];
+        *d = (*d).max(r.done);
+        self.end = self.end.max(r.done);
+    }
+
+    /// The latest completion of `device` (`ZERO` if it completed none).
+    pub(crate) fn last_done(&self, device: u32) -> SimTime {
+        self.last_done[device as usize]
+    }
+
+    /// The latest completion of any task (`ZERO` if none completed).
+    pub(crate) fn end(&self) -> SimTime {
+        self.end
+    }
+}
+
 /// A configured, runnable experiment.
 #[derive(Debug, Clone)]
 pub struct Experiment {
@@ -578,10 +627,11 @@ impl Experiment {
             }
         }
         assert!(n_tasks > 0, "workload produced no tasks");
-        let records = engine.run_to_completion();
+        let mut tally = TaskTally::new(cfg, n_tasks as usize);
+        engine.run_until_with(SimTime::MAX, |r| tally.record(&r));
         self.assemble(
             engine,
-            records,
+            tally,
             MotionPolicy::UntilLastDone {
                 floor_secs: duration_secs,
             },
@@ -592,35 +642,23 @@ impl Experiment {
     pub(crate) fn assemble(
         &self,
         mut engine: Engine,
-        records: Vec<TaskRecord>,
+        tally: TaskTally,
         motion: MotionPolicy,
         mut mission: MissionOutcome,
     ) -> Outcome {
         let cfg = &self.config;
         let mut outcome = Outcome::default();
-        // Per-device last completion, for hover-time accounting.
         let floor = match motion {
             MotionPolicy::UntilLastDone { floor_secs } => floor_secs,
             MotionPolicy::PreCharged => 0.0,
         };
-        let mut last_done = vec![floor; cfg.devices as usize];
-        let mut slo_violations = 0u64;
-        for r in &records {
-            outcome.tasks.record(r);
-            if let Some(slo) = cfg.plan.faults.slo {
-                if r.latency() > slo {
-                    slo_violations += 1;
-                }
-            }
-            let d = &mut last_done[r.device as usize];
-            *d = d.max(r.done.as_secs_f64());
-        }
         // Devices stay airborne (motion power) until their own results
         // land — waiting on slow backends costs battery (Fig. 1's IaaS
         // column). Missions account for motion themselves.
         if matches!(motion, MotionPolicy::UntilLastDone { .. }) {
             for dev in 0..cfg.devices {
-                let airborne = SimDuration::from_secs_f64(last_done[dev as usize]);
+                let last = tally.last_done(dev).as_secs_f64();
+                let airborne = SimDuration::from_secs_f64(floor.max(last));
                 engine.battery_mut(dev).draw_motion(airborne);
             }
         }
@@ -640,12 +678,12 @@ impl Experiment {
             depleted,
         };
 
-        let end = records
-            .iter()
-            .map(|r| r.done)
-            .max()
-            .unwrap_or(SimTime::ZERO)
+        let end = tally
+            .end()
             .max(SimTime::ZERO + SimDuration::from_secs_f64(floor));
+        let completed = tally.tasks.len().max(1) as f64;
+        let slo_violations = tally.slo_violations;
+        outcome.tasks = tally.tasks;
         let (edge, _) = engine.fabric_mut().finish_meters(end);
         outcome.bandwidth = BandwidthStats {
             mean_mbps: edge.mean_rate() / 1e6,
@@ -689,8 +727,7 @@ impl Experiment {
                 recovery.invocations_rescheduled = crashes.invocations_rescheduled;
             }
             if cfg.plan.faults.slo.is_some() {
-                recovery.slo_violation_fraction =
-                    slo_violations as f64 / (records.len().max(1)) as f64;
+                recovery.slo_violation_fraction = slo_violations as f64 / completed;
             }
             outcome.recovery = Some(recovery);
         }
@@ -713,8 +750,7 @@ impl Experiment {
             let ledger = engine.shed_ledger();
             shed.tasks_spilled = ledger.tasks_spilled;
             shed.tasks_shed = ledger.tasks_shed;
-            shed.mean_accuracy_penalty_pct =
-                ledger.accuracy_penalty_sum_pct / records.len().max(1) as f64;
+            shed.mean_accuracy_penalty_pct = ledger.accuracy_penalty_sum_pct / completed;
             outcome.shed = Some(shed);
         }
         // Reconnect metrics likewise exist only for runs with an active

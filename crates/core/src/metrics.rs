@@ -30,6 +30,18 @@ pub struct BreakdownSummary {
 }
 
 impl BreakdownSummary {
+    /// An empty breakdown with room for `n` tasks in every category.
+    pub fn with_capacity(n: usize) -> Self {
+        BreakdownSummary {
+            total: Summary::with_capacity(n),
+            network: Summary::with_capacity(n),
+            management: Summary::with_capacity(n),
+            instantiation: Summary::with_capacity(n),
+            data_io: Summary::with_capacity(n),
+            exec: Summary::with_capacity(n),
+        }
+    }
+
     /// Accumulates one task record.
     pub fn record(&mut self, r: &TaskRecord) {
         self.total.record_duration(r.latency());

@@ -31,8 +31,8 @@ use rand::Rng;
 
 use crate::controller::SwarmController;
 use crate::dsl::PlacementSite;
-use crate::engine::{Engine, TaskRecord};
-use crate::experiment::{Experiment, ExperimentConfig, MotionPolicy};
+use crate::engine::Engine;
+use crate::experiment::{Experiment, ExperimentConfig, MotionPolicy, TaskTally};
 use crate::metrics::{MissionOutcome, Outcome};
 
 /// Seconds per coverage lane turn (deceleration, 180° yaw, realign).
@@ -251,8 +251,8 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
     }
 
     // --- Flight + per-frame tasks. ---
-    // Whether each task id is a recognition batch; sighting bookkeeping.
-    let mut is_batch: Vec<bool> = Vec::new();
+    // One past the last recognition batch's task id; sighting bookkeeping.
+    let mut batch_end = 0usize;
     let mut item_sightings: Vec<(u32, u32)> = Vec::new(); // (task, item)
     let mut people_sightings: Vec<(u32, u32, u32)> = Vec::new(); // (task, person, device)
     let mut flight_ends: Vec<SimTime> = Vec::new();
@@ -376,10 +376,7 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
             engine.submit_task(t, dev, App::ObstacleAvoidance, 1);
             let task = engine.submit_task(t, dev, recognition_app, 2);
             batch_of_task.push(Some(task));
-            if is_batch.len() <= task as usize {
-                is_batch.resize(task as usize + 1, false);
-            }
-            is_batch[task as usize] = true;
+            batch_end = task as usize + 1;
         }
         batch_lists.push(batch_of_task);
     }
@@ -456,24 +453,22 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
     }
 
     // --- Run the per-frame pipeline to completion. ---
-    let records = engine.run_to_completion();
-    // Whether each batch task finished (has a record).
-    let mut rec_done = vec![false; is_batch.len()];
-    for r in &records {
-        if is_batch.get(r.task as usize) == Some(&true) {
-            rec_done[r.task as usize] = true;
+    // Room for every submitted task, plus Scenario B's dedup task.
+    let mut tally = TaskTally::new(cfg, engine.submitted() as usize + 1);
+    // Whether each task id up to the last batch finished (has a record);
+    // only batch ids are ever looked up.
+    let mut rec_done = vec![false; batch_end];
+    engine.run_until_with(SimTime::MAX, |r| {
+        if let Some(done) = rec_done.get_mut(r.task as usize) {
+            *done = true;
         }
-    }
+        tally.record(&r);
+    });
 
     // --- Scenario-specific aggregation. ---
     let targets_found;
     let detection;
-    let mut all_records = records;
-    let mut mission_end = all_records
-        .iter()
-        .map(|r| r.done)
-        .max()
-        .unwrap_or(SimTime::ZERO);
+    let mut mission_end = tally.end();
 
     match scenario {
         Scenario::StationaryItems => {
@@ -508,11 +503,12 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
                 .collect();
             let barrier = mission_end;
             let dedup_task = engine.submit_task(barrier, 0, App::PeopleDedup, 3);
-            let dedup_records = engine.run_to_completion();
-            if let Some(r) = dedup_records.iter().find(|r| r.task == dedup_task) {
-                mission_end = mission_end.max(r.done);
-            }
-            all_records.extend(dedup_records);
+            engine.run_until_with(SimTime::MAX, |r| {
+                if r.task == dedup_task {
+                    mission_end = mission_end.max(r.done);
+                }
+                tally.record(&r);
+            });
             let result = deduplicate(&observations, 0.8);
             targets_found = result.unique_count as u32;
             let (correct, under, over) = score(&observations, &result);
@@ -526,11 +522,9 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
     }
 
     // --- Battery: flight, then hover until own results land. ---
-    let mut per_device_done: Vec<SimTime> = flight_ends.clone();
-    for r in &all_records {
-        let d = &mut per_device_done[r.device as usize];
-        *d = (*d).max(r.done);
-    }
+    let mut per_device_done: Vec<SimTime> = (0..cfg.devices)
+        .map(|dev| flight_ends[dev as usize].max(tally.last_done(dev)))
+        .collect();
     // Scenario B keeps everyone airborne until the barrier clears.
     if scenario == Scenario::MovingPeople {
         for d in per_device_done.iter_mut() {
@@ -558,12 +552,8 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
         targets_total: scenario.target_count(),
         detection,
     };
-    let mut outcome = Experiment::new(cfg.clone()).assemble(
-        engine,
-        all_records,
-        MotionPolicy::PreCharged,
-        mission,
-    );
+    let mut outcome =
+        Experiment::new(cfg.clone()).assemble(engine, tally, MotionPolicy::PreCharged, mission);
     // Battery death voids completion (the paper's distributed Scenario B).
     if outcome.battery.depleted > 0 {
         outcome.mission.completed = false;
@@ -622,7 +612,7 @@ fn treasure_hunt(cfg: &ExperimentConfig) -> Outcome {
 
     // task id → car.
     let mut task_car: HashMap<u32, u32> = HashMap::new();
-    let mut all_records: Vec<TaskRecord> = Vec::new();
+    let mut tally = TaskTally::new(cfg, 0);
 
     // Every car drives to its first panel, then photographs it.
     for (d, car) in cars.iter_mut().enumerate() {
@@ -639,7 +629,7 @@ fn treasure_hunt(cfg: &ExperimentConfig) -> Outcome {
         }
         for r in records {
             let Some(&car_id) = task_car.get(&r.task) else {
-                all_records.push(r);
+                tally.record(&r);
                 continue;
             };
             let car = &mut cars[car_id as usize];
@@ -651,7 +641,7 @@ fn treasure_hunt(cfg: &ExperimentConfig) -> Outcome {
             let parsed = parse_instruction(&read);
             let correct = parsed.is_some() && read == truth;
             let now = r.done;
-            all_records.push(r);
+            tally.record(&r);
             if correct {
                 car.attempts = 0;
                 match parsed.expect("checked above") {
@@ -713,7 +703,7 @@ fn treasure_hunt(cfg: &ExperimentConfig) -> Outcome {
         targets_total: cfg.devices,
         detection: None,
     };
-    Experiment::new(cfg.clone()).assemble(engine, all_records, MotionPolicy::PreCharged, mission)
+    Experiment::new(cfg.clone()).assemble(engine, tally, MotionPolicy::PreCharged, mission)
 }
 
 fn car_maze(cfg: &ExperimentConfig) -> Outcome {
@@ -751,7 +741,7 @@ fn car_maze(cfg: &ExperimentConfig) -> Outcome {
         .collect();
 
     let mut task_car: HashMap<u32, u32> = HashMap::new();
-    let mut all_records: Vec<TaskRecord> = Vec::new();
+    let mut tally = TaskTally::new(cfg, 0);
     for d in 0..cfg.devices {
         let task = engine.submit_task(SimTime::ZERO, d, App::Maze, 0);
         task_car.insert(task, d);
@@ -763,13 +753,13 @@ fn car_maze(cfg: &ExperimentConfig) -> Outcome {
         }
         for r in records {
             let Some(&car_id) = task_car.get(&r.task) else {
-                all_records.push(r);
+                tally.record(&r);
                 continue;
             };
             let car = &mut cars[car_id as usize];
             car.wait_time += r.latency();
             let now = r.done;
-            all_records.push(r);
+            tally.record(&r);
             if car.steps_left == 0 {
                 car.done = Some(now);
                 continue;
@@ -803,7 +793,7 @@ fn car_maze(cfg: &ExperimentConfig) -> Outcome {
         targets_total: cfg.devices,
         detection: None,
     };
-    Experiment::new(cfg.clone()).assemble(engine, all_records, MotionPolicy::PreCharged, mission)
+    Experiment::new(cfg.clone()).assemble(engine, tally, MotionPolicy::PreCharged, mission)
 }
 
 #[cfg(test)]

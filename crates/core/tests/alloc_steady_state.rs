@@ -3,7 +3,11 @@
 //!
 //! After a warm-up, every buffer a steady-state epoch touches holds its
 //! high-water capacity:
-//! - each shard's capture run and its fold scratch;
+//! - each shard's capture run and its tail (a fold merges in place, into
+//!   whichever of the two has the larger capacity);
+//! - the hub's progress slab and its free list (a task takes a recycled
+//!   slot at its first hub touch and frees it when it resolves), and the
+//!   per-epoch record buffer drained to the caller;
 //! - the hub action heap and each shard's wake heap;
 //! - the exchange scratch: the pending-effect run, its merge target and
 //!   each shard's outbound effect batch;
@@ -121,7 +125,7 @@ fn mission_slice_allocates_nothing(stagger: SimDuration) {
     // instants, so the measured window below is placed where none of
     // those boundaries fall for this deterministic workload.
     let mut records = Vec::with_capacity(32_768);
-    engine.run_until_into(SimTime::from_secs(26), &mut records);
+    engine.run_until_with(SimTime::from_secs(26), |r| records.push(r));
     assert!(
         !records.is_empty(),
         "warm-up must complete tasks, or the measurement below is vacuous"
@@ -137,10 +141,9 @@ fn mission_slice_allocates_nothing(stagger: SimDuration) {
     // losing its capacity shows up as thousands.
     let before = ALLOCS.load(Ordering::Relaxed);
     WINDOW.store(true, Ordering::Relaxed);
-    engine.run_until_into(
-        SimTime::from_secs(26) + SimDuration::from_secs(3),
-        &mut records,
-    );
+    engine.run_until_with(SimTime::from_secs(26) + SimDuration::from_secs(3), |r| {
+        records.push(r)
+    });
     WINDOW.store(false, Ordering::Relaxed);
     let during = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(

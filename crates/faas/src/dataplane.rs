@@ -79,13 +79,6 @@ impl CouchDbModel {
         let rtt = self.controller_rtt.sample(rng);
         (self.busy_until - now) + rtt
     }
-
-    /// Mean unloaded operation latency, for the analytical model.
-    pub fn mean_secs(&self, bytes: u64) -> f64 {
-        self.controller_rtt.mean_secs()
-            + self.op_overhead.mean_secs()
-            + bytes as f64 / self.bytes_per_sec
-    }
 }
 
 /// The function-to-function data plane.
@@ -172,18 +165,6 @@ impl DataPlane {
                     + SimDuration::from_secs_f64(bytes as f64 / self.mem_bytes_per_sec)
             }
             ExchangeProtocol::RemoteMemory => self.remote.access(now, bytes, rng),
-        }
-    }
-
-    /// Mean unloaded exchange latency, for the analytical model.
-    pub fn mean_exchange_secs(&self, protocol: ExchangeProtocol, bytes: u64) -> f64 {
-        match protocol {
-            ExchangeProtocol::CouchDb => 2.0 * self.couchdb.mean_secs(bytes),
-            ExchangeProtocol::DirectRpc => {
-                self.rpc.mean_one_way_secs(bytes) + bytes as f64 / self.rpc_wire_bytes_per_sec
-            }
-            ExchangeProtocol::InMemory => 20e-6 + bytes as f64 / self.mem_bytes_per_sec,
-            ExchangeProtocol::RemoteMemory => self.remote.mean_access_secs(bytes),
         }
     }
 
@@ -458,15 +439,36 @@ mod tests {
 
     #[test]
     fn mean_model_tracks_simulation_unloaded() {
+        // Each protocol's unloaded mean, from the plane's own parameters:
+        // CouchDB is a store plus a fetch, each a controller round-trip,
+        // an operation overhead and the bytes at storage bandwidth.
         let plane = DataPlane::new();
-        for p in [
-            ExchangeProtocol::CouchDb,
-            ExchangeProtocol::DirectRpc,
-            ExchangeProtocol::InMemory,
-            ExchangeProtocol::RemoteMemory,
+        let bytes = 100_000;
+        let b = bytes as f64;
+        let db = &plane.couchdb;
+        let remote = RemoteMemoryParams::default();
+        for (p, analytic) in [
+            (
+                ExchangeProtocol::CouchDb,
+                2.0 * (db.controller_rtt.mean_secs()
+                    + db.op_overhead.mean_secs()
+                    + b / db.bytes_per_sec),
+            ),
+            (
+                ExchangeProtocol::DirectRpc,
+                plane.rpc.mean_one_way_secs(bytes) + b / plane.rpc_wire_bytes_per_sec,
+            ),
+            (
+                ExchangeProtocol::InMemory,
+                20e-6 + b / plane.mem_bytes_per_sec,
+            ),
+            (
+                ExchangeProtocol::RemoteMemory,
+                remote.setup.mean_secs()
+                    + (b / remote.bytes_per_sec).max(remote.floor.as_secs_f64()),
+            ),
         ] {
-            let analytic = plane.mean_exchange_secs(p, 100_000);
-            let simulated = mean_latency(p, 100_000, false);
+            let simulated = mean_latency(p, bytes, false);
             let ratio = simulated / analytic;
             assert!(
                 (0.5..2.0).contains(&ratio),

@@ -62,6 +62,15 @@ impl Summary {
         Summary::default()
     }
 
+    /// Creates an empty summary with room for `n` samples, so a caller
+    /// that knows its sample count never regrows the buffer.
+    pub fn with_capacity(n: usize) -> Self {
+        Summary {
+            samples: Vec::with_capacity(n),
+            ..Summary::default()
+        }
+    }
+
     /// Records one sample.
     ///
     /// # Panics
