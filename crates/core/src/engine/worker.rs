@@ -7,9 +7,9 @@
 //! thread resurfaces on the caller of [`PhaseWorker::finish`] with its
 //! original payload.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender, TryRecvError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use hivemind_sim::time::SimTime;
 
@@ -28,6 +28,18 @@ struct Done {
     shards: Vec<Shard>,
     busy_ns: u64,
 }
+
+/// How long the caller polls for the shards at the barrier before it
+/// parks. When the hub and the shard phase take about as long as each
+/// other (an edge-local fleet's ~0.1 ms per 250 ms epoch), the caller
+/// arrives first at about half the barriers. Parked, it idles its core;
+/// on a virtual machine waking that core waits on the host's scheduler,
+/// which made the run time follow the host's load (hivebench `edge_local`:
+/// interquartile range of the 20 s runs' medians 0.0148 s parked, 0.0044
+/// s polling, 2-vCPU x86 VM). Polling this long covers a balanced epoch's
+/// shard phase; a longer wait (a much heavier shard phase, or the worker's
+/// core preempted) still parks.
+const BARRIER_POLL: Duration = Duration::from_micros(200);
 
 #[derive(Debug)]
 pub(super) struct PhaseWorker {
@@ -81,9 +93,11 @@ impl PhaseWorker {
             .expect("the phase worker is parked");
     }
 
-    /// Blocks until the shards come back, with their busy nanoseconds.
+    /// Blocks until the shards come back, with their busy nanoseconds:
+    /// polls for up to [`BARRIER_POLL`], yielding the core to any other
+    /// runnable thread between polls, then parks.
     pub(super) fn finish(&mut self) -> (Vec<Shard>, u64) {
-        if let Ok(Done { shards, busy_ns }) = self.done.recv() {
+        if let Ok(Done { shards, busy_ns }) = self.poll_done() {
             return (shards, busy_ns);
         }
         // The thread hung up holding the shards: it panicked.
@@ -91,6 +105,20 @@ impl PhaseWorker {
         match thread.join() {
             Err(payload) => std::panic::resume_unwind(payload),
             Ok(()) => unreachable!("the phase worker exited holding the shards"),
+        }
+    }
+
+    fn poll_done(&self) -> Result<Done, RecvError> {
+        let start = Instant::now();
+        loop {
+            match self.done.try_recv() {
+                Ok(done) => return Ok(done),
+                Err(TryRecvError::Disconnected) => return Err(RecvError),
+                Err(TryRecvError::Empty) if start.elapsed() >= BARRIER_POLL => {
+                    return self.done.recv()
+                }
+                Err(TryRecvError::Empty) => std::thread::yield_now(),
+            }
         }
     }
 }
