@@ -354,33 +354,35 @@ fn decode_transfer_tag(tag: u64) -> (u32, TagPurpose) {
     ((tag / 4) as u32, purpose)
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EdgeJobKind {
-    Exec,
-    Filter,
+/// An on-device job's kind plus the device-local context its completion
+/// needs. It rides with the job through the device FIFO as the job's
+/// payload, so no side table holds in-flight jobs. It stays at 16 bytes
+/// because every device queue entry carries one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum EdgeJob {
+    Exec {
+        app: App,
+        service: SimDuration,
+    },
+    Filter {
+        upload_bytes: u64,
+    },
     /// Degraded-model re-execution of a task whose cloud work was shed
     /// (brownout spillover).
     Spillover,
 }
+const _: () = assert!(std::mem::size_of::<EdgeJob>() == 16);
 
 /// On-device job ids carry their task and kind arithmetically (kind in
-/// the two low bits), so completions decode without a side table.
-fn edge_job(task: u32, kind: EdgeJobKind) -> u64 {
+/// the two low bits): unique per job, they settle a FIFO's same-instant
+/// completions.
+fn edge_job(task: u32, job: EdgeJob) -> u64 {
     (task as u64) * 4
-        + match kind {
-            EdgeJobKind::Exec => 0,
-            EdgeJobKind::Filter => 1,
-            EdgeJobKind::Spillover => 2,
+        + match job {
+            EdgeJob::Exec { .. } => 0,
+            EdgeJob::Filter { .. } => 1,
+            EdgeJob::Spillover => 2,
         }
-}
-
-fn decode_edge_job(job: u64) -> (u32, EdgeJobKind) {
-    let kind = match job % 4 {
-        0 => EdgeJobKind::Exec,
-        2 => EdgeJobKind::Spillover,
-        _ => EdgeJobKind::Filter,
-    };
-    ((job / 4) as u32, kind)
 }
 
 /// What the hub keeps of every submitted task, indexed by task id, from
@@ -441,14 +443,6 @@ struct Capture {
     placement: PlacementSite,
 }
 
-/// Device-local context a FIFO job completion needs that the job id
-/// cannot carry.
-#[derive(Debug, Clone, Copy)]
-enum EdgePending {
-    Exec { bytes: u64, service: SimDuration },
-    Filter { upload_bytes: u64 },
-}
-
 /// A boundary event a shard hands to the hub, applied at its
 /// [`EffectKey`] instant in globally merged key order.
 #[derive(Debug, Clone, Copy)]
@@ -494,7 +488,7 @@ enum Effect {
 struct Shard {
     first_dev: u32,
     /// Per-device FIFO compute queues, block-offset order.
-    fifos: Vec<FifoServer>,
+    fifos: Vec<FifoServer<EdgeJob>>,
     /// Per-device batteries, one dense block.
     batteries: BatteryBlock,
     /// Per-device RNG lanes (`forge.indexed_stream("device", dev)`).
@@ -509,13 +503,9 @@ struct Shard {
     wake: BinaryHeap<Reverse<(SimTime, u32)>>,
     /// Lifetime push + pop count of `wake` (profiling breakdown).
     wake_ops: u64,
-    /// Task → device-local context for in-flight FIFO jobs. Fixed-seed
-    /// hashing: insert/remove churn must rehash at workload-determined
-    /// instants or the steady-state allocation pin would be flaky.
-    pending_jobs: hivemind_sim::hash::DetHashMap<u32, EdgePending>,
     /// RNG sampling calls made by this shard (profiling breakdown).
     rng_draws: u64,
-    done_scratch: Vec<(SimTime, u64, SimDuration)>,
+    done_scratch: Vec<fifo::Done<EdgeJob>>,
     /// Effects emitted this epoch, sorted by key at the barrier.
     out: Vec<(EffectKey, Effect)>,
     /// Latest device-local event time processed (feeds the engine clock:
@@ -679,7 +669,7 @@ pub struct Engine {
     /// device's FIFO at the epoch boundary (the one hub→device feedback
     /// edge; the boundary is shard-count-invariant, so the deferral is
     /// deterministic).
-    spill_inbox: Vec<(SimTime, u32, u64, SimDuration)>,
+    spill_inbox: Vec<(SimTime, u32, u32, SimDuration)>,
     rng: SmallRng,
     next_server: u32,
     /// Per-app placement, indexed by `App as usize`.
@@ -892,7 +882,6 @@ impl Engine {
                     captures: CaptureRun::new(),
                     wake: BinaryHeap::new(),
                     wake_ops: 0,
-                    pending_jobs: hivemind_sim::hash::DetHashMap::default(),
                     rng_draws: 0,
                     done_scratch: Vec::new(),
                     out: Vec::new(),
@@ -1534,19 +1523,21 @@ impl Engine {
             return;
         }
         let inbox = std::mem::take(&mut self.spill_inbox);
-        for (orig, device, job, service) in inbox {
+        for (orig, device, task, service) in inbox {
             let at = orig.max(end);
-            self.hub_edge_submit(at, device, job, service);
+            self.hub_edge_submit(at, device, task, service);
         }
     }
 
-    /// Shard-aware FIFO submission from the (serial) hub side.
-    fn hub_edge_submit(&mut self, now: SimTime, device: u32, job: u64, service: SimDuration) {
+    /// Shard-aware FIFO submission of a spillover job from the (serial)
+    /// hub side.
+    fn hub_edge_submit(&mut self, now: SimTime, device: u32, task: u32, service: SimDuration) {
         let sh = &mut self.shards[self.map.shard_of(device) as usize];
         let di = (device - sh.first_dev) as usize;
         let fifo = &mut sh.fifos[di];
         let prev = fifo.next_wakeup();
-        fifo.submit(now, job, service);
+        let job = EdgeJob::Spillover;
+        fifo.submit(now, edge_job(task, job), service, job);
         let new = fifo.next_wakeup();
         // Index only head changes — one live entry per device, not one
         // per job (which would go quadratic on overloaded devices).
@@ -1759,8 +1750,7 @@ impl Engine {
         let st = self.slot(task);
         st.exec = st.exec.max(service);
         self.hub_draw(device, Draw::Compute(service));
-        self.spill_inbox
-            .push((at, device, edge_job(task, EdgeJobKind::Spillover), service));
+        self.spill_inbox.push((at, device, task, service));
     }
 
     /// Re-routes a cloud-bound task to degraded autonomous on-device
@@ -2123,13 +2113,18 @@ impl Engine {
         self.pool.as_ref()
     }
 
-    /// Concurrently active cloud functions over time, whichever backend
-    /// is in use.
-    pub fn active_series(&self) -> Option<&hivemind_sim::stats::TimeSeries> {
-        self.cluster
-            .as_ref()
-            .map(|c| c.active_series())
-            .or_else(|| self.pool.as_ref().map(|p| p.active_series()))
+    /// Moves out the series of concurrently active cloud functions,
+    /// whichever backend is in use, leaving it empty on the engine. The
+    /// series is trimmed to its length, since an outcome that keeps it
+    /// outlives the engine.
+    pub fn take_active_series(&mut self) -> Option<hivemind_sim::stats::TimeSeries> {
+        let mut series = match (self.cluster.as_mut(), self.pool.as_mut()) {
+            (Some(c), _) => c.take_active_series(),
+            (None, Some(p)) => p.take_active_series(),
+            (None, None) => return None,
+        };
+        series.shrink_to_fit();
+        Some(series)
     }
 }
 
@@ -2236,13 +2231,14 @@ fn fifo_submit(
     ctx: &ShardCtx,
     now: SimTime,
     device: u32,
-    job: u64,
+    task: u32,
     service: SimDuration,
+    job: EdgeJob,
 ) {
     let di = (device - sh.first_dev) as usize;
     let fifo = &mut sh.fifos[di];
     let prev = fifo.next_wakeup();
-    fifo.submit(now, job, service);
+    fifo.submit(now, edge_job(task, job), service, job);
     let new = fifo.next_wakeup();
     if new != prev {
         if let Some(t) = new {
@@ -2267,17 +2263,15 @@ fn shard_capture(sh: &mut Shard, ctx: &ShardCtx, at: SimTime, c: Capture) {
         PlacementSite::Edge => {
             sh.rng_draws += 1;
             let service = edge_service(&mut sh.rngs[di], ctx, app);
-            let bytes = ctx.profile(app).output_bytes.max(1);
             sh.draw(di, Draw::Compute(service));
-            sh.pending_jobs
-                .insert(task, EdgePending::Exec { bytes, service });
             fifo_submit(
                 sh,
                 ctx,
                 at,
                 device,
-                edge_job(task, EdgeJobKind::Exec),
+                task,
                 service,
+                EdgeJob::Exec { app, service },
             );
         }
         PlacementSite::Cloud => {
@@ -2301,15 +2295,14 @@ fn shard_capture(sh: &mut Shard, ctx: &ShardCtx, at: SimTime, c: Capture) {
                     .mul_f64(0.02)
                     .min(SimDuration::from_millis(40));
                 sh.draw(di, Draw::Compute(filter));
-                sh.pending_jobs
-                    .insert(task, EdgePending::Filter { upload_bytes });
                 fifo_submit(
                     sh,
                     ctx,
                     at,
                     device,
-                    edge_job(task, EdgeJobKind::Filter),
+                    task,
                     filter,
+                    EdgeJob::Filter { upload_bytes },
                 );
             } else {
                 sh.rng_draws += 1;
@@ -2353,9 +2346,9 @@ fn drain_completions(sh: &mut Shard, ctx: &ShardCtx, t: SimTime) {
                 }
                 // Drain in place: `done` keeps its high-water capacity
                 // across batches instead of reallocating per completion.
-                for (finish, job, queued) in done.drain(..) {
+                for (finish, id, queued, job) in done.drain(..) {
                     sh.events += 1;
-                    edge_completion(sh, ctx, dev, finish, job, queued);
+                    edge_completion(sh, ctx, dev, finish, id, queued, job);
                 }
             }
             Some(actual) => sh.push_wake(actual, dev),
@@ -2370,16 +2363,15 @@ fn edge_completion(
     ctx: &ShardCtx,
     dev: u32,
     finish: SimTime,
-    job: u64,
+    id: u64,
     queued: SimDuration,
+    job: EdgeJob,
 ) {
-    let (task, kind) = decode_edge_job(job);
+    let task = (id / 4) as u32; // `edge_job`'s inverse
     let di = (dev - sh.first_dev) as usize;
-    match kind {
-        EdgeJobKind::Exec => {
-            let Some(EdgePending::Exec { bytes, service }) = sh.pending_jobs.remove(&task) else {
-                unreachable!("exec completion without pending state");
-            };
+    match job {
+        EdgeJob::Exec { app, service } => {
+            let bytes = ctx.profile(app).output_bytes.max(1);
             sh.draw(di, Draw::Radio(bytes));
             sh.rng_draws += 1;
             let send = ctx.edge_rpc.send_cost(&mut sh.rngs[di], bytes);
@@ -2396,10 +2388,7 @@ fn edge_completion(
                 },
             );
         }
-        EdgeJobKind::Filter => {
-            let Some(EdgePending::Filter { upload_bytes }) = sh.pending_jobs.remove(&task) else {
-                unreachable!("filter completion without pending state");
-            };
+        EdgeJob::Filter { upload_bytes } => {
             sh.rng_draws += 1;
             let send = ctx.edge_rpc.send_cost(&mut sh.rngs[di], upload_bytes);
             emit(
@@ -2414,7 +2403,7 @@ fn edge_completion(
                 },
             );
         }
-        EdgeJobKind::Spillover => {
+        EdgeJob::Spillover => {
             // Degraded re-execution finished: the result is already on
             // the device, so the task completes with no downlink leg.
             emit(sh, dev, finish, Effect::FinishLocal { task, queued });

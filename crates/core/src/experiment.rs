@@ -691,8 +691,8 @@ impl Experiment {
             total_mb: edge.total() / 1e6,
         };
 
-        if let Some(series) = engine.active_series() {
-            outcome.active_tasks = series.clone();
+        if let Some(series) = engine.take_active_series() {
+            outcome.active_tasks = series;
         }
         if let Some(cluster) = engine.cluster() {
             outcome.container_stats = cluster.container_stats();

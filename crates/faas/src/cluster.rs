@@ -1265,6 +1265,12 @@ impl Cluster {
         &self.active_series
     }
 
+    /// Moves the active-function series out, leaving an empty one: for a
+    /// caller assembling a finished run, which then owns the only copy.
+    pub fn take_active_series(&mut self) -> TimeSeries {
+        std::mem::take(&mut self.active_series)
+    }
+
     /// `(warm_hits, cold_misses)` of the container pool.
     pub fn container_stats(&self) -> (u64, u64) {
         self.warm.hit_stats()

@@ -260,6 +260,12 @@ impl FixedPool {
     pub fn active_series(&self) -> &TimeSeries {
         &self.active_series
     }
+
+    /// Moves the running-task series out, leaving an empty one: for a
+    /// caller assembling a finished run, which then owns the only copy.
+    pub fn take_active_series(&mut self) -> TimeSeries {
+        std::mem::take(&mut self.active_series)
+    }
 }
 
 /// Heap entry ordering pending completions by `(finished, seq)`; `seq` is

@@ -4,9 +4,18 @@
 //! preserving global arrival order (the earliest in-flight hop completion
 //! anywhere in the fabric is always processed first), and meters traffic
 //! that crosses the edge↔cloud wireless boundary for the bandwidth figures.
+//!
+//! Each transfer's state lives once in a recycled slab; queues carry only
+//! its slot. A hop onto a link that never starts a path and alone feeds
+//! every link after it (the ToR switch and each server NIC's receive
+//! side) is served at arrival and the transfer routes on from the exit
+//! instant, so a device→server transfer takes two queued hops (wireless
+//! medium, trunk uplink) and a server→device transfer three (NIC transmit
+//! side, trunk downlink, wireless medium), with the same delivery times a
+//! queue on every hop gives.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use hivemind_sim::faults::{self, NetFaults};
 use hivemind_sim::overload::{NetBackpressure, INGRESS_RETRY_DELAY};
@@ -103,7 +112,9 @@ struct Backpressure {
     holds: u64,
 }
 
-#[derive(Debug, PartialEq, Eq)]
+/// A transfer in flight. It lives in the fabric's slab from entry to
+/// delivery while only its slot index moves through the queues.
+#[derive(Debug)]
 struct HopState {
     id: TransferId,
     tag: u64,
@@ -115,58 +126,12 @@ struct HopState {
     next_hop: usize,
 }
 
-/// A fault-held transfer queued for release, min-ordered by
-/// `(release time, transfer id)` — the same total order the old linear
-/// scan selected, now O(log n) per release.
-#[derive(Debug)]
-struct Delayed {
-    at: SimTime,
-    /// `true` when the delay came from a partition window (the hold is
-    /// charged against `hold_bound` and released on re-entry);
-    /// `false` for backpressure re-offers and retransmit pauses.
-    fault_hold: bool,
-    state: HopState,
-}
-
-impl PartialEq for Delayed {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.state.id == other.state.id
-    }
-}
-impl Eq for Delayed {}
-impl PartialOrd for Delayed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Delayed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.state.id).cmp(&(other.at, other.state.id))
-    }
-}
-
-/// A completed delivery awaiting emission, min-ordered by
-/// `(delivered_at, id)`, so popping due entries yields them in delivery
-/// order with no sort pass and no clone.
-#[derive(Debug)]
-struct PendingDelivery(Delivery);
-
-impl PartialEq for PendingDelivery {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.delivered_at == other.0.delivered_at && self.0.id == other.0.id
-    }
-}
-impl Eq for PendingDelivery {}
-impl PartialOrd for PendingDelivery {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingDelivery {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.0.delivered_at, self.0.id).cmp(&(other.0.delivered_at, other.0.id))
-    }
-}
+/// A transfer waiting out a partition window, a retransmit pause or an
+/// ingress re-offer: `(release time, id, slot, fault_hold)`, where
+/// `fault_hold` is `true` when a partition window held it (the hold is
+/// charged against `hold_bound` and released on re-entry). Ids are
+/// unique, so the heap pops in `(release time, id)` order.
+type Delayed = (SimTime, TransferId, u32, bool);
 
 /// The network fabric component.
 ///
@@ -192,11 +157,19 @@ impl Ord for PendingDelivery {
 #[derive(Debug)]
 pub struct Fabric {
     topology: Topology,
-    links: Vec<Link<HopState>>,
+    /// One FIFO per link, queueing slab slots. Links the topology lets
+    /// the fabric pass (`Topology::passes_through`) never queue.
+    links: Vec<Link<u32>>,
+    /// Every transfer in flight, indexed by slot; a slot is recycled
+    /// through `free` once its delivery is emitted, so the slab stays at
+    /// the in-flight high water and steady state never allocates.
+    slab: Vec<HopState>,
+    free: Vec<u32>,
     next_id: u64,
-    /// Completed deliveries waiting to be emitted, min-ordered by
-    /// `(delivered_at, id)` so draining pops them already chronological.
-    local: BinaryHeap<Reverse<PendingDelivery>>,
+    /// Deliveries waiting to be emitted as `(delivered_at, id, slot)`,
+    /// min-ordered so draining pops them already chronological. A
+    /// transfer whose last hop is passed lands here future-dated.
+    local: BinaryHeap<Reverse<(SimTime, TransferId, u32)>>,
     /// Delay applied to same-node "transfers" (loopback copy).
     local_delay: SimDuration,
     edge_meter: Meter,
@@ -205,6 +178,12 @@ pub struct Fabric {
     /// link. Keeps `next_wakeup`/`advance_into` away from O(links) scans so
     /// thousand-device topologies stay fast.
     wake: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// Exit instants of transfers passed through the switch, which a
+    /// queue-every-hop fabric would still report as pending hops. They
+    /// pop as no-op internal events, so [`Fabric::next_wakeup`] — and
+    /// the epoch grid a caller builds from it — stays what per-hop
+    /// queueing gives. The switch is FIFO, so the ring is sorted.
+    switch_exits: VecDeque<SimTime>,
     tracer: TraceHandle,
     /// Fault-plan state; `None` unless the experiment injects network
     /// faults (the inert path makes no extra RNG draws).
@@ -212,9 +191,9 @@ pub struct Fabric {
     /// Bounded-ingress backpressure; `None` unless armed by an overload
     /// policy.
     backpressure: Option<Backpressure>,
-    /// Transfers held back by a partition, min-ordered by release
-    /// time. Released in `(time, id)` order interleaved with hop
-    /// completions.
+    /// Transfers held back by a partition, a retransmit pause or an
+    /// ingress re-offer, released in `(time, id)` order interleaved with
+    /// hop completions.
     delayed: BinaryHeap<Reverse<Delayed>>,
 }
 
@@ -229,12 +208,15 @@ impl Fabric {
         Fabric {
             topology,
             links,
+            slab: Vec::new(),
+            free: Vec::new(),
             next_id: 0,
             local: BinaryHeap::new(),
             local_delay: SimDuration::from_micros(50),
             edge_meter: Meter::new(SimDuration::from_secs(1)),
             total_meter: Meter::new(SimDuration::from_secs(1)),
             wake: BinaryHeap::new(),
+            switch_exits: VecDeque::new(),
             tracer: TraceHandle::disabled(),
             faults: None,
             backpressure: None,
@@ -323,6 +305,16 @@ impl Fabric {
                 ],
             );
         }
+        let (start, fault_hold) = if wireless {
+            match self.apply_faults(now, id) {
+                Some(v) => v,
+                // Tail-dropped at the hold bound: the id is spent but the
+                // transfer never enters the fabric.
+                None => return id,
+            }
+        } else {
+            (now, false)
+        };
         let state = HopState {
             id,
             tag: transfer.tag,
@@ -333,24 +325,20 @@ impl Fabric {
             path,
             next_hop: 0,
         };
-        let (start, fault_hold) = if wireless {
-            match self.apply_faults(now, &state) {
-                Some(v) => v,
-                // Tail-dropped at the hold bound: the id is spent but the
-                // transfer never enters the fabric.
-                None => return id,
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = state;
+                slot
             }
-        } else {
-            (now, false)
+            None => {
+                self.slab.push(state);
+                (self.slab.len() - 1) as u32
+            }
         };
         if start > now {
-            self.delayed.push(Reverse(Delayed {
-                at: start,
-                fault_hold,
-                state,
-            }));
+            self.delayed.push(Reverse((start, id, slot, fault_hold)));
         } else {
-            self.route(now, state);
+            self.route(now, slot);
         }
         id
     }
@@ -361,7 +349,7 @@ impl Fabric {
     /// it (charged against `hold_bound`) — or `None` when the hold
     /// bound is full and the transfer is tail-dropped. No-op (and zero
     /// RNG draws) when no faults are armed.
-    fn apply_faults(&mut self, now: SimTime, state: &HopState) -> Option<(SimTime, bool)> {
+    fn apply_faults(&mut self, now: SimTime, id: TransferId) -> Option<(SimTime, bool)> {
         let Some(f) = self.faults.as_mut() else {
             return Some((now, false));
         };
@@ -386,7 +374,7 @@ impl Fabric {
                             0,
                             now,
                             vec![
-                                ("transfer", ArgValue::U64(state.id.0)),
+                                ("transfer", ArgValue::U64(id.0)),
                                 ("held", ArgValue::U64(f.held_now)),
                             ],
                         );
@@ -409,7 +397,7 @@ impl Fabric {
                     now,
                     vec![
                         ("kind", ArgValue::Str("link_outage".into())),
-                        ("transfer", ArgValue::U64(state.id.0)),
+                        ("transfer", ArgValue::U64(id.0)),
                     ],
                 );
                 self.tracer.instant(
@@ -419,7 +407,7 @@ impl Fabric {
                     start,
                     vec![
                         ("kind", ArgValue::Str("link_outage".into())),
-                        ("transfer", ArgValue::U64(state.id.0)),
+                        ("transfer", ArgValue::U64(id.0)),
                     ],
                 );
             }
@@ -443,7 +431,7 @@ impl Fabric {
                         now,
                         vec![
                             ("kind", ArgValue::Str("packet_loss".into())),
-                            ("transfer", ArgValue::U64(state.id.0)),
+                            ("transfer", ArgValue::U64(id.0)),
                             ("retransmits", ArgValue::U64(rounds)),
                         ],
                     );
@@ -453,69 +441,96 @@ impl Fabric {
         Some((start, fault_hold))
     }
 
-    fn route(&mut self, now: SimTime, mut state: HopState) {
-        if state.next_hop >= state.path.len() {
-            self.local.push(Reverse(PendingDelivery(Delivery {
-                id: state.id,
-                tag: state.tag,
-                src: state.src,
-                dst: state.dst,
-                bytes: state.bytes,
-                sent_at: state.sent_at,
-                delivered_at: if state.path.is_empty() {
+    /// Moves the transfer in `slot` on from its next hop, which it
+    /// reaches at `now`. A link the topology lets the fabric pass serves
+    /// the transfer at once and routing continues from that link's exit
+    /// instant, so a transfer waits in a queue only where another feeder
+    /// can still interleave with it: on a shared link, or in `local` as a
+    /// (possibly future-dated) delivery.
+    fn route(&mut self, mut now: SimTime, slot: u32) {
+        let HopState {
+            id,
+            bytes,
+            path,
+            mut next_hop,
+            ..
+        } = self.slab[slot as usize];
+        loop {
+            let Some(&link) = path.get(next_hop) else {
+                let at = if path.is_empty() {
                     now + self.local_delay
                 } else {
                     now
-                },
-            })));
+                };
+                self.local.push(Reverse((at, id, slot)));
+                return;
+            };
+            let idx = link.index();
+            if next_hop == 0 && self.ingress_full(now, idx, id) {
+                self.delayed
+                    .push(Reverse((now + INGRESS_RETRY_DELAY, id, slot, false)));
+                return;
+            }
+            next_hop += 1;
+            if self.topology.passes_through(link) {
+                now = self.links[idx].pass(now, bytes);
+                if next_hop < path.len() {
+                    debug_assert!(
+                        self.switch_exits.back().is_none_or(|&t| t <= now),
+                        "switch exits must not decrease"
+                    );
+                    self.switch_exits.push_back(now);
+                }
+                continue;
+            }
+            self.slab[slot as usize].next_hop = next_hop;
+            // Index only the link's head, which a FIFO link changes only
+            // when an enqueue finds it empty: pushing an entry per enqueue
+            // would pile thousands of duplicates onto a saturated link
+            // (quadratic).
+            let was_idle = self.links[idx].load() == 0;
+            self.links[idx].enqueue(now, bytes, slot);
+            if was_idle {
+                let head = self.links[idx].next_delivery().expect("just enqueued");
+                self.wake.push(Reverse((head, idx as u32)));
+            }
+            self.sample_link(now, idx);
             return;
         }
-        let link = state.path[state.next_hop];
-        let idx = link.index();
-        // Bounded ingress: a transfer about to take its *first* hop onto a
-        // link already at the bound is held and re-offered later instead
-        // of deepening the queue. Each re-offer re-checks, and time
-        // advances every hold, so the transfer eventually enters once the
-        // link drains — deterministic backpressure with no drops.
-        if state.next_hop == 0 {
-            if let Some(bp) = self.backpressure.as_mut() {
-                if let Some(bound) = bp.cfg.ingress_bound {
-                    if self.links[idx].load() >= bound as usize {
-                        bp.holds += 1;
-                        if self.tracer.is_enabled() {
-                            self.tracer.instant(
-                                "net",
-                                "backpressure.hold",
-                                idx as u32,
-                                now,
-                                vec![
-                                    ("transfer", ArgValue::U64(state.id.0)),
-                                    ("load", ArgValue::U64(self.links[idx].load() as u64)),
-                                ],
-                            );
-                        }
-                        self.delayed.push(Reverse(Delayed {
-                            at: now + INGRESS_RETRY_DELAY,
-                            fault_hold: false,
-                            state,
-                        }));
-                        return;
-                    }
-                }
-            }
+    }
+
+    /// Bounded ingress: a transfer about to take its *first* hop onto a
+    /// link already at the bound is held and re-offered later instead of
+    /// deepening the queue. Each re-offer re-checks, and time advances
+    /// every hold, so the transfer eventually enters once the link drains
+    /// — deterministic backpressure with no drops. Returns whether link
+    /// `idx` is at the bound, counting (and tracing) the hold if so.
+    fn ingress_full(&mut self, now: SimTime, idx: usize, id: TransferId) -> bool {
+        let Some(bp) = self.backpressure.as_mut() else {
+            return false;
+        };
+        let load = self.links[idx].load();
+        if bp
+            .cfg
+            .ingress_bound
+            .is_none_or(|bound| load < bound as usize)
+        {
+            return false;
         }
-        state.next_hop += 1;
-        let bytes = state.bytes;
-        // Index only the link's head, which a FIFO link changes only when
-        // an enqueue finds it empty: pushing an entry per enqueue would
-        // pile thousands of duplicates onto a saturated link (quadratic).
-        let was_idle = self.links[idx].load() == 0;
-        self.links[idx].enqueue(now, bytes, state);
-        if was_idle {
-            let head = self.links[idx].next_delivery().expect("just enqueued");
-            self.wake.push(Reverse((head, idx as u32)));
+        bp.holds += 1;
+        if self.tracer.is_enabled() {
+            self.tracer.instant(
+                "net",
+                "backpressure.hold",
+                idx as u32,
+                now,
+                vec![
+                    ("transfer", ArgValue::U64(id.0)),
+                    ("load", ArgValue::U64(load as u64)),
+                ],
+            );
         }
-        self.sample_link(now, idx);
+        true
     }
 
     /// Emits a queue-depth counter sample for link `idx` (no-op when
@@ -537,61 +552,71 @@ impl Fabric {
     pub fn next_wakeup(&self) -> Option<SimTime> {
         earliest(
             self.next_internal(),
-            self.local.peek().map(|Reverse(p)| p.0.delivered_at),
+            self.local.peek().map(|&Reverse((t, ..))| t),
         )
     }
 
-    /// The earliest internal event: a hop completion or a held
-    /// transfer's release.
+    /// The earliest internal event: a hop completion, a held transfer's
+    /// release or a passed switch exit.
     fn next_internal(&self) -> Option<SimTime> {
         earliest(
-            self.wake.peek().map(|Reverse((t, _))| *t),
-            self.delayed.peek().map(|Reverse(d)| d.at),
+            earliest(
+                self.wake.peek().map(|&Reverse((t, _))| t),
+                self.delayed.peek().map(|&Reverse((t, ..))| t),
+            ),
+            self.switch_exits.front().copied(),
         )
     }
 
-    /// Processes the earliest internal event. A held transfer released
-    /// at the same instant as a hop completion goes first.
+    /// Processes the earliest internal event. A switch exit due no later
+    /// than the rest only pops; a held transfer released at the same
+    /// instant as a hop completion goes first.
     fn step(&mut self) {
-        let wake_head = self.wake.peek().map(|Reverse((t, _))| *t);
+        let wake_head = self.wake.peek().map(|&Reverse((t, _))| t);
+        let delayed_head = self.delayed.peek().map(|&Reverse((t, ..))| t);
         if self
-            .delayed
-            .peek()
-            .is_some_and(|Reverse(d)| wake_head.is_none_or(|wt| d.at <= wt))
+            .switch_exits
+            .front()
+            .is_some_and(|&exit| earliest(wake_head, delayed_head).is_none_or(|t| exit <= t))
         {
-            let Some(Reverse(d)) = self.delayed.pop() else {
+            self.switch_exits.pop_front();
+            return;
+        }
+        if delayed_head.is_some_and(|dt| wake_head.is_none_or(|wt| dt <= wt)) {
+            let Some(Reverse((at, _, slot, fault_hold))) = self.delayed.pop() else {
                 unreachable!("peeked head vanished")
             };
-            if d.fault_hold {
+            if fault_hold {
                 if let Some(f) = self.faults.as_mut() {
                     f.held_now = f.held_now.saturating_sub(1);
                     if self.tracer.is_enabled() {
                         self.tracer
-                            .counter("net", "held_transfers", 0, d.at, f.held_now as f64);
+                            .counter("net", "held_transfers", 0, at, f.held_now as f64);
                     }
                 }
             }
-            self.route(d.at, d.state);
+            self.route(at, slot);
             return;
         }
         let Some(Reverse((t, idx))) = self.wake.pop() else {
             return;
         };
         let idx = idx as usize;
-        let (at, state) = self.links[idx]
+        let (at, slot) = self.links[idx]
             .pop_ready(t)
             .expect("a wake entry is its link's exact head");
         if let Some(next) = self.links[idx].next_delivery() {
             self.wake.push(Reverse((next, idx as u32)));
         }
         self.sample_link(at, idx);
-        self.route(at, state);
+        self.route(at, slot);
     }
 
-    /// Processes internal events (intermediate hops and held-transfer
-    /// releases) due strictly before `bound`, the earliest instant a new
-    /// [`Fabric::send`] can arrive, and strictly before the first pending
-    /// delivery, since the caller may answer a delivery with a send.
+    /// Processes internal events (intermediate hops, held-transfer
+    /// releases and passed switch exits) due strictly before `bound`, the
+    /// earliest instant a new [`Fabric::send`] can arrive, and strictly
+    /// before the first pending delivery, since the caller may answer a
+    /// delivery with a send.
     ///
     /// Strictness keeps same-instant ties in the order a caller gets by
     /// sending first and then calling [`Fabric::advance_into`]: a send at
@@ -604,7 +629,7 @@ impl Fabric {
                 && self
                     .local
                     .peek()
-                    .is_none_or(|Reverse(p)| t < p.0.delivered_at)
+                    .is_none_or(|&Reverse((delivered_at, ..))| t < delivered_at)
         }) {
             self.step();
         }
@@ -622,15 +647,23 @@ impl Fabric {
             self.step();
         }
         // Emit due deliveries; the heap pops them in (delivered_at, id)
-        // order, so no sort pass and no per-delivery clone.
-        while let Some(Reverse(p)) = self.local.peek() {
-            if p.0.delivered_at > now {
+        // order, so no sort pass, and each frees its slab slot.
+        while let Some(&Reverse((delivered_at, _, slot))) = self.local.peek() {
+            if delivered_at > now {
                 break;
             }
-            let Some(Reverse(p)) = self.local.pop() else {
-                unreachable!("peeked head vanished")
-            };
-            out.push(p.0);
+            self.local.pop();
+            let s = &self.slab[slot as usize];
+            out.push(Delivery {
+                id: s.id,
+                tag: s.tag,
+                src: s.src,
+                dst: s.dst,
+                bytes: s.bytes,
+                sent_at: s.sent_at,
+                delivered_at,
+            });
+            self.free.push(slot);
         }
     }
 
@@ -964,6 +997,36 @@ mod tests {
         let tags: Vec<u64> = d.iter().map(|x| x.tag).collect();
         assert_eq!(tags, vec![0, 1]);
         assert_eq!(f.held_transfers_now(), 0);
+    }
+
+    /// Queued hops per path shape: each queued hop leaves two
+    /// `net/link.load` samples (enqueue and pop), a passed hop none.
+    #[test]
+    fn passed_links_leave_only_the_shared_hops_queued() {
+        let queued_hops = |src: Node, dst: Node| {
+            let mut f = fabric();
+            let tracer = TraceHandle::enabled();
+            f.set_tracer(tracer.clone());
+            f.send(
+                SimTime::ZERO,
+                Transfer {
+                    src,
+                    dst,
+                    bytes: 10_000,
+                    tag: 0,
+                },
+            );
+            assert_eq!(drain(&mut f).len(), 1);
+            assert!(f.switch_exits.is_empty() && f.free.len() == f.slab.len());
+            tracer.finish().unwrap().count("net", "link.load") / 2
+        };
+        let (dev, srv) = (Node::Device(0), Node::Server(3));
+        assert_eq!(queued_hops(dev, srv), 2, "wifi, trunk-up");
+        assert_eq!(queued_hops(srv, dev), 3, "nic-tx, trunk-down, wifi");
+        assert_eq!(queued_hops(srv, Node::Server(4)), 1, "nic-tx");
+        assert_eq!(queued_hops(dev, Node::Device(2)), 2, "wifi twice");
+        assert_eq!(queued_hops(dev, Node::Device(1)), 4, "all but the switch");
+        assert_eq!(queued_hops(srv, srv), 0, "loopback");
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   calibrated capacities.
 //! * [`link`] — a single FIFO store-and-forward link.
 //! * [`fabric`] — the multi-hop [`Fabric`] component that
-//!   routes transfers hop by hop and reports deliveries plus per-scope
-//!   bandwidth accounting.
+//!   routes transfers hop by hop, queueing only where FIFO order can
+//!   still change, and reports deliveries plus per-scope bandwidth
+//!   accounting.
 //! * [`rpc`] — per-message RPC processing costs (software stack vs the
 //!   FPGA-offloaded stack modeled in `hivemind-accel`).
 

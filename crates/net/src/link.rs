@@ -11,6 +11,11 @@
 //! each new delivery time is at least the previous one: appending to a
 //! plain FIFO keeps items in `(delivery time, arrival order)` order, the
 //! order a min-heap on that key would pop.
+//!
+//! A link whose arrivals never decrease can also be *passed*
+//! (`Link::pass`): the same arithmetic runs at arrival and returns the
+//! exit instant, and nothing is queued. The fabric passes the links whose
+//! exit order no other feeder can disturb.
 
 use std::collections::VecDeque;
 
@@ -45,6 +50,8 @@ pub struct Link<T> {
     in_flight: VecDeque<(SimTime, T)>,
     /// Total bytes that began transmission on this link.
     bytes_carried: u64,
+    /// Latest arrival [`Link::pass`] has seen.
+    last_pass: SimTime,
 }
 
 impl<T> Link<T> {
@@ -67,22 +74,43 @@ impl<T> Link<T> {
             // mid-mission; deeper queues grow once to their high water.
             in_flight: VecDeque::with_capacity(8),
             bytes_carried: 0,
+            last_pass: SimTime::ZERO,
         }
     }
 
     /// Queues an item arriving at time `now`. Transmission starts once
     /// the link is free, so the delivery time is fixed on arrival.
     pub fn enqueue(&mut self, now: SimTime, bytes: u64, payload: T) {
-        let start = self.busy_until.max(now);
-        let done = start + SimDuration::from_secs_f64(bytes as f64 / self.bytes_per_sec);
-        self.busy_until = done;
-        self.bytes_carried += bytes;
-        let deliver_at = done + self.propagation;
+        let deliver_at = self.transmit(now, bytes);
         debug_assert!(
             self.in_flight.back().is_none_or(|&(t, _)| t <= deliver_at),
             "FIFO link delivery times must not decrease"
         );
         self.in_flight.push_back((deliver_at, payload));
+    }
+
+    /// Carries `bytes` arriving at `now` without queueing them and
+    /// returns the instant they reach the far end: the delivery time
+    /// [`Link::enqueue`] would have queued. Exact only while arrivals
+    /// never decrease, which a debug assertion checks; the caller owns
+    /// the item meanwhile, and [`Link::load`] does not count it.
+    pub(crate) fn pass(&mut self, now: SimTime, bytes: u64) -> SimTime {
+        debug_assert!(
+            now >= self.last_pass,
+            "a passed link's arrivals must not decrease"
+        );
+        self.last_pass = now;
+        self.transmit(now, bytes)
+    }
+
+    /// Serializes `bytes` arriving at `now` behind everything before
+    /// them and returns their delivery time.
+    fn transmit(&mut self, now: SimTime, bytes: u64) -> SimTime {
+        let start = self.busy_until.max(now);
+        let done = start + SimDuration::from_secs_f64(bytes as f64 / self.bytes_per_sec);
+        self.busy_until = done;
+        self.bytes_carried += bytes;
+        done + self.propagation
     }
 
     /// The earliest pending delivery time, if any.
@@ -193,6 +221,29 @@ mod tests {
         assert_eq!(l.load(), 2);
         let _ = l.pop_ready(SimTime::MAX);
         assert_eq!(l.load(), 1);
+    }
+
+    #[test]
+    fn pass_returns_the_enqueue_delivery_time() {
+        let (mut queued, mut passed) = (link(), link());
+        for (t, bytes) in [(0, 1_000_000), (0, 500_000), (3, 0), (3, 250_000)] {
+            let now = SimTime::from_secs(t);
+            queued.enqueue(now, bytes, 0);
+            let exit = passed.pass(now, bytes);
+            assert_eq!(Some((exit, 0)), queued.pop_ready(SimTime::MAX));
+        }
+        assert_eq!(passed.busy_until(), queued.busy_until());
+        assert_eq!(passed.bytes_carried(), queued.bytes_carried());
+        assert_eq!(passed.load(), 0, "a passed item is never queued");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must not decrease")]
+    fn pass_rejects_an_earlier_arrival() {
+        let mut l = link();
+        l.pass(SimTime::from_secs(2), 10);
+        l.pass(SimTime::from_secs(1), 10);
     }
 
     #[test]

@@ -279,6 +279,20 @@ impl Topology {
             .unwrap_or(self.params.wireless_propagation)
     }
 
+    /// Whether the fabric may pass `link` rather than queue on it: the
+    /// link never starts a path, so ingress backpressure never reads its
+    /// occupancy and every arrival comes from a hop completing in time
+    /// order, and each link that follows it on any path is fed by it
+    /// alone, so routing a transfer on at its exit instant, before that
+    /// instant is reached, reorders nothing downstream. In this layout
+    /// that is the ToR switch (followed only by the NIC receive sides
+    /// and the trunk downlinks) and each server's NIC receive side (always
+    /// the last hop).
+    pub(crate) fn passes_through(&self, link: LinkRef) -> bool {
+        let switch = self.switch().0;
+        link.0 >= switch && (link.0 - switch).is_multiple_of(2)
+    }
+
     fn wifi(&self, r: u32) -> LinkRef {
         LinkRef(r)
     }
@@ -464,6 +478,49 @@ mod tests {
     fn out_of_range_device_panics() {
         let t = Topology::new(TopologyParams::default());
         let _ = t.path(Node::Device(99), Node::Server(0));
+    }
+
+    /// `passes_through` agrees with its rule checked over every route of
+    /// a small topology: never a first hop, and every successor has it
+    /// as its only predecessor.
+    #[test]
+    fn pass_through_links_follow_the_rule() {
+        let t = Topology::new(TopologyParams {
+            devices: 24,
+            servers: 5,
+            routers: 3,
+            ..TopologyParams::default()
+        });
+        let n = t.links().len();
+        let mut first = vec![false; n];
+        let mut preds = vec![std::collections::BTreeSet::new(); n];
+        let mut succs = vec![std::collections::BTreeSet::new(); n];
+        let nodes: Vec<Node> = (0..24)
+            .map(Node::Device)
+            .chain((0..5).map(Node::Server))
+            .collect();
+        for &a in &nodes {
+            for &b in &nodes {
+                let p = t.path(a, b);
+                if let Some(l) = p.first() {
+                    first[l.index()] = true;
+                }
+                for w in p.windows(2) {
+                    succs[w[0].index()].insert(w[1].index());
+                    preds[w[1].index()].insert(w[0].index());
+                }
+            }
+        }
+        let passed: Vec<usize> = (0..n)
+            .filter(|&i| t.passes_through(LinkRef(i as u32)))
+            .collect();
+        for i in 0..n {
+            let rule = !first[i] && succs[i].iter().all(|&s| preds[s].len() == 1);
+            assert_eq!(rule, passed.contains(&i), "link {}", t.links()[i].name);
+        }
+        // The switch and the five NIC receive sides.
+        assert_eq!(passed.len(), 6);
+        assert_eq!(t.links()[passed[0]].class, LinkClass::Switch);
     }
 
     #[test]

@@ -451,6 +451,12 @@ impl TimeSeries {
         &self.points
     }
 
+    /// Releases capacity left over from growth, for a series kept long
+    /// after its last observation.
+    pub fn shrink_to_fit(&mut self) {
+        self.points.shrink_to_fit();
+    }
+
     /// Number of observations.
     pub fn len(&self) -> usize {
         self.points.len()
