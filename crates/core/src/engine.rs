@@ -69,6 +69,7 @@
 
 mod captures;
 pub mod fifo;
+pub(crate) mod planes;
 mod worker;
 
 use std::cmp::Reverse;
@@ -77,13 +78,13 @@ use std::collections::BinaryHeap;
 use hivemind_apps::suite::App;
 use hivemind_faas::cluster::Cluster;
 use hivemind_faas::iaas::FixedPool;
-use hivemind_faas::types::{AppId, AppProfile, Invocation};
+use hivemind_faas::types::{AppId, AppProfile, Completion, Invocation, Outcome};
 use hivemind_net::fabric::{Fabric, Transfer};
 use hivemind_net::rpc::RpcProfile;
 use hivemind_net::topology::{Node, Topology, TopologyParams};
-use hivemind_sim::disconnect::{self, DisconnectPolicy};
+use hivemind_sim::disconnect::DisconnectPolicy;
 use hivemind_sim::faults::{self, FaultPlan};
-use hivemind_sim::overload::{OverloadPolicy, DEGRADED_ACCURACY_PENALTY_PCT, DEGRADED_SPEEDUP};
+use hivemind_sim::overload::OverloadPolicy;
 use hivemind_sim::rng::RngForge;
 use hivemind_sim::shard::{merge_keyed_into, shards_from_env, EffectKey, ShardMap};
 use hivemind_sim::time::{SimDuration, SimTime};
@@ -95,9 +96,10 @@ use crate::platform::Platform;
 use crate::synthesis;
 use captures::CaptureRun;
 use fifo::FifoServer;
+use planes::{Ending, Planes};
+pub use planes::{FaultLedger, ReconnectLedger, ShedLedger};
 
 use hivemind_swarm::device::DeviceProfile;
-use hivemind_swarm::disconnect::{ReplayRing, ReplaySession};
 use hivemind_swarm::{Battery, BatteryBlock};
 use worker::PhaseWorker;
 
@@ -199,73 +201,6 @@ impl EngineConfig {
     }
 }
 
-/// Engine-level fault bookkeeping that no lower layer can see on its own:
-/// whole tasks lost to give-up retry policies, device failures noted by
-/// the mission layer, and controller failovers, plus the detection/recovery
-/// latencies behind the paper's 3 s heartbeat window.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FaultLedger {
-    /// Tasks whose cloud invocation exhausted a give-up retry policy.
-    pub tasks_lost: u64,
-    /// Device failures applied (scripted or MTBF-drawn).
-    pub device_failures: u32,
-    /// Primary-controller failovers.
-    pub controller_failovers: u32,
-    /// Sum of fault-detection latencies, seconds.
-    pub detection_secs_sum: f64,
-    /// Sum of fault-recovery times (failure to restored service), seconds.
-    pub recovery_secs_sum: f64,
-    /// Number of detection/recovery samples in the sums.
-    pub recovery_events: u32,
-}
-
-/// Engine-level overload bookkeeping: whole-task consequences of the
-/// cluster's shed decisions, which only the engine can attribute (it owns
-/// the task ↔ sub-invocation mapping and the spillover re-routing).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ShedLedger {
-    /// Tasks re-routed to degraded on-device execution after a shed.
-    pub tasks_spilled: u64,
-    /// Tasks abandoned because a sub-invocation was shed and no spillover
-    /// was configured.
-    pub tasks_shed: u64,
-    /// Accuracy points lost across all spilled tasks (sum, not mean).
-    pub accuracy_penalty_sum_pct: f64,
-}
-
-/// Engine-level disconnected-operation bookkeeping: what the disconnect
-/// plane did while partitioned (lease expirations, degraded autonomous
-/// executions, buffered summaries) and what the reconnect sessions
-/// reconciled at heal (exactly-once replays, suppressed duplicates,
-/// explicit expiries, staleness).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ReconnectLedger {
-    /// Reconnect reconciliation sessions run (one per healed partition).
-    pub partitions: u32,
-    /// Device lease expirations (one per device per merged partition
-    /// window it went autonomous under).
-    pub lease_expirations: u64,
-    /// Cloud-bound tasks re-routed to degraded autonomous on-device
-    /// execution because the device's lease had expired.
-    pub tasks_degraded: u64,
-    /// Update summaries buffered while disconnected.
-    pub updates_buffered: u64,
-    /// Buffered updates replayed exactly once at reconnect.
-    pub updates_replayed: u64,
-    /// Buffered updates evicted under the ring bound (explicit expiry,
-    /// never silent growth).
-    pub updates_expired: u64,
-    /// Replay offers the session watermark rejected as duplicates.
-    pub duplicates_dropped: u64,
-    /// Stale heartbeats re-armed by reconnect reconciliation instead of
-    /// being read as device deaths.
-    pub devices_rearmed: u64,
-    /// Sum over replayed updates of (heal − buffered-at), seconds.
-    pub staleness_secs_sum: f64,
-    /// Accuracy points lost across all degraded tasks (sum, not mean).
-    pub accuracy_penalty_sum_pct: f64,
-}
-
 /// Completed-task record with the paper's latency decomposition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskRecord {
@@ -322,6 +257,8 @@ enum Action {
     Reconnect,
 }
 
+/// What a fabric transfer carries; the declaration order is its
+/// [`transfer_tag`] code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TagPurpose {
     Upload,
@@ -335,22 +272,12 @@ enum TagPurpose {
 /// purpose arithmetically (purpose in the two low bits), so deliveries
 /// decode without a side table.
 fn transfer_tag(id: u64, purpose: TagPurpose) -> u64 {
-    id * 4
-        + match purpose {
-            TagPurpose::Upload => 0,
-            TagPurpose::Response => 1,
-            TagPurpose::ResultUpload => 2,
-            TagPurpose::ReplaySummary => 3,
-        }
+    id * 4 + purpose as u64
 }
 
 fn decode_transfer_tag(tag: u64) -> (u32, TagPurpose) {
-    let purpose = match tag % 4 {
-        0 => TagPurpose::Upload,
-        1 => TagPurpose::Response,
-        2 => TagPurpose::ResultUpload,
-        _ => TagPurpose::ReplaySummary,
-    };
+    use TagPurpose::*;
+    let purpose = [Upload, Response, ResultUpload, ReplaySummary][(tag % 4) as usize];
     ((tag / 4) as u32, purpose)
 }
 
@@ -400,8 +327,8 @@ struct Birth {
 
 /// [`Engine::slots`] entry of a task the hub has not touched yet.
 const UNTOUCHED: u32 = u32::MAX;
-/// [`Engine::slots`] entry of a task that completed, was lost or was
-/// shed: its progress slot went back to the free list.
+/// [`Engine::slots`] entry of a task that completed, was lost, shed or
+/// dropped: its progress slot went back to the free list.
 const RESOLVED: u32 = u32::MAX - 1;
 
 /// A task's accumulated state while it is in flight through the hub: a
@@ -420,12 +347,10 @@ struct Progress {
     /// Latest sub-completion time (the task finishes at the max).
     sub_done: SimTime,
     cold: bool,
-    /// A sub-invocation exhausted its retry budget; the task is lost and
-    /// produces no [`TaskRecord`].
-    failed: bool,
-    /// A sub-invocation was shed by the overload plane; the task either
-    /// spills over to the device or is abandoned.
-    shed: bool,
+    /// How the task ends once its last sub-invocation returns, if a
+    /// sub-invocation exhausted its retry budget ([`Ending::Lost`], which
+    /// wins) or was shed by the overload plane ([`Ending::Shed`]).
+    ending: Option<Ending>,
 }
 
 // Per queued task the engine holds one capture entry and one birth
@@ -526,6 +451,31 @@ impl Shard {
             self.captures.peek().map(|(t, _)| t),
             self.wake.peek().map(|&Reverse((t, _))| t),
         )
+    }
+
+    /// Queues `job` on `device`'s FIFO at `now`, returning the queue's
+    /// new load. Only head changes are indexed — one live wake entry per
+    /// device, not one per job (which would go quadratic on overloaded
+    /// devices).
+    fn submit(
+        &mut self,
+        now: SimTime,
+        device: u32,
+        task: u32,
+        service: SimDuration,
+        job: EdgeJob,
+    ) -> u64 {
+        let fifo = &mut self.fifos[(device - self.first_dev) as usize];
+        let prev = fifo.next_wakeup();
+        fifo.submit(now, edge_job(task, job), service, job);
+        let new = fifo.next_wakeup();
+        let load = fifo.load() as u64;
+        if new != prev {
+            if let Some(t) = new {
+                self.push_wake(t, device);
+            }
+        }
+        load
     }
 
     /// Indexes device `device`'s FIFO head at `t`.
@@ -664,7 +614,7 @@ pub struct Engine {
     records: Vec<TaskRecord>,
     /// Reusable per-epoch buffers (the hot loop stays allocation-free).
     delivery_scratch: Vec<hivemind_net::fabric::Delivery>,
-    completion_scratch: Vec<hivemind_faas::types::Completion>,
+    completion_scratch: Vec<Completion>,
     /// Spillover jobs created by the hub phase, resubmitted to their
     /// device's FIFO at the epoch boundary (the one hub→device feedback
     /// edge; the boundary is shard-count-invariant, so the deferral is
@@ -679,23 +629,8 @@ pub struct Engine {
     ctx: ShardCtx,
     cloud_rpc: RpcProfile,
     tracer: TraceHandle,
-    ledger: FaultLedger,
-    shed_ledger: ShedLedger,
-    /// Armed when the disconnect policy is active *and* the fault plan
-    /// schedules wireless partitions (there is nothing to survive
-    /// otherwise). Never true under the inert defaults, so the plane
-    /// cannot perturb a byte of any existing run.
-    disconnect_armed: bool,
-    /// Per-device bounded rings of update summaries awaiting replay
-    /// (empty unless the disconnect plane is armed).
-    rings: Vec<ReplayRing<u32>>,
-    /// Per-device exactly-once replay sessions: lifetime watermarks, so
-    /// dedup is session-scoped across repeated partitions.
-    sessions: Vec<ReplaySession>,
-    /// Heal instant (seconds) of the merged partition window each device
-    /// is currently autonomous under (`None` = lease held).
-    autonomy_heal: Vec<Option<f64>>,
-    reconnect_ledger: ReconnectLedger,
+    /// The fault, overload and disconnect planes' state and ledgers.
+    planes: Planes,
     hub_events: u64,
     /// RNG sampling calls made by the hub (profiling breakdown).
     rng_draws: u64,
@@ -729,15 +664,13 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics on zero-sized configurations.
+    /// Panics on zero-sized configurations and on a fault plan or
+    /// overload policy `RunPlan::validate` would reject.
     pub fn new(cfg: EngineConfig) -> Engine {
         assert!(cfg.devices > 0 && cfg.servers > 0);
         assert!(cfg.input_scale > 0.0);
-        if let Err(e) = cfg.faults.validate(cfg.servers) {
-            panic!("invalid fault plan: {e}");
-        }
-        if let Err(e) = cfg.overload.validate() {
-            panic!("invalid overload policy: {e}");
+        if let Err(e) = planes::check(&cfg.faults, &cfg.overload, cfg.servers) {
+            panic!("{e}");
         }
         let forge = RngForge::new(cfg.seed);
         let tracer = if cfg.trace {
@@ -751,6 +684,11 @@ impl Engine {
             ..TopologyParams::default()
         });
         let lookahead = topology.lookahead();
+        // Per-task uplink byte budget for hybrid platforms (rate
+        // adaptation): 70% of a device's fair share of its router's medium.
+        let devices_per_router = cfg.devices.div_ceil(topology.routers()).max(1);
+        let uplink_budget_bytes =
+            0.7 * (topology.params().wireless_bps / 8.0) / devices_per_router as f64;
         let mut fabric = Fabric::new(topology);
         fabric.set_tracer(tracer.clone());
         if cfg.faults.net.per_transfer() {
@@ -829,33 +767,6 @@ impl Engine {
 
         let placements = App::ALL.map(|app| synthesis::single_app_placement(app, cfg.platform));
 
-        // The controller-failover window is known up front (the trace is
-        // sorted at finish time, so future-timestamped instants are fine).
-        let mut ledger = FaultLedger::default();
-        if let Some(at) = cfg.faults.devices.controller_failover_at_secs {
-            let detection = faults::DETECTION_WINDOW.as_secs_f64();
-            let takeover = faults::CONTROLLER_TAKEOVER.as_secs_f64();
-            ledger.controller_failovers = 1;
-            ledger.detection_secs_sum += detection;
-            ledger.recovery_secs_sum += detection + takeover;
-            ledger.recovery_events += 1;
-            if tracer.is_enabled() {
-                for (name, offset) in [
-                    (faults::EV_INJECTED, 0.0),
-                    (faults::EV_DETECTED, detection),
-                    (faults::EV_RECOVERED, detection + takeover),
-                ] {
-                    tracer.instant(
-                        faults::TRACE_CAT,
-                        name,
-                        0,
-                        SimTime::ZERO + SimDuration::from_secs_f64(at + offset),
-                        vec![("kind", ArgValue::Str("controller_failover".into()))],
-                    );
-                }
-            }
-        }
-
         let shard_count = if cfg.shards == 0 {
             shards_from_env()
         } else {
@@ -893,16 +804,6 @@ impl Engine {
             })
             .collect();
 
-        let topo_params = hivemind_net::topology::TopologyParams {
-            devices: cfg.devices,
-            servers: cfg.servers,
-            ..Default::default()
-        };
-        let devices_per_router = cfg.devices.div_ceil(topo_params.effective_routers()).max(1);
-        // Per-task uplink byte budget for hybrid platforms (rate adaptation).
-        let uplink_budget_bytes =
-            0.7 * (topo_params.wireless_bps / 8.0) / devices_per_router as f64;
-        let disconnect_armed = cfg.disconnect.is_active() && !cfg.faults.net.partitions.is_empty();
         let ctx = ShardCtx {
             hybrid: cfg.platform.is_hybrid(),
             upload_fraction: cfg.platform.upload_fraction(),
@@ -940,28 +841,8 @@ impl Engine {
             placements,
             ctx,
             cloud_rpc: cfg.platform.cloud_rpc_profile(),
+            planes: Planes::new(&cfg, &tracer),
             tracer,
-            ledger,
-            shed_ledger: ShedLedger::default(),
-            disconnect_armed,
-            rings: if disconnect_armed {
-                (0..cfg.devices)
-                    .map(|_| ReplayRing::new(disconnect::BUFFER_CAP))
-                    .collect()
-            } else {
-                Vec::new()
-            },
-            sessions: if disconnect_armed {
-                vec![ReplaySession::new(); cfg.devices as usize]
-            } else {
-                Vec::new()
-            },
-            autonomy_heal: if disconnect_armed {
-                vec![None; cfg.devices as usize]
-            } else {
-                Vec::new()
-            },
-            reconnect_ledger: ReconnectLedger::default(),
             hub_events: 0,
             rng_draws: 0,
             profile: std::env::var_os("HIVEMIND_PROFILE").is_some_and(|v| v != "0"),
@@ -976,26 +857,8 @@ impl Engine {
             overlapped_epochs: 0,
             cfg,
         };
-        if engine.disconnect_armed {
-            // One reconciliation session per distinct heal instant.
-            // Chained windows fold to their final heal, so a partition
-            // that "heals" straight into the next window reconciles once,
-            // at the true end — exactly when the fabric releases its held
-            // transfers.
-            for h in engine.cfg.faults.net.heal_instants() {
-                engine.push_action(
-                    SimTime::ZERO + SimDuration::from_secs_f64(h),
-                    Action::Reconnect,
-                );
-            }
-        }
+        engine.arm_reconnects();
         engine
-    }
-
-    /// The engine's tracing handle (disabled unless
-    /// [`EngineConfig::trace`] was set).
-    pub fn tracer(&self) -> &TraceHandle {
-        &self.tracer
     }
 
     /// Drains the collected trace, or `None` when tracing is disabled.
@@ -1199,9 +1062,12 @@ impl Engine {
         self.drive(deadline, false, &mut sink);
     }
 
-    /// Runs until every injected task has completed.
+    /// Runs until every injected task has completed. The result is sized
+    /// up front for every unresolved task, which is exact unless a plane
+    /// ends some of them without a record.
     pub fn run_to_completion(&mut self) -> Vec<TaskRecord> {
-        let mut out = Vec::new();
+        let unresolved = self.slots.iter().filter(|&&s| s != RESOLVED).count();
+        let mut out = Vec::with_capacity(unresolved);
         self.run_until_with(SimTime::MAX, |r| out.push(r));
         out
     }
@@ -1261,7 +1127,7 @@ impl Engine {
         // shrink to the true lookahead so the feedback lands within one
         // wireless hop of its causal time, and the shards may not run
         // ahead of it.
-        let feedback = stop_on_record || self.cfg.overload.spillover || self.disconnect_armed;
+        let feedback = stop_on_record || self.cfg.overload.spillover || self.disconnect_armed();
         let horizon = if feedback {
             self.lookahead
         } else {
@@ -1503,14 +1369,7 @@ impl Engine {
             }
             for c in completions.drain(..) {
                 self.hub_events += 1;
-                self.handle_cloud_completion(
-                    c.finished,
-                    c.tag,
-                    c.server,
-                    c.breakdown,
-                    c.cold_start,
-                    c.outcome,
-                );
+                self.handle_cloud_completion(c);
             }
             self.completion_scratch = completions;
         }
@@ -1519,37 +1378,15 @@ impl Engine {
     /// Resubmits hub-phase spillover jobs to their device FIFOs at the
     /// epoch boundary, in hub (time) order.
     fn drain_spillover(&mut self, end: SimTime) {
-        if self.spill_inbox.is_empty() {
-            return;
-        }
-        let inbox = std::mem::take(&mut self.spill_inbox);
-        for (orig, device, task, service) in inbox {
+        for i in 0..self.spill_inbox.len() {
+            let (orig, device, task, service) = self.spill_inbox[i];
             let at = orig.max(end);
-            self.hub_edge_submit(at, device, task, service);
+            let sh = &mut self.shards[self.map.shard_of(device) as usize];
+            let depth = sh.submit(at, device, task, service, EdgeJob::Spillover);
+            self.tracer
+                .counter("edge", "queue", device, at, depth as f64);
         }
-    }
-
-    /// Shard-aware FIFO submission of a spillover job from the (serial)
-    /// hub side.
-    fn hub_edge_submit(&mut self, now: SimTime, device: u32, task: u32, service: SimDuration) {
-        let sh = &mut self.shards[self.map.shard_of(device) as usize];
-        let di = (device - sh.first_dev) as usize;
-        let fifo = &mut sh.fifos[di];
-        let prev = fifo.next_wakeup();
-        let job = EdgeJob::Spillover;
-        fifo.submit(now, edge_job(task, job), service, job);
-        let new = fifo.next_wakeup();
-        // Index only head changes — one live entry per device, not one
-        // per job (which would go quadratic on overloaded devices).
-        if new != prev {
-            if let Some(t) = new {
-                sh.push_wake(t, device);
-            }
-        }
-        if self.tracer.is_enabled() {
-            let depth = sh.fifos[di].load() as f64;
-            self.tracer.counter("edge", "queue", device, now, depth);
-        }
+        self.spill_inbox.clear();
     }
 
     /// Applies one merged shard effect at its key instant.
@@ -1577,8 +1414,9 @@ impl Engine {
                 }
                 self.hub_draw(device, Draw::Radio(bytes));
                 let server = self.pick_server();
-                self.fabric.send(
+                self.send_task(
                     at,
+                    task,
                     Transfer {
                         src: Node::Device(device),
                         dst: Node::Server(server),
@@ -1610,8 +1448,9 @@ impl Engine {
                     return;
                 }
                 let server = self.pick_server();
-                self.fabric.send(
+                self.send_task(
                     at,
+                    task,
                     Transfer {
                         src: Node::Device(device),
                         dst: Node::Server(server),
@@ -1660,8 +1499,9 @@ impl Engine {
                     .profile(self.births[task as usize].app)
                     .output_bytes;
                 let device = self.slot(task).device;
-                self.fabric.send(
+                self.send_task(
                     t,
+                    task,
                     Transfer {
                         src: Node::Server(from_server),
                         dst: Node::Device(device),
@@ -1675,163 +1515,6 @@ impl Engine {
         }
     }
 
-    /// When `at` falls inside a scheduled partition *and* the lease
-    /// granted by the last pre-partition heartbeat ack has expired (the
-    /// merged window has been open for at least one lease timeout),
-    /// returns the window's heal instant in seconds. A pure function of
-    /// the fault plan and the policy — no RNG, no per-shard state — so
-    /// the autonomy decision is shard-count-invariant. During the first
-    /// lease-timeout of a partition the device still trusts the cloud
-    /// and its uplinks hold in the fabric, exactly as without the plane.
-    fn autonomous_at(&self, at: SimTime) -> Option<f64> {
-        if !self.disconnect_armed {
-            return None;
-        }
-        let t = (at - SimTime::ZERO).as_secs_f64();
-        let heal = self.cfg.faults.net.partition_until(t)?;
-        let lease = faults::DETECTION_WINDOW.as_secs_f64();
-        // The lease had expired by `at` iff the same merged window
-        // already covered `at - lease`; a distinct earlier window means
-        // the lease was renewed in the gap between them.
-        match self.cfg.faults.net.partition_until(t - lease) {
-            Some(h) if h == heal => Some(heal),
-            _ => None,
-        }
-    }
-
-    /// Marks `device` autonomous under the merged window healing at
-    /// `heal`, counting one lease expiration per (device, window).
-    fn note_autonomous(&mut self, at: SimTime, device: u32, heal: f64) {
-        let slot = &mut self.autonomy_heal[device as usize];
-        if *slot != Some(heal) {
-            *slot = Some(heal);
-            self.reconnect_ledger.lease_expirations += 1;
-            if self.tracer.is_enabled() {
-                self.tracer.instant(
-                    disconnect::TRACE_CAT,
-                    disconnect::EV_AUTONOMOUS,
-                    device,
-                    at,
-                    vec![("heal_secs", ArgValue::Str(format!("{heal}")))],
-                );
-            }
-        }
-    }
-
-    /// Buffers one update summary for `task` in `device`'s replay ring.
-    fn buffer_update(&mut self, at: SimTime, device: u32, task: u32) {
-        let seq = self.rings[device as usize].push(at, task);
-        if self.tracer.is_enabled() {
-            self.tracer.instant(
-                disconnect::TRACE_CAT,
-                disconnect::EV_BUFFERED,
-                device,
-                at,
-                vec![
-                    ("task", ArgValue::U64(task as u64)),
-                    ("seq", ArgValue::U64(seq)),
-                ],
-            );
-        }
-    }
-
-    /// Runs `task` as a degraded on-device job: one hub-stream service
-    /// draw stretched for the device and divided by
-    /// [`DEGRADED_SPEEDUP`], charged to the device battery. The device
-    /// FIFO belongs to the shard phase, which may already have advanced
-    /// past `at`, so the job is resubmitted at the (shard-count-invariant)
-    /// epoch boundary.
-    fn run_degraded(&mut self, at: SimTime, device: u32, task: u32) {
-        let birth = &mut self.births[task as usize];
-        birth.placement = PlacementSite::Edge;
-        let app = birth.app;
-        self.rng_draws += 1;
-        let service = edge_service(&mut self.rng, &self.ctx, app).mul_f64(1.0 / DEGRADED_SPEEDUP);
-        let st = self.slot(task);
-        st.exec = st.exec.max(service);
-        self.hub_draw(device, Draw::Compute(service));
-        self.spill_inbox.push((at, device, task, service));
-    }
-
-    /// Re-routes a cloud-bound task to degraded autonomous on-device
-    /// execution — the brownout spillover path — and buffers its update
-    /// summary.
-    fn degrade_task(&mut self, at: SimTime, device: u32, task: u32, heal: f64) {
-        self.note_autonomous(at, device, heal);
-        self.run_degraded(at, device, task);
-        self.reconnect_ledger.tasks_degraded += 1;
-        self.reconnect_ledger.accuracy_penalty_sum_pct += DEGRADED_ACCURACY_PENALTY_PCT;
-        self.buffer_update(at, device, task);
-        if self.tracer.is_enabled() {
-            self.tracer.instant(
-                "task",
-                "degraded",
-                device,
-                at,
-                vec![("task", ArgValue::U64(task as u64))],
-            );
-        }
-    }
-
-    /// The heal-time reconciliation session: every device drains its
-    /// replay ring through its lifetime [`ReplaySession`] watermark in
-    /// device-id order (deterministic and shard-count-invariant). Each
-    /// accepted summary costs one radio transmission and rides the
-    /// fabric untagged — bandwidth and energy are charged, but no
-    /// response path follows. Duplicate offers are suppressed, so every
-    /// buffered update lands exactly once across repeated partitions.
-    fn reconcile_reconnect(&mut self, t: SimTime) {
-        self.reconnect_ledger.partitions += 1;
-        if self.tracer.is_enabled() {
-            self.tracer.instant(
-                disconnect::TRACE_CAT,
-                disconnect::EV_RECONNECT,
-                0,
-                t,
-                vec![(
-                    "partitions",
-                    ArgValue::U64(self.reconnect_ledger.partitions as u64),
-                )],
-            );
-        }
-        for device in 0..self.cfg.devices {
-            self.autonomy_heal[device as usize] = None;
-            if self.rings[device as usize].is_empty() {
-                continue;
-            }
-            let updates: Vec<_> = self.rings[device as usize].drain().collect();
-            for u in updates {
-                if !self.sessions[device as usize].offer(u.seq) {
-                    continue;
-                }
-                self.reconnect_ledger.staleness_secs_sum += (t - u.at).as_secs_f64();
-                self.hub_draw(device, Draw::Radio(disconnect::SUMMARY_BYTES));
-                let server = self.pick_server();
-                self.fabric.send(
-                    t,
-                    Transfer {
-                        src: Node::Device(device),
-                        dst: Node::Server(server),
-                        bytes: disconnect::SUMMARY_BYTES,
-                        tag: transfer_tag(u.seq, TagPurpose::ReplaySummary),
-                    },
-                );
-                if self.tracer.is_enabled() {
-                    self.tracer.instant(
-                        disconnect::TRACE_CAT,
-                        disconnect::EV_REPLAYED,
-                        device,
-                        t,
-                        vec![
-                            ("task", ArgValue::U64(u.item as u64)),
-                            ("seq", ArgValue::U64(u.seq)),
-                        ],
-                    );
-                }
-            }
-        }
-    }
-
     fn pick_server(&mut self) -> u32 {
         let s = self.next_server % self.cfg.servers;
         self.next_server += 1;
@@ -1841,12 +1524,17 @@ impl Engine {
     fn handle_delivery(&mut self, d: hivemind_net::fabric::Delivery) {
         let (task, purpose) = decode_transfer_tag(d.tag);
         match purpose {
-            TagPurpose::Upload => {
+            TagPurpose::Upload | TagPurpose::ResultUpload => {
                 self.slot(task).network += d.latency();
                 self.rng_draws += 1;
                 let recv = self.cloud_rpc.recv_cost(&mut self.rng, d.bytes);
                 self.slot(task).network += recv;
-                self.push_action(d.delivered_at + recv, Action::SubmitCloud { task });
+                let action = if purpose == TagPurpose::Upload {
+                    Action::SubmitCloud { task }
+                } else {
+                    Action::Finish { task }
+                };
+                self.push_action(d.delivered_at + recv, action);
             }
             TagPurpose::Response => {
                 let device = {
@@ -1860,96 +1548,43 @@ impl Engine {
                 self.hub_draw(device, Draw::Radio(d.bytes));
                 self.push_action(d.delivered_at + recv, Action::Finish { task });
             }
-            TagPurpose::ResultUpload => {
-                self.slot(task).network += d.latency();
-                self.rng_draws += 1;
-                let recv = self.cloud_rpc.recv_cost(&mut self.rng, d.bytes);
-                self.slot(task).network += recv;
-                self.push_action(d.delivered_at + recv, Action::Finish { task });
-            }
             TagPurpose::ReplaySummary => {}
         }
     }
 
-    fn handle_cloud_completion(
-        &mut self,
-        finished: SimTime,
-        tag: u64,
-        server: u32,
-        breakdown: hivemind_faas::types::LatencyBreakdown,
-        cold: bool,
-        outcome: hivemind_faas::types::Outcome,
-    ) {
-        let task = (tag / 16) as u32;
-        let (sub_done, device, lost, shed) = {
+    fn handle_cloud_completion(&mut self, c: Completion) {
+        let task = (c.tag / 16) as u32;
+        let b = c.breakdown;
+        let (sub_done, device, ending) = {
             let st = self.slot(task);
             // Aggregate sub-invocation contributions; the slowest defines
             // the completion time, the cost components take the max (they
             // overlap in wall-clock time), management accumulates.
-            st.management += breakdown.queueing + breakdown.management;
-            st.instantiation = st.instantiation.max(breakdown.instantiation);
-            st.data_io = st.data_io.max(breakdown.data_io);
-            st.exec = st.exec.max(breakdown.exec);
-            st.cold |= cold;
-            st.sub_done = st.sub_done.max(finished);
-            if matches!(outcome, hivemind_faas::types::Outcome::Failed { .. }) {
-                st.failed = true;
-            }
-            if matches!(outcome, hivemind_faas::types::Outcome::Shed { .. }) {
-                st.shed = true;
+            st.management += b.queueing + b.management;
+            st.instantiation = st.instantiation.max(b.instantiation);
+            st.data_io = st.data_io.max(b.data_io);
+            st.exec = st.exec.max(b.exec);
+            st.cold |= c.cold_start;
+            st.sub_done = st.sub_done.max(c.finished);
+            match c.outcome {
+                Outcome::Failed { .. } => st.ending = Some(Ending::Lost),
+                Outcome::Shed { .. } => _ = st.ending.get_or_insert(Ending::Shed),
+                _ => {}
             }
             st.remaining -= 1;
             if st.remaining != 0 {
                 return;
             }
-            (st.sub_done, st.device, st.failed, st.shed)
+            (st.sub_done, st.device, st.ending)
         };
-        if lost {
-            // The retry policy gave up on (at least) one sub-invocation:
-            // the task is lost — no response, no record.
-            self.release(task);
-            self.ledger.tasks_lost += 1;
-            if self.tracer.is_enabled() {
-                self.tracer.instant(
-                    "task",
-                    "lost",
-                    device,
-                    sub_done,
-                    vec![("task", ArgValue::U64(task as u64))],
-                );
-            }
-            return;
-        }
-        if shed {
-            // The overload plane refused (at least) one sub-invocation.
-            // Brownout spillover re-routes the whole task to a degraded
-            // on-device model; without spillover the task is shed outright.
-            if self.cfg.overload.spillover {
-                self.run_degraded(sub_done, device, task);
-                self.shed_ledger.tasks_spilled += 1;
-                self.shed_ledger.accuracy_penalty_sum_pct += DEGRADED_ACCURACY_PENALTY_PCT;
-                if self.tracer.is_enabled() {
-                    self.tracer.instant(
-                        "task",
-                        "spillover",
-                        device,
-                        sub_done,
-                        vec![("task", ArgValue::U64(task as u64))],
-                    );
-                }
-            } else {
-                self.release(task);
-                self.shed_ledger.tasks_shed += 1;
-                if self.tracer.is_enabled() {
-                    self.tracer.instant(
-                        "task",
-                        "shed",
-                        device,
-                        sub_done,
-                        vec![("task", ArgValue::U64(task as u64))],
-                    );
-                }
-            }
+        if let Some(ending) = ending {
+            // A lost task gets no response and no record; brownout
+            // spillover re-routes a shed one to a degraded on-device model.
+            let ending = match ending {
+                Ending::Shed if self.cfg.overload.spillover => Ending::Spilled,
+                ending => ending,
+            };
+            self.end_task(sub_done, device, task, ending);
             return;
         }
         let app = self.births[task as usize].app;
@@ -1961,7 +1596,7 @@ impl Engine {
             sub_done + send,
             Action::Response {
                 task,
-                from_server: server,
+                from_server: c.server,
             },
         );
     }
@@ -2030,55 +1665,6 @@ impl Engine {
             }
             at = at.saturating_add(dur);
         }
-    }
-
-    /// Engine-level fault bookkeeping (lost tasks, device failures,
-    /// controller failovers, detection/recovery latency sums).
-    pub fn fault_ledger(&self) -> FaultLedger {
-        self.ledger
-    }
-
-    /// Engine-level overload bookkeeping (spilled and shed tasks,
-    /// accumulated accuracy penalty).
-    pub fn shed_ledger(&self) -> ShedLedger {
-        self.shed_ledger
-    }
-
-    /// Engine-level disconnected-operation bookkeeping. The replay
-    /// counters are read live from the per-device rings and sessions, so
-    /// the conservation identity
-    /// `buffered == replayed + expired + still-buffered` holds by
-    /// construction at every instant.
-    pub fn reconnect_ledger(&self) -> ReconnectLedger {
-        let mut l = self.reconnect_ledger;
-        l.updates_buffered = self.rings.iter().map(|r| r.pushed()).sum();
-        l.updates_expired = self.rings.iter().map(|r| r.expired()).sum();
-        l.updates_replayed = self.sessions.iter().map(|s| s.delivered()).sum();
-        l.duplicates_dropped = self.sessions.iter().map(|s| s.duplicates()).sum();
-        l
-    }
-
-    /// Whether the disconnect plane is armed for this run: an active
-    /// policy plus at least one scheduled partition window.
-    pub fn disconnect_armed(&self) -> bool {
-        self.disconnect_armed
-    }
-
-    /// Records heartbeat re-arms applied by the mission layer's reconnect
-    /// reconciliation (the controller side of the heal protocol).
-    pub fn note_reconnect_rearm(&mut self, devices: u32) {
-        self.reconnect_ledger.devices_rearmed += devices as u64;
-    }
-
-    /// Records a device failure applied by the mission layer: `detection`
-    /// is the heartbeat-silence window before the controller declared it
-    /// dead, `recovery` the span from failure to the moment its area is
-    /// fully re-covered by the heirs.
-    pub fn note_device_failure(&mut self, detection: SimDuration, recovery: SimDuration) {
-        self.ledger.device_failures += 1;
-        self.ledger.detection_secs_sum += detection.as_secs_f64();
-        self.ledger.recovery_secs_sum += recovery.as_secs_f64();
-        self.ledger.recovery_events += 1;
     }
 
     /// Battery state of a device.
@@ -2224,8 +1810,8 @@ fn emit(sh: &mut Shard, device: u32, at: SimTime, effect: Effect) {
     sh.out.push((EffectKey::new(at, device, seq), effect));
 }
 
-/// Shard-side FIFO submission (mirrors the hub's head-change wake
-/// indexing; the queue-depth counter rides the effect stream).
+/// Shard-side FIFO submission; the queue-depth counter rides the effect
+/// stream (the hub's spillover drain emits it directly).
 fn fifo_submit(
     sh: &mut Shard,
     ctx: &ShardCtx,
@@ -2235,18 +1821,8 @@ fn fifo_submit(
     service: SimDuration,
     job: EdgeJob,
 ) {
-    let di = (device - sh.first_dev) as usize;
-    let fifo = &mut sh.fifos[di];
-    let prev = fifo.next_wakeup();
-    fifo.submit(now, edge_job(task, job), service, job);
-    let new = fifo.next_wakeup();
-    if new != prev {
-        if let Some(t) = new {
-            sh.push_wake(t, device);
-        }
-    }
+    let depth = sh.submit(now, device, task, service, job);
     if ctx.trace {
-        let depth = sh.fifos[di].load() as u64;
         emit(sh, device, now, Effect::QueueDepth { depth });
     }
 }
@@ -2662,27 +2238,6 @@ mod tests {
     }
 
     #[test]
-    fn lease_expires_one_timeout_into_each_partition() {
-        let mut cfg = EngineConfig::testbed(Platform::HiveMind);
-        cfg.faults = FaultPlan::default()
-            .partition(5.0, 15.0)
-            .partition(16.0, 30.0);
-        cfg.disconnect = DisconnectPolicy::default().autonomous();
-        let engine = Engine::new(cfg);
-        let at = |ms: u64| engine.autonomous_at(SimTime::ZERO + SimDuration::from_millis(ms));
-        // Connected, then the first 3 s of a partition: the lease holds.
-        assert_eq!(at(4_000), None);
-        assert_eq!(at(7_999), None);
-        // Expired from one lease timeout in until the heal.
-        assert_eq!(at(8_000), Some(15.0));
-        assert_eq!(at(14_999), Some(15.0));
-        // The 1 s gap renews the lease, so the second window starts over.
-        assert_eq!(at(15_500), None);
-        assert_eq!(at(18_999), None);
-        assert_eq!(at(19_000), Some(30.0));
-    }
-
-    #[test]
     fn worker_monitors_report_utilization() {
         let mut engine = Engine::new(EngineConfig::testbed(Platform::HiveMind));
         for dev in 0..16 {
@@ -2921,54 +2476,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// A small `chaos_planes`: every plane armed, two partitions with a
-    /// transfer hold bound low enough to tail-drop held uploads.
-    #[test]
-    fn live_slots_are_the_unresolved_tasks() {
-        let mut cfg = EngineConfig::testbed(Platform::HiveMind);
-        cfg.devices = 32;
-        cfg.servers = 4;
-        cfg.faults = FaultPlan::default()
-            .packet_loss(0.02)
-            .function_fault_rate(0.05)
-            .retry(faults::RetryPolicy::bounded(
-                4,
-                SimDuration::from_millis(50),
-            ))
-            .server_crash(0, 8.0, 4.0)
-            .partition(10.0, 20.0)
-            .partition(30.0, 40.0)
-            .partition_hold_bound(32);
-        cfg.overload = OverloadPolicy::default()
-            .queue_bound(16)
-            .queue_deadline(SimDuration::from_secs(2))
-            .breaker(3, SimDuration::from_secs(2))
-            .spillover()
-            .net_ingress_bound(16);
-        cfg.disconnect = DisconnectPolicy::default().autonomous();
-        let mut engine = Engine::new(cfg);
-        for k in 0..4 * 50u64 {
-            for dev in 0..32 {
-                let at = SimTime::ZERO
-                    + SimDuration::from_millis(250 * k)
-                    + SimDuration::from_micros(7_001 * dev);
-                engine.submit_task(at, dev as u32, App::FaceRecognition, 0);
-            }
-        }
-        let completed = engine.run_to_completion().len() as u64;
-        let submitted = engine.submitted() as u64;
-        let lost = engine.fault_ledger().tasks_lost;
-        let shed = engine.shed_ledger().tasks_shed;
-        let live = (engine.progress.len() - engine.free.len()) as u64;
-        assert_eq!(live, submitted - completed - lost - shed);
-        // Tasks whose held upload was tail-dropped at the hold bound are
-        // never resolved (a known engine defect: no ledger counts them),
-        // so their slots stay taken, one per dropped transfer. Pinned, so
-        // the defect shows as a number here rather than as a silent leak.
-        let dropped = engine.fabric().fault_stats().transfers_dropped;
-        assert_eq!((submitted, live, dropped), (6_400, 852, 852));
     }
 
     #[test]

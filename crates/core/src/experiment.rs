@@ -33,16 +33,13 @@ use hivemind_apps::scenario::{Fleet, Scenario};
 use hivemind_apps::suite::App;
 use hivemind_sim::disconnect::DisconnectPolicy;
 use hivemind_sim::faults::{FaultPlan, FaultPlanError};
-use hivemind_sim::overload::OverloadPolicy;
+use hivemind_sim::overload::{OverloadPolicy, OverloadPolicyError};
 use hivemind_sim::stats::Summary;
 use hivemind_sim::time::{SimDuration, SimTime};
 use hivemind_swarm::device::DeviceProfile;
 
-use crate::engine::{Engine, EngineConfig, TaskRecord};
-use crate::metrics::{
-    BandwidthStats, BatteryStats, BreakdownSummary, MissionOutcome, Outcome, ReconnectStats,
-    RecoveryStats, ShedStats,
-};
+use crate::engine::{planes, Engine, EngineConfig, TaskRecord};
+use crate::metrics::{BandwidthStats, BatteryStats, BreakdownSummary, MissionOutcome, Outcome};
 use crate::mission;
 use crate::platform::Platform;
 
@@ -189,12 +186,7 @@ impl RunPlan {
                 });
             }
         }
-        self.faults
-            .validate(servers)
-            .map_err(ConfigError::InvalidFaultPlan)?;
-        self.overload
-            .validate()
-            .map_err(ConfigError::InvalidOverloadPolicy)?;
+        planes::check(&self.faults, &self.overload, servers)?;
         if self.shards > devices {
             return Err(ConfigError::InvalidShardPlan {
                 shards: self.shards,
@@ -267,9 +259,8 @@ pub enum ConfigError {
     /// the typed variant names the first problem precisely.
     InvalidFaultPlan(FaultPlanError),
     /// The overload policy is inconsistent (zero deadline, zero cooldown,
-    /// zero ingress bound…); the string is the policy's own description
-    /// of the first problem.
-    InvalidOverloadPolicy(String),
+    /// zero ingress bound…); the typed variant names the first problem.
+    InvalidOverloadPolicy(OverloadPolicyError),
     /// The pinned shard count exceeds the fleet (a shard must own at
     /// least one device).
     InvalidShardPlan {
@@ -296,10 +287,8 @@ impl fmt::Display for ConfigError {
                 f,
                 "fail_device at {at_secs} s is outside the workload horizon of {horizon_secs} s"
             ),
-            ConfigError::InvalidFaultPlan(msg) => write!(f, "invalid fault plan: {msg}"),
-            ConfigError::InvalidOverloadPolicy(msg) => {
-                write!(f, "invalid overload policy: {msg}")
-            }
+            ConfigError::InvalidFaultPlan(e) => write!(f, "invalid fault plan: {e}"),
+            ConfigError::InvalidOverloadPolicy(e) => write!(f, "invalid overload policy: {e}"),
             ConfigError::InvalidShardPlan { shards, fleet } => write!(
                 f,
                 "shard plan pins {shards} shards but the fleet has only {fleet} devices"
@@ -629,7 +618,8 @@ impl Experiment {
         assert!(n_tasks > 0, "workload produced no tasks");
         let mut tally = TaskTally::new(cfg, n_tasks as usize);
         engine.run_until_with(SimTime::MAX, |r| tally.record(&r));
-        self.assemble(
+        assemble(
+            cfg,
             engine,
             tally,
             MotionPolicy::UntilLastDone {
@@ -638,159 +628,83 @@ impl Experiment {
             MissionOutcome::default(),
         )
     }
+}
 
-    pub(crate) fn assemble(
-        &self,
-        mut engine: Engine,
-        tally: TaskTally,
-        motion: MotionPolicy,
-        mut mission: MissionOutcome,
-    ) -> Outcome {
-        let cfg = &self.config;
-        let mut outcome = Outcome::default();
-        let floor = match motion {
-            MotionPolicy::UntilLastDone { floor_secs } => floor_secs,
-            MotionPolicy::PreCharged => 0.0,
-        };
-        // Devices stay airborne (motion power) until their own results
-        // land — waiting on slow backends costs battery (Fig. 1's IaaS
-        // column). Missions account for motion themselves.
-        if matches!(motion, MotionPolicy::UntilLastDone { .. }) {
-            for dev in 0..cfg.devices {
-                let last = tally.last_done(dev).as_secs_f64();
-                let airborne = SimDuration::from_secs_f64(floor.max(last));
-                engine.battery_mut(dev).draw_motion(airborne);
-            }
-        }
-
-        let mut battery = Summary::new();
-        let mut depleted = 0;
+/// Turns a finished run into its [`Outcome`]: battery, bandwidth and
+/// cloud statistics, the plane blocks, the mission summary and the trace.
+pub(crate) fn assemble(
+    cfg: &ExperimentConfig,
+    mut engine: Engine,
+    tally: TaskTally,
+    motion: MotionPolicy,
+    mut mission: MissionOutcome,
+) -> Outcome {
+    let mut outcome = Outcome::default();
+    let floor = match motion {
+        MotionPolicy::UntilLastDone { floor_secs } => floor_secs,
+        MotionPolicy::PreCharged => 0.0,
+    };
+    // Devices stay airborne (motion power) until their own results
+    // land — waiting on slow backends costs battery (Fig. 1's IaaS
+    // column). Missions account for motion themselves.
+    if matches!(motion, MotionPolicy::UntilLastDone { .. }) {
         for dev in 0..cfg.devices {
-            let b = engine.battery(dev);
-            battery.record(b.consumed_percent());
-            if b.is_depleted() {
-                depleted += 1;
-            }
+            let last = tally.last_done(dev).as_secs_f64();
+            let airborne = SimDuration::from_secs_f64(floor.max(last));
+            engine.battery_mut(dev).draw_motion(airborne);
         }
-        outcome.battery = BatteryStats {
-            mean_pct: battery.mean(),
-            max_pct: battery.max(),
-            depleted,
-        };
-
-        let end = tally
-            .end()
-            .max(SimTime::ZERO + SimDuration::from_secs_f64(floor));
-        let completed = tally.tasks.len().max(1) as f64;
-        let slo_violations = tally.slo_violations;
-        outcome.tasks = tally.tasks;
-        let (edge, _) = engine.fabric_mut().finish_meters(end);
-        outcome.bandwidth = BandwidthStats {
-            mean_mbps: edge.mean_rate() / 1e6,
-            p99_mbps: edge.p99_rate() / 1e6,
-            total_mb: edge.total() / 1e6,
-        };
-
-        if let Some(series) = engine.take_active_series() {
-            outcome.active_tasks = series;
-        }
-        if let Some(cluster) = engine.cluster() {
-            outcome.container_stats = cluster.container_stats();
-            outcome.stragglers_mitigated = cluster.stragglers_mitigated();
-            outcome.faults_recovered = cluster.faults_recovered();
-        }
-        // Recovery metrics exist only for runs with an active fault plan,
-        // so inert configurations serialize byte-identically to pre-fault
-        // outputs.
-        if cfg.plan.faults.is_active() {
-            let net = engine.fabric().fault_stats();
-            let ledger = engine.fault_ledger();
-            let mut recovery = RecoveryStats {
-                packets_lost: net.packets_lost,
-                transfers_held: net.transfers_held,
-                tasks_retried: outcome.faults_recovered,
-                tasks_lost: ledger.tasks_lost,
-                device_failures: ledger.device_failures,
-                controller_failovers: ledger.controller_failovers,
-                slo_violations,
-                ..RecoveryStats::default()
-            };
-            if ledger.recovery_events > 0 {
-                let n = ledger.recovery_events as f64;
-                recovery.mean_detection_secs = ledger.detection_secs_sum / n;
-                recovery.mean_recovery_secs = ledger.recovery_secs_sum / n;
-            }
-            if let Some(cluster) = engine.cluster() {
-                let crashes = cluster.crash_stats();
-                recovery.server_crashes = crashes.server_crashes;
-                recovery.invocations_lost = crashes.invocations_lost;
-                recovery.invocations_rescheduled = crashes.invocations_rescheduled;
-            }
-            if cfg.plan.faults.slo.is_some() {
-                recovery.slo_violation_fraction = slo_violations as f64 / completed;
-            }
-            outcome.recovery = Some(recovery);
-        }
-        // Shed metrics likewise exist only for runs with an active
-        // overload policy.
-        if cfg.plan.overload.is_active() {
-            let mut shed = ShedStats {
-                net_holds: engine.fabric().backpressure_holds(),
-                ..ShedStats::default()
-            };
-            if let Some(cluster) = engine.cluster() {
-                let oc = cluster.overload_counters();
-                shed.invocations_shed = oc.shed_total();
-                shed.shed_queue_full = oc.shed_queue_full;
-                shed.shed_deadline = oc.shed_deadline;
-                shed.shed_breaker = oc.shed_breaker;
-                shed.breaker_opens = oc.breaker_opens;
-                shed.breaker_open_secs = cluster.breaker_open_time(end).as_secs_f64();
-            }
-            let ledger = engine.shed_ledger();
-            shed.tasks_spilled = ledger.tasks_spilled;
-            shed.tasks_shed = ledger.tasks_shed;
-            shed.mean_accuracy_penalty_pct = ledger.accuracy_penalty_sum_pct / completed;
-            outcome.shed = Some(shed);
-        }
-        // Reconnect metrics likewise exist only for runs with an active
-        // disconnect policy. The conservation identity
-        // `buffered == replayed + expired + (still buffered at run end)`
-        // holds by construction — the counters are read live from the
-        // per-device rings and sessions.
-        if cfg.plan.disconnect.is_active() {
-            let ledger = engine.reconnect_ledger();
-            let net = engine.fabric().fault_stats();
-            let mut reconnect = ReconnectStats {
-                partitions: ledger.partitions,
-                lease_expirations: ledger.lease_expirations,
-                tasks_degraded: ledger.tasks_degraded,
-                updates_buffered: ledger.updates_buffered,
-                updates_replayed: ledger.updates_replayed,
-                updates_expired: ledger.updates_expired,
-                duplicates_dropped: ledger.duplicates_dropped,
-                devices_rearmed: ledger.devices_rearmed,
-                held_high_water: net.held_high_water,
-                transfers_dropped: net.transfers_dropped,
-                ..ReconnectStats::default()
-            };
-            if ledger.updates_replayed > 0 {
-                reconnect.mean_staleness_secs =
-                    ledger.staleness_secs_sum / ledger.updates_replayed as f64;
-            }
-            if ledger.tasks_degraded > 0 {
-                reconnect.mean_accuracy_penalty_pct =
-                    ledger.accuracy_penalty_sum_pct / ledger.tasks_degraded as f64;
-            }
-            outcome.reconnect = Some(reconnect);
-        }
-        if mission.duration_secs == 0.0 {
-            mission.duration_secs = end.as_secs_f64();
-        }
-        outcome.mission = mission;
-        outcome.trace = engine.take_trace();
-        outcome
     }
+
+    let mut battery = Summary::new();
+    let mut depleted = 0;
+    for dev in 0..cfg.devices {
+        let b = engine.battery(dev);
+        battery.record(b.consumed_percent());
+        if b.is_depleted() {
+            depleted += 1;
+        }
+    }
+    outcome.battery = BatteryStats {
+        mean_pct: battery.mean(),
+        max_pct: battery.max(),
+        depleted,
+    };
+
+    let end = tally
+        .end()
+        .max(SimTime::ZERO + SimDuration::from_secs_f64(floor));
+    let completed = tally.tasks.len().max(1) as f64;
+    let slo_violations = tally.slo_violations;
+    outcome.tasks = tally.tasks;
+    let (edge, _) = engine.fabric_mut().finish_meters(end);
+    outcome.bandwidth = BandwidthStats {
+        mean_mbps: edge.mean_rate() / 1e6,
+        p99_mbps: edge.p99_rate() / 1e6,
+        total_mb: edge.total() / 1e6,
+    };
+
+    if let Some(series) = engine.take_active_series() {
+        outcome.active_tasks = series;
+    }
+    if let Some(cluster) = engine.cluster() {
+        outcome.container_stats = cluster.container_stats();
+        outcome.stragglers_mitigated = cluster.stragglers_mitigated();
+        outcome.faults_recovered = cluster.faults_recovered();
+    }
+    planes::report(
+        &engine,
+        &cfg.plan,
+        &mut outcome,
+        slo_violations,
+        completed,
+        end,
+    );
+    if mission.duration_secs == 0.0 {
+        mission.duration_secs = end.as_secs_f64();
+    }
+    outcome.mission = mission;
+    outcome.trace = engine.take_trace();
+    outcome
 }
 
 #[cfg(test)]
@@ -897,22 +811,20 @@ mod tests {
     }
 
     #[test]
-    fn inert_overload_policy_is_byte_identical() {
-        let base = Experiment::new(
-            ExperimentConfig::single_app(App::FaceRecognition)
-                .duration_secs(15.0)
-                .seed(7),
-        )
-        .run();
-        let with_default = Experiment::new(
-            ExperimentConfig::single_app(App::FaceRecognition)
-                .duration_secs(15.0)
-                .plan(RunPlan::new().overload(OverloadPolicy::default()))
-                .seed(7),
-        )
-        .run();
-        assert_eq!(base.to_json(), with_default.to_json());
-        assert!(with_default.shed.is_none());
+    fn inert_plans_are_byte_identical() {
+        let cfg = ExperimentConfig::single_app(App::FaceRecognition)
+            .duration_secs(15.0)
+            .seed(7);
+        let base = Experiment::new(cfg.clone()).run().to_json();
+        for plan in [
+            RunPlan::new().faults(FaultPlan::default()),
+            RunPlan::new().overload(OverloadPolicy::default()),
+            RunPlan::new().disconnect(DisconnectPolicy::default()),
+        ] {
+            let o = Experiment::new(cfg.clone().plan(plan)).run();
+            assert_eq!(o.to_json(), base);
+            assert!(o.recovery.is_none() && o.shed.is_none() && o.reconnect.is_none());
+        }
     }
 
     fn overloaded(policy: OverloadPolicy) -> Outcome {
@@ -965,31 +877,15 @@ mod tests {
         let cfg = ExperimentConfig::single_app(App::FaceRecognition).plan(
             RunPlan::new().overload(OverloadPolicy::default().queue_deadline(SimDuration::ZERO)),
         );
-        match Experiment::try_new(cfg) {
-            Err(ConfigError::InvalidOverloadPolicy(msg)) => {
-                assert!(msg.contains("queue_deadline"), "{msg}");
-            }
-            other => panic!("expected InvalidOverloadPolicy, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn inert_disconnect_policy_is_byte_identical() {
-        let base = Experiment::new(
-            ExperimentConfig::single_app(App::FaceRecognition)
-                .duration_secs(15.0)
-                .seed(7),
-        )
-        .run();
-        let with_default = Experiment::new(
-            ExperimentConfig::single_app(App::FaceRecognition)
-                .duration_secs(15.0)
-                .plan(RunPlan::new().disconnect(DisconnectPolicy::default()))
-                .seed(7),
-        )
-        .run();
-        assert_eq!(base.to_json(), with_default.to_json());
-        assert!(with_default.reconnect.is_none());
+        let err = Experiment::try_new(cfg).expect_err("zero deadline is rejected");
+        assert_eq!(
+            err,
+            ConfigError::InvalidOverloadPolicy(OverloadPolicyError::ZeroQueueDeadline)
+        );
+        assert_eq!(
+            err.to_string(),
+            "invalid overload policy: admission.queue_deadline must be positive"
+        );
     }
 
     fn partitioned(policy: DisconnectPolicy, from: f64, until: f64) -> Outcome {

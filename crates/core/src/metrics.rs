@@ -302,6 +302,22 @@ pub struct Outcome {
     pub trace: Option<Trace>,
 }
 
+/// Appends `,"name":{"field":value,…}` for the named fields of `$s`, each
+/// value in its `{:?}` form (integers as with `{}`, floats at their
+/// shortest round-trip representation).
+macro_rules! json_block {
+    ($out:ident, $name:literal, $s:expr, $first:ident $(, $field:ident)* $(,)?) => {
+        $out.push_str(&format!(
+            concat!(",\"", $name, "\":{{\"", stringify!($first), "\":{:?}"),
+            $s.$first
+        ));
+        $(
+            $out.push_str(&format!(concat!(",\"", stringify!($field), "\":{:?}"), $s.$field));
+        )*
+        $out.push('}');
+    };
+}
+
 impl Outcome {
     /// Median task latency in milliseconds (the paper's Fig. 4/11 axis).
     pub fn median_task_ms(&mut self) -> f64 {
@@ -326,14 +342,8 @@ impl Outcome {
         breakdown_json(&mut out, &self.tasks);
         out.push_str(",\"mission\":");
         mission_json(&mut out, &self.mission);
-        out.push_str(&format!(
-            ",\"bandwidth\":{{\"mean_mbps\":{:?},\"p99_mbps\":{:?},\"total_mb\":{:?}}}",
-            self.bandwidth.mean_mbps, self.bandwidth.p99_mbps, self.bandwidth.total_mb
-        ));
-        out.push_str(&format!(
-            ",\"battery\":{{\"mean_pct\":{:?},\"max_pct\":{:?},\"depleted\":{}}}",
-            self.battery.mean_pct, self.battery.max_pct, self.battery.depleted
-        ));
+        json_block! { out, "bandwidth", self.bandwidth, mean_mbps, p99_mbps, total_mb }
+        json_block! { out, "battery", self.battery, mean_pct, max_pct, depleted }
         out.push_str(&format!(
             ",\"container_stats\":[{},{}],\"stragglers_mitigated\":{},\"faults_recovered\":{}",
             self.container_stats.0,
@@ -341,72 +351,31 @@ impl Outcome {
             self.stragglers_mitigated,
             self.faults_recovered
         ));
-        // Emitted only for fault-plan runs, so fault-free output stays
-        // byte-identical to pre-fault-plane builds.
+        // The plane blocks are emitted only for runs whose plane is
+        // active, so plane-free output stays byte-identical to builds
+        // that predate the planes.
         if let Some(r) = &self.recovery {
-            out.push_str(&format!(
-                ",\"recovery\":{{\"packets_lost\":{},\"transfers_held\":{},\"server_crashes\":{},\
-                 \"invocations_lost\":{},\"invocations_rescheduled\":{},\"tasks_retried\":{},\
-                 \"tasks_lost\":{},\"device_failures\":{},\"controller_failovers\":{},\
-                 \"mean_detection_secs\":{:?},\"mean_recovery_secs\":{:?},\
-                 \"slo_violations\":{},\"slo_violation_fraction\":{:?}}}",
-                r.packets_lost,
-                r.transfers_held,
-                r.server_crashes,
-                r.invocations_lost,
-                r.invocations_rescheduled,
-                r.tasks_retried,
-                r.tasks_lost,
-                r.device_failures,
-                r.controller_failovers,
-                r.mean_detection_secs,
-                r.mean_recovery_secs,
-                r.slo_violations,
-                r.slo_violation_fraction
-            ));
+            json_block! {
+                out, "recovery", r, packets_lost, transfers_held, server_crashes,
+                invocations_lost, invocations_rescheduled, tasks_retried, tasks_lost,
+                device_failures, controller_failovers, mean_detection_secs, mean_recovery_secs,
+                slo_violations, slo_violation_fraction,
+            }
         }
-        // Likewise emitted only for overload-policy runs, preserving
-        // byte-identity for unconfigured experiments.
         if let Some(s) = &self.shed {
-            out.push_str(&format!(
-                ",\"shed\":{{\"invocations_shed\":{},\"shed_queue_full\":{},\
-                 \"shed_deadline\":{},\"shed_breaker\":{},\"breaker_opens\":{},\
-                 \"breaker_open_secs\":{:?},\"tasks_spilled\":{},\"tasks_shed\":{},\
-                 \"mean_accuracy_penalty_pct\":{:?},\"net_holds\":{}}}",
-                s.invocations_shed,
-                s.shed_queue_full,
-                s.shed_deadline,
-                s.shed_breaker,
-                s.breaker_opens,
-                s.breaker_open_secs,
-                s.tasks_spilled,
-                s.tasks_shed,
-                s.mean_accuracy_penalty_pct,
-                s.net_holds
-            ));
+            json_block! {
+                out, "shed", s, invocations_shed, shed_queue_full, shed_deadline, shed_breaker,
+                breaker_opens, breaker_open_secs, tasks_spilled, tasks_shed,
+                mean_accuracy_penalty_pct, net_holds,
+            }
         }
-        // Likewise emitted only for disconnect-policy runs, preserving
-        // byte-identity for unconfigured experiments.
         if let Some(r) = &self.reconnect {
-            out.push_str(&format!(
-                ",\"reconnect\":{{\"partitions\":{},\"lease_expirations\":{},\
-                 \"tasks_degraded\":{},\"updates_buffered\":{},\"updates_replayed\":{},\
-                 \"updates_expired\":{},\"duplicates_dropped\":{},\"devices_rearmed\":{},\
-                 \"mean_staleness_secs\":{:?},\"mean_accuracy_penalty_pct\":{:?},\
-                 \"held_high_water\":{},\"transfers_dropped\":{}}}",
-                r.partitions,
-                r.lease_expirations,
-                r.tasks_degraded,
-                r.updates_buffered,
-                r.updates_replayed,
-                r.updates_expired,
-                r.duplicates_dropped,
-                r.devices_rearmed,
-                r.mean_staleness_secs,
-                r.mean_accuracy_penalty_pct,
-                r.held_high_water,
-                r.transfers_dropped
-            ));
+            json_block! {
+                out, "reconnect", r, partitions, lease_expirations, tasks_degraded,
+                updates_buffered, updates_replayed, updates_expired, duplicates_dropped,
+                devices_rearmed, mean_staleness_secs, mean_accuracy_penalty_pct,
+                held_high_water, transfers_dropped,
+            }
         }
         out.push('}');
         out

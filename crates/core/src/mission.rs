@@ -22,7 +22,6 @@ use hivemind_apps::scenario::Scenario;
 use hivemind_apps::suite::App;
 use hivemind_sim::rng::RngForge;
 use hivemind_sim::time::{SimDuration, SimTime};
-use hivemind_sim::trace::ArgValue;
 use hivemind_swarm::field::{Field, FieldParams};
 use hivemind_swarm::geometry::Rect;
 use hivemind_swarm::maze::{wall_follower, Maze};
@@ -32,7 +31,7 @@ use rand::Rng;
 use crate::controller::SwarmController;
 use crate::dsl::PlacementSite;
 use crate::engine::Engine;
-use crate::experiment::{Experiment, ExperimentConfig, MotionPolicy, TaskTally};
+use crate::experiment::{assemble, ExperimentConfig, MotionPolicy, TaskTally};
 use crate::metrics::{MissionOutcome, Outcome};
 
 /// Seconds per coverage lane turn (deceleration, 180° yaw, realign).
@@ -288,26 +287,7 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
             .iter()
             .filter_map(|&h| plans[h as usize].last().map(|s| s.start_secs + s.len_secs))
             .fold(at + detection.as_secs_f64(), f64::max);
-        engine.note_device_failure(detection, SimDuration::from_secs_f64(recovered_secs - at));
-        if engine.tracer().is_enabled() {
-            let kind = ("kind", ArgValue::Str("device_failed".into()));
-            for (name, t) in [
-                (hivemind_sim::faults::EV_INJECTED, *at),
-                (
-                    hivemind_sim::faults::EV_DETECTED,
-                    at + detection.as_secs_f64(),
-                ),
-                (hivemind_sim::faults::EV_RECOVERED, recovered_secs),
-            ] {
-                engine.tracer().instant(
-                    hivemind_sim::faults::TRACE_CAT,
-                    name,
-                    *dev,
-                    SimTime::ZERO + SimDuration::from_secs_f64(t),
-                    vec![kind.clone()],
-                );
-            }
-        }
+        engine.note_device_failure(*dev, *at, recovered_secs);
     }
     // Controller failover: the swarm controller's backup takes over after
     // the detection window (the cluster-side admission stall and ledger
@@ -552,8 +532,7 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
         targets_total: scenario.target_count(),
         detection,
     };
-    let mut outcome =
-        Experiment::new(cfg.clone()).assemble(engine, tally, MotionPolicy::PreCharged, mission);
+    let mut outcome = assemble(cfg, engine, tally, MotionPolicy::PreCharged, mission);
     // Battery death voids completion (the paper's distributed Scenario B).
     if outcome.battery.depleted > 0 {
         outcome.mission.completed = false;
@@ -703,7 +682,7 @@ fn treasure_hunt(cfg: &ExperimentConfig) -> Outcome {
         targets_total: cfg.devices,
         detection: None,
     };
-    Experiment::new(cfg.clone()).assemble(engine, tally, MotionPolicy::PreCharged, mission)
+    assemble(cfg, engine, tally, MotionPolicy::PreCharged, mission)
 }
 
 fn car_maze(cfg: &ExperimentConfig) -> Outcome {
@@ -793,13 +772,13 @@ fn car_maze(cfg: &ExperimentConfig) -> Outcome {
         targets_total: cfg.devices,
         detection: None,
     };
-    Experiment::new(cfg.clone()).assemble(engine, tally, MotionPolicy::PreCharged, mission)
+    assemble(cfg, engine, tally, MotionPolicy::PreCharged, mission)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::RunPlan;
+    use crate::experiment::{Experiment, RunPlan};
     use crate::platform::Platform;
 
     fn mission(scenario: Scenario, platform: Platform) -> Outcome {

@@ -255,7 +255,7 @@ impl Fabric {
     /// a pure function of link occupancy at the offer instant, so arming
     /// an inactive policy changes nothing.
     pub fn set_backpressure(&mut self, cfg: NetBackpressure) {
-        if cfg.is_active() {
+        if cfg.ingress_bound.is_some() {
             self.backpressure = Some(Backpressure { cfg, holds: 0 });
         }
     }
@@ -278,8 +278,10 @@ impl Fabric {
         &self.topology
     }
 
-    /// Injects a transfer at time `now`, returning its id.
-    pub fn send(&mut self, now: SimTime, transfer: Transfer) -> TransferId {
+    /// Injects a transfer at time `now`, returning its id, or `None` when
+    /// the transfer is tail-dropped at the partition hold bound and will
+    /// never be delivered.
+    pub fn send(&mut self, now: SimTime, transfer: Transfer) -> Option<TransferId> {
         let id = TransferId(self.next_id);
         self.next_id += 1;
         let path = self.topology.path(transfer.src, transfer.dst);
@@ -305,13 +307,10 @@ impl Fabric {
                 ],
             );
         }
+        // A transfer tail-dropped at the hold bound spends its id but
+        // never enters the fabric.
         let (start, fault_hold) = if wireless {
-            match self.apply_faults(now, id) {
-                Some(v) => v,
-                // Tail-dropped at the hold bound: the id is spent but the
-                // transfer never enters the fabric.
-                None => return id,
-            }
+            self.apply_faults(now, id)?
         } else {
             (now, false)
         };
@@ -340,7 +339,7 @@ impl Fabric {
         } else {
             self.route(now, slot);
         }
-        id
+        Some(id)
     }
 
     /// Applies the armed fault plan to a wireless-crossing transfer.
@@ -978,15 +977,14 @@ mod tests {
             .net;
         f.set_faults(cfg, RngForge::new(7).child("faults").stream("net"));
         for tag in 0..5u64 {
-            f.send(
-                SimTime::from_secs(1),
-                Transfer {
-                    src: Node::Device(tag as u32),
-                    dst: Node::Server(0),
-                    bytes: 1_000,
-                    tag,
-                },
-            );
+            let transfer = Transfer {
+                src: Node::Device(tag as u32),
+                dst: Node::Server(0),
+                bytes: 1_000,
+                tag,
+            };
+            let sent = f.send(SimTime::from_secs(1), transfer).is_some();
+            assert_eq!(sent, tag < 2, "send reports the drop of transfer {tag}");
         }
         assert_eq!(f.held_transfers_now(), 2, "bound caps the hold buffer");
         assert_eq!(f.fault_stats().transfers_dropped, 3);

@@ -208,11 +208,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// `true` if any knob deviates from the inert default.
     pub fn is_active(&self) -> bool {
-        self.net.is_active()
-            || !self.servers.is_empty()
-            || self.functions.is_active()
-            || self.devices.is_active()
-            || self.slo.is_some()
+        *self != FaultPlan::default()
     }
 
     /// Sets the per-transfer wireless packet-loss probability.
@@ -379,11 +375,6 @@ pub struct NetFaults {
 }
 
 impl NetFaults {
-    /// `true` if any network knob deviates from the inert default.
-    pub fn is_active(&self) -> bool {
-        self.per_transfer() || self.hold_bound.is_some()
-    }
-
     /// `true` if the fabric needs a per-transfer fault pass (loss or
     /// partition windows).
     pub fn per_transfer(&self) -> bool {
@@ -460,13 +451,6 @@ pub struct FunctionFaults {
     pub fault_rate: Option<f64>,
     /// Retry/backoff policy applied to every invocation.
     pub retry: RetryPolicy,
-}
-
-impl FunctionFaults {
-    /// `true` if any function knob deviates from the inert default.
-    pub fn is_active(&self) -> bool {
-        self.fault_rate.is_some() || self.retry != RetryPolicy::default()
-    }
 }
 
 /// Retry/exponential-backoff policy for failed function attempts.
@@ -577,13 +561,6 @@ pub struct DeviceFaults {
     pub controller_failover_at_secs: Option<f64>,
 }
 
-impl DeviceFaults {
-    /// `true` if any device knob deviates from the inert default.
-    pub fn is_active(&self) -> bool {
-        self.mtbf_secs.is_some() || self.controller_failover_at_secs.is_some()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,33 +569,25 @@ mod tests {
     fn default_plan_is_inert() {
         let plan = FaultPlan::default();
         assert!(!plan.is_active());
-        assert!(!plan.net.is_active());
-        assert!(!plan.functions.is_active());
-        assert!(!plan.devices.is_active());
         assert!(plan.validate(1).is_ok());
     }
 
     #[test]
     fn builders_activate_their_layer() {
-        assert!(FaultPlan::default().packet_loss(0.01).net.is_active());
-        assert!(FaultPlan::default().partition(1.0, 2.0).net.is_active());
-        assert!(FaultPlan::default()
-            .function_fault_rate(0.1)
-            .functions
-            .is_active());
-        assert!(FaultPlan::default()
-            .retry(RetryPolicy::bounded(3, SimDuration::ZERO))
-            .functions
-            .is_active());
-        assert!(FaultPlan::default().device_mtbf(100.0).devices.is_active());
-        assert!(FaultPlan::default()
-            .controller_failover(10.0)
-            .devices
-            .is_active());
-        assert!(FaultPlan::default().server_crash(0, 1.0, 1.0).is_active());
-        assert!(FaultPlan::default()
-            .slo(SimDuration::from_secs(1))
-            .is_active());
+        let p = FaultPlan::default;
+        for plan in [
+            p().packet_loss(0.01),
+            p().partition(1.0, 2.0),
+            p().partition_hold_bound(16),
+            p().function_fault_rate(0.1),
+            p().retry(RetryPolicy::bounded(3, SimDuration::ZERO)),
+            p().device_mtbf(100.0),
+            p().controller_failover(10.0),
+            p().server_crash(0, 1.0, 1.0),
+            p().slo(SimDuration::from_secs(1)),
+        ] {
+            assert!(plan.is_active(), "{plan:?}");
+        }
     }
 
     #[test]
@@ -702,10 +671,10 @@ mod tests {
             Err(FaultPlanError::ZeroHoldBound)
         );
         assert!(fleet(FaultPlan::default().partition_hold_bound(1)).is_ok());
-        // A hold bound alone arms the net plane (the fabric must account
-        // holds) but needs no per-transfer fault pass by itself.
+        // A hold bound alone makes the plan active (the fabric must
+        // account holds) but needs no per-transfer fault pass by itself.
         let plan = FaultPlan::default().partition_hold_bound(16);
-        assert!(plan.net.is_active());
+        assert!(plan.is_active());
         assert!(!plan.net.per_transfer());
     }
 

@@ -11,7 +11,7 @@
 //! can spill over to on-device execution with a cheaper, less accurate
 //! model (the paper's edge fallback, [`DEGRADED_SPEEDUP`] and
 //! [`DEGRADED_ACCURACY_PENALTY_PCT`]). Experiments attach a policy via
-//! `ExperimentConfig::overload`.
+//! `RunPlan::overload`.
 //!
 //! ## Determinism contract
 //!
@@ -33,6 +33,8 @@
 //! `net::fabric` applies [`NetBackpressure`] — but the vocabulary (and
 //! the breaker state machine itself) is defined here so a policy can be
 //! validated and threaded as one value.
+
+use std::fmt;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -102,10 +104,7 @@ pub struct OverloadPolicy {
 impl OverloadPolicy {
     /// `true` if any knob deviates from the inert default.
     pub fn is_active(&self) -> bool {
-        self.admission.is_active()
-            || self.breaker.is_some()
-            || self.spillover
-            || self.net.is_active()
+        *self != OverloadPolicy::default()
     }
 
     /// Bounds the cluster admission queue: a submission arriving while
@@ -150,31 +149,60 @@ impl OverloadPolicy {
         self
     }
 
-    /// Checks every knob for internal consistency. Returns a
-    /// human-readable description of the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if let Some(d) = self.admission.queue_deadline {
-            if d == SimDuration::ZERO {
-                return Err("admission.queue_deadline must be positive".into());
-            }
+    /// Checks every knob for internal consistency, naming the first
+    /// problem found.
+    pub fn validate(&self) -> Result<(), OverloadPolicyError> {
+        if self.admission.queue_deadline == Some(SimDuration::ZERO) {
+            return Err(OverloadPolicyError::ZeroQueueDeadline);
         }
         if let Some(b) = &self.breaker {
             if b.open_after == 0 {
-                return Err("breaker.open_after must be at least 1".into());
+                return Err(OverloadPolicyError::ZeroBreakerOpenAfter);
             }
             if b.half_open_probes == 0 {
-                return Err("breaker.half_open_probes must be at least 1".into());
+                return Err(OverloadPolicyError::ZeroHalfOpenProbes);
             }
             if b.cooldown == SimDuration::ZERO {
-                return Err("breaker.cooldown must be positive".into());
+                return Err(OverloadPolicyError::ZeroBreakerCooldown);
             }
         }
         if self.net.ingress_bound == Some(0) {
-            return Err("net.ingress_bound must be at least 1".into());
+            return Err(OverloadPolicyError::ZeroIngressBound);
         }
         Ok(())
     }
 }
+
+/// Why an [`OverloadPolicy`] was rejected by [`OverloadPolicy::validate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OverloadPolicyError {
+    /// `admission.queue_deadline == Some(0)`.
+    ZeroQueueDeadline,
+    /// `breaker.open_after == 0`.
+    ZeroBreakerOpenAfter,
+    /// `breaker.half_open_probes == 0`.
+    ZeroHalfOpenProbes,
+    /// `breaker.cooldown == 0`.
+    ZeroBreakerCooldown,
+    /// `net.ingress_bound == Some(0)`.
+    ZeroIngressBound,
+}
+
+impl fmt::Display for OverloadPolicyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            OverloadPolicyError::ZeroQueueDeadline => "admission.queue_deadline must be positive",
+            OverloadPolicyError::ZeroBreakerOpenAfter => "breaker.open_after must be at least 1",
+            OverloadPolicyError::ZeroHalfOpenProbes => {
+                "breaker.half_open_probes must be at least 1"
+            }
+            OverloadPolicyError::ZeroBreakerCooldown => "breaker.cooldown must be positive",
+            OverloadPolicyError::ZeroIngressBound => "net.ingress_bound must be at least 1",
+        })
+    }
+}
+
+impl std::error::Error for OverloadPolicyError {}
 
 /// Cluster admission bounds applied by `faas::cluster`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -186,13 +214,6 @@ pub struct AdmissionLimits {
     /// Maximum time an invocation may wait in the admission queue; a
     /// queued invocation older than this at placement time is shed.
     pub queue_deadline: Option<SimDuration>,
-}
-
-impl AdmissionLimits {
-    /// `true` if any admission knob deviates from the inert default.
-    pub fn is_active(&self) -> bool {
-        self.queue_bound.is_some() || self.queue_deadline.is_some()
-    }
 }
 
 /// Circuit-breaker knobs (per application).
@@ -222,13 +243,6 @@ pub struct NetBackpressure {
     /// Maximum transfers in flight on a transfer's first-hop link before
     /// new sends are held at the source for [`INGRESS_RETRY_DELAY`].
     pub ingress_bound: Option<u32>,
-}
-
-impl NetBackpressure {
-    /// `true` if the ingress bound is armed.
-    pub fn is_active(&self) -> bool {
-        self.ingress_bound.is_some()
-    }
 }
 
 /// What a [`CircuitBreaker`] decided about one admission attempt.
@@ -459,52 +473,40 @@ mod tests {
     fn default_policy_is_inert() {
         let policy = OverloadPolicy::default();
         assert!(!policy.is_active());
-        assert!(!policy.admission.is_active());
-        assert!(!policy.net.is_active());
         assert!(policy.validate().is_ok());
     }
 
     #[test]
     fn builders_activate_their_layer() {
-        assert!(OverloadPolicy::default()
-            .queue_bound(8)
-            .admission
-            .is_active());
-        assert!(OverloadPolicy::default()
-            .queue_deadline(SimDuration::from_secs(1))
-            .admission
-            .is_active());
-        assert!(OverloadPolicy::default()
-            .breaker(3, SimDuration::from_secs(1))
-            .is_active());
-        assert!(OverloadPolicy::default().spillover().is_active());
-        assert!(OverloadPolicy::default()
-            .net_ingress_bound(16)
-            .net
-            .is_active());
+        let p = OverloadPolicy::default;
+        let secs = SimDuration::from_secs;
+        for policy in [
+            p().queue_bound(8),
+            p().queue_deadline(secs(1)),
+            p().breaker(3, secs(1)),
+            p().spillover(),
+            p().net_ingress_bound(16),
+        ] {
+            assert!(policy.is_active(), "{policy:?}");
+        }
     }
 
     #[test]
     fn validate_rejects_bad_knobs() {
-        assert!(OverloadPolicy::default()
-            .queue_deadline(SimDuration::ZERO)
-            .validate()
-            .is_err());
-        assert!(OverloadPolicy::default()
-            .breaker(0, SimDuration::from_secs(1))
-            .validate()
-            .is_err());
-        assert!(OverloadPolicy::default()
-            .breaker(3, SimDuration::ZERO)
-            .validate()
-            .is_err());
-        let mut bad_probe = OverloadPolicy::default().breaker(3, SimDuration::from_secs(1));
+        use OverloadPolicyError::*;
+        let p = OverloadPolicy::default;
+        let (zero, secs) = (SimDuration::ZERO, SimDuration::from_secs);
+        let mut bad_probe = p().breaker(3, secs(1));
         bad_probe.breaker.as_mut().unwrap().half_open_probes = 0;
-        assert!(bad_probe.validate().is_err());
-        assert!(OverloadPolicy::default()
-            .net_ingress_bound(0)
-            .validate()
-            .is_err());
+        for (policy, err) in [
+            (p().queue_deadline(zero), ZeroQueueDeadline),
+            (p().breaker(0, secs(1)), ZeroBreakerOpenAfter),
+            (p().breaker(3, zero), ZeroBreakerCooldown),
+            (bad_probe, ZeroHalfOpenProbes),
+            (p().net_ingress_bound(0), ZeroIngressBound),
+        ] {
+            assert_eq!(policy.validate(), Err(err), "{policy:?}");
+        }
         // A zero queue bound is legal: shed anything that cannot start.
         assert!(OverloadPolicy::default().queue_bound(0).validate().is_ok());
     }
