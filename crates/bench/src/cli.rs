@@ -6,8 +6,8 @@
 //!
 //! Recognized flags:
 //!
-//! - `--smoke` — the seconds-scale deterministic slice (equivalent to
-//!   `HIVEMIND_SMOKE=1`); the golden tests run this.
+//! - `--smoke` — the seconds-scale deterministic slice; the golden tests
+//!   run this.
 //! - `--full` — paper-fidelity runs (equivalent to `HIVEMIND_FULL=1`).
 //!   Full fidelity wins when both are requested.
 //! - `--trace <path>` / `--trace=<path>` — export structured event
@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use crate::report::Report;
 
 const USAGE: &str = "usage: <binary> [--smoke] [--full] [--trace <path>]
-  --smoke          seconds-scale deterministic slice (or HIVEMIND_SMOKE=1)
+  --smoke          seconds-scale deterministic slice
   --full           paper-fidelity runs (or HIVEMIND_FULL=1); wins over --smoke
   --trace <path>   export event traces for every run (also --trace=<path>)";
 
@@ -90,7 +90,7 @@ impl Cli {
         Ok(cli)
     }
 
-    /// Whether `--smoke` itself was passed (ignoring the environment).
+    /// Whether `--smoke` itself was passed (even if `--full` overrides it).
     pub fn smoke_flag(&self) -> bool {
         self.smoke_flag
     }
@@ -104,16 +104,10 @@ impl Cli {
                 .unwrap_or(false)
     }
 
-    /// Whether smoke mode is in effect (`--smoke` or `HIVEMIND_SMOKE=1`,
-    /// unless full fidelity overrides it).
+    /// Whether smoke mode is in effect (`--smoke`, unless full fidelity
+    /// overrides it).
     pub fn smoke(&self) -> bool {
-        if self.full() {
-            return false;
-        }
-        self.smoke_flag
-            || std::env::var("HIVEMIND_SMOKE")
-                .map(|v| v == "1")
-                .unwrap_or(false)
+        self.smoke_flag && !self.full()
     }
 
     /// The `--trace` export path, if any.

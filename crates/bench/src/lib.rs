@@ -23,11 +23,10 @@
 //! `all_figures` runs the lot. Performance is measured by hivebench, a
 //! separate workspace under `benchmark/`.
 //!
-//! Every figure binary accepts `--smoke` (or `HIVEMIND_SMOKE=1`): a
-//! seconds-scale deterministic slice of the figure — short durations,
-//! two repeats, a three-workload set — used by the golden snapshot tests
-//! (`tests/golden_smoke.rs`). The default (no flag) output is untouched
-//! by smoke mode.
+//! Every figure binary accepts `--smoke`: a seconds-scale deterministic
+//! slice of the figure — short durations, two repeats, a three-workload
+//! set — used by the golden snapshot tests (`tests/golden_smoke.rs`). The
+//! default (no flag) output is untouched by smoke mode.
 //!
 //! `chaos_sweep` is the odd one out: instead of reproducing a figure it
 //! sweeps the unified fault plane (function-fault rate × packet loss,
@@ -157,11 +156,10 @@ pub fn full_fidelity() -> bool {
     cli::Cli::flags_from_env().full()
 }
 
-/// Whether smoke mode is requested (`--smoke` on the command line or
-/// `HIVEMIND_SMOKE=1` in the environment). Smoke mode is the golden-test
-/// slice: every figure prints a deterministic, seconds-scale subset of
-/// its tables. Full fidelity wins if both are set. Delegates to the
-/// shared [`cli`] parser.
+/// Whether smoke mode is requested (`--smoke` on the command line). Smoke
+/// mode is the golden-test slice: every figure prints a deterministic,
+/// seconds-scale subset of its tables. Full fidelity wins if both are
+/// set. Delegates to the shared [`cli`] parser.
 pub fn smoke() -> bool {
     cli::Cli::flags_from_env().smoke()
 }

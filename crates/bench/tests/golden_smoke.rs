@@ -32,7 +32,6 @@ fn smoke_stdout(bin: &str, exe: &str, threads: Option<&str>) -> String {
     let mut cmd = Command::new(exe);
     cmd.arg("--smoke")
         .env_remove("HIVEMIND_FULL")
-        .env_remove("HIVEMIND_SMOKE")
         .env_remove("HIVEMIND_THREADS");
     if let Some(n) = threads {
         cmd.env("HIVEMIND_THREADS", n);

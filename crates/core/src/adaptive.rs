@@ -4,9 +4,10 @@
 //! goals are not met. Changes to task placement currently only happen at
 //! task granularity." This module implements that control loop for
 //! single-app workloads: run a probe window under the synthesized
-//! placement, compare the measured latency against the user's DSL-level
-//! constraint, and if it is violated, flip the app's placement and run the
-//! remainder of the workload under the new mapping.
+//! placement, compare the measured latency against the user's latency
+//! goal (an argument here; the DSL carries no goals), and if it is
+//! violated, flip the app's placement and run the remainder of the
+//! workload under the new mapping.
 
 use hivemind_apps::suite::App;
 use hivemind_sim::time::SimTime;
@@ -36,6 +37,11 @@ pub struct AdaptiveOutcome {
 /// Runs `app` under `cfg` with a latency goal: a probe window of
 /// `probe_secs`, a re-mapping decision, then `steady_secs` more load.
 ///
+/// The probe starts from `initial_hint` when one is given — the user's
+/// optional placement hint (Sec. 4.1), which the runtime overrides when it
+/// turns out to violate the goal — and from the synthesized placement
+/// otherwise.
+///
 /// The engine (and therefore warm containers, network queues, and battery
 /// state) persists across the re-mapping — only the placement changes,
 /// matching the paper's "task granularity" restriction: in-flight tasks
@@ -45,23 +51,6 @@ pub struct AdaptiveOutcome {
 ///
 /// Panics if either window is non-positive.
 pub fn run_adaptive(
-    cfg: &ExperimentConfig,
-    app: App,
-    latency_goal_secs: f64,
-    probe_secs: f64,
-    steady_secs: f64,
-) -> AdaptiveOutcome {
-    run_adaptive_from(cfg, app, None, latency_goal_secs, probe_secs, steady_secs)
-}
-
-/// Like [`run_adaptive`], but starting from an explicit placement — the
-/// user's optional hint (Sec. 4.1), which the runtime overrides when it
-/// turns out to violate the goal.
-///
-/// # Panics
-///
-/// Panics if either window is non-positive.
-pub fn run_adaptive_from(
     cfg: &ExperimentConfig,
     app: App,
     initial_hint: Option<PlacementSite>,
@@ -156,7 +145,7 @@ mod tests {
             .platform(Platform::HiveMind)
             .seed(3);
         // A generous 5 s goal: the cloud mapping easily meets it.
-        let out = run_adaptive(&cfg, App::FaceRecognition, 5.0, 15.0, 15.0);
+        let out = run_adaptive(&cfg, App::FaceRecognition, None, 5.0, 15.0, 15.0);
         assert!(!out.remapped);
         assert_eq!(out.initial_placement, out.final_placement);
         assert!(out.probe_median_secs < 5.0);
@@ -170,7 +159,7 @@ mod tests {
         let cfg = ExperimentConfig::single_app(App::TextRecognition)
             .platform(Platform::HiveMind)
             .seed(3);
-        let out = run_adaptive_from(
+        let out = run_adaptive(
             &cfg,
             App::TextRecognition,
             Some(PlacementSite::Edge),
@@ -195,7 +184,7 @@ mod tests {
         let cfg = ExperimentConfig::single_app(App::TextRecognition)
             .platform(Platform::DistributedEdge)
             .seed(3);
-        let out = run_adaptive(&cfg, App::TextRecognition, 2.0, 10.0, 10.0);
+        let out = run_adaptive(&cfg, App::TextRecognition, None, 2.0, 10.0, 10.0);
         assert!(!out.remapped, "no backend exists to re-map onto");
         assert_eq!(out.final_placement, PlacementSite::Edge);
     }
@@ -207,7 +196,7 @@ mod tests {
         let cfg = ExperimentConfig::single_app(App::WeatherAnalytics)
             .platform(Platform::CentralizedFaaS)
             .seed(4);
-        let out = run_adaptive(&cfg, App::WeatherAnalytics, 0.05, 20.0, 20.0);
+        let out = run_adaptive(&cfg, App::WeatherAnalytics, None, 0.05, 20.0, 20.0);
         assert_eq!(out.initial_placement, PlacementSite::Cloud);
         assert!(out.remapped);
         assert_eq!(out.final_placement, PlacementSite::Edge);
@@ -218,6 +207,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_window_rejected() {
         let cfg = ExperimentConfig::single_app(App::Maze);
-        let _ = run_adaptive(&cfg, App::Maze, 1.0, 0.0, 10.0);
+        let _ = run_adaptive(&cfg, App::Maze, None, 1.0, 0.0, 10.0);
     }
 }

@@ -2,16 +2,29 @@
 //!
 //! Users "express a high-level description of their task graph" and
 //! HiveMind synthesizes everything below it. This module is the Rust
-//! embedding of Listings 1–3: [`TaskDef`] mirrors `Task(...)`,
-//! [`TaskGraphBuilder`] mirrors `TaskGraph(...)` plus the relation
-//! declarations (`Parallel`, `Serial`, `Overlap`, `Synchronize`), and
-//! [`Directive`] carries the optional management directives.
+//! embedding of the part of Listings 1–3 that drives a run: [`TaskDef`]
+//! mirrors `Task(...)` with its parent edges and the `Place` directive
+//! ([`TaskDef::place`]), and [`TaskGraphBuilder`] mirrors `TaskGraph(...)`.
+//! Synthesis reads exactly these: tasks and their parent edges shape the
+//! candidate placements and their bindings, and a `Place` pin fixes a
+//! task's site ([`TaskGraph::pinned_site`]).
 //!
-//! Validation happens at [`TaskGraphBuilder::build`]: unknown task
-//! references, duplicate names, inconsistent parent/child links, and
-//! cycles are all rejected — the paper notes incorrect API/dependency
-//! definitions are a dominant source of bugs in multi-tier apps, which is
-//! exactly what a compiled task graph rules out.
+//! The rest of the listings is left out because no run here reads it. A
+//! task's data objects, code path and arguments name files the simulator
+//! never loads. `Serial` restates a parent edge, and `Parallel`/`Overlap`
+//! only annotate sibling tasks. The optimisation goal is
+//! [`crate::synthesis::Objective`], and runtime re-mapping takes its
+//! latency goal as an argument ([`crate::adaptive::run_adaptive`]).
+//! Retraining is `ExperimentConfig::retrain` (the paper's `Learn`), and
+//! failure handling is the fault plane's retry policy (its `Restore`).
+//! `Schedule`, `Isolate`, `Persist` and `Synchronize` have no mechanism
+//! behind them.
+//!
+//! Validation happens at [`TaskGraphBuilder::build`]: unknown parents,
+//! duplicate names, self-parents and cycles are all rejected — the paper
+//! notes incorrect API/dependency definitions are a dominant source of
+//! bugs in multi-tier apps, which is exactly what a compiled task graph
+//! rules out.
 //!
 //! # Examples
 //!
@@ -21,40 +34,15 @@
 //! use hivemind_core::dsl::*;
 //!
 //! let graph = TaskGraphBuilder::new()
-//!     .constraint(Constraint::ExecTime { secs: 10.0 })
-//!     .task(TaskDef::new("createRoute").code("tasks/create_route"))
-//!     .task(
-//!         TaskDef::new("collectImage")
-//!             .code("tasks/collect_image")
-//!             .parent("createRoute")
-//!             .arg("resolution", "1024p"),
-//!     )
+//!     .task(TaskDef::new("createRoute"))
+//!     .task(TaskDef::new("collectImage").parent("createRoute"))
 //!     .task(
 //!         TaskDef::new("obstacleAvoidance")
-//!             .code("tasks/obstacle_avoid")
-//!             .parent("collectImage"),
+//!             .parent("collectImage")
+//!             .place(PlacementSite::Edge),
 //!     )
-//!     .task(
-//!         TaskDef::new("faceRecognition")
-//!             .code("tasks/face_rec")
-//!             .parent("collectImage"),
-//!     )
-//!     .task(
-//!         TaskDef::new("deduplication")
-//!             .code("tasks/dedup")
-//!             .parent("faceRecognition"),
-//!     )
-//!     .parallel("obstacleAvoidance", "faceRecognition")
-//!     .serial("faceRecognition", "deduplication")
-//!     .directive(Directive::Learn {
-//!         task: "faceRecognition".into(),
-//!         scope: LearnScope::Swarm,
-//!     })
-//!     .directive(Directive::Place {
-//!         task: "obstacleAvoidance".into(),
-//!         site: PlacementSite::Edge,
-//!     })
-//!     .directive(Directive::Persist { task: "deduplication".into() })
+//!     .task(TaskDef::new("faceRecognition").parent("collectImage"))
+//!     .task(TaskDef::new("deduplication").parent("faceRecognition"))
 //!     .build()
 //!     .expect("valid graph");
 //!
@@ -63,7 +51,7 @@
 //! assert!(graph.pinned_site("obstacleAvoidance") == Some(PlacementSite::Edge));
 //! ```
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Where a task is (or must be) placed.
@@ -75,42 +63,15 @@ pub enum PlacementSite {
     Cloud,
 }
 
-/// Scope of continuous learning for a task's model (Sec. 4.6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LearnScope {
-    /// No retraining.
-    Off,
-    /// Retrain from this device's own decisions.
-    Device,
-    /// Retrain jointly from the whole swarm's decisions.
-    Swarm,
-}
-
-/// Fault-tolerance policy for a task (`Restore(task)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RestorePolicy {
-    /// Re-run the task elsewhere on failure (default).
-    #[default]
-    Respawn,
-    /// Drop the task's pending work on failure.
-    Discard,
-}
-
 /// One `Task(...)` declaration (Listing 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskDef {
     /// Unique task name.
     pub name: String,
-    /// Logical input object name.
-    pub data_in: Option<String>,
-    /// Logical output object name.
-    pub data_out: Option<String>,
-    /// Path to the task's code.
-    pub code: String,
-    /// Free-form task arguments (`speed='4'`, `algorithm='slam'`, …).
-    pub args: Vec<(String, String)>,
     /// Declared parent task names.
     pub parents: Vec<String>,
+    /// The site a `Place` directive pins the task to, if any.
+    pub place: Option<PlacementSite>,
 }
 
 impl TaskDef {
@@ -118,36 +79,9 @@ impl TaskDef {
     pub fn new(name: impl Into<String>) -> TaskDef {
         TaskDef {
             name: name.into(),
-            data_in: None,
-            data_out: None,
-            code: String::new(),
-            args: Vec::new(),
             parents: Vec::new(),
+            place: None,
         }
-    }
-
-    /// Sets the input object name.
-    pub fn data_in(mut self, name: impl Into<String>) -> TaskDef {
-        self.data_in = Some(name.into());
-        self
-    }
-
-    /// Sets the output object name.
-    pub fn data_out(mut self, name: impl Into<String>) -> TaskDef {
-        self.data_out = Some(name.into());
-        self
-    }
-
-    /// Sets the code path.
-    pub fn code(mut self, path: impl Into<String>) -> TaskDef {
-        self.code = path.into();
-        self
-    }
-
-    /// Adds a free-form argument.
-    pub fn arg(mut self, key: impl Into<String>, value: impl Into<String>) -> TaskDef {
-        self.args.push((key.into(), value.into()));
-        self
     }
 
     /// Declares a parent task.
@@ -155,112 +89,11 @@ impl TaskDef {
         self.parents.push(name.into());
         self
     }
-}
 
-/// Application-level constraints (`TaskGraph(..., constraints)`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Constraint {
-    /// End-to-end execution time bound, seconds.
-    ExecTime {
-        /// Bound in seconds.
-        secs: f64,
-    },
-    /// Per-task latency bound, seconds.
-    Latency {
-        /// Bound in seconds.
-        secs: f64,
-    },
-    /// Minimum throughput, tasks/second.
-    Throughput {
-        /// Tasks per second.
-        tasks_per_sec: f64,
-    },
-    /// Maximum device power budget, fraction of battery.
-    PowerBudget {
-        /// Battery fraction in `[0, 1]`.
-        battery_fraction: f64,
-    },
-    /// Upper limit on cloud cost, dollars.
-    CloudCost {
-        /// Dollars.
-        dollars: f64,
-    },
-}
-
-/// Declared timing relation between two tasks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Relation {
-    /// The tasks may execute fully in parallel.
-    Parallel(String, String),
-    /// The tasks may partially overlap.
-    Overlap(String, String),
-    /// The second task must strictly follow the first.
-    Serial(String, String),
-}
-
-/// Optional management directives (Listing 2).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Directive {
-    /// Scheduling constraint / priority for a task.
-    Schedule {
-        /// Target task.
-        task: String,
-        /// Priority (higher = sooner).
-        priority: i32,
-    },
-    /// The task requires a dedicated container.
-    Isolate {
-        /// Target task.
-        task: String,
-    },
-    /// Pin task placement to cloud or edge.
-    Place {
-        /// Target task.
-        task: String,
-        /// Where it must run.
-        site: PlacementSite,
-    },
-    /// Fault-tolerance policy.
-    Restore {
-        /// Target task.
-        task: String,
-        /// Policy on device/function failure.
-        policy: RestorePolicy,
-    },
-    /// Enable/disable online learning, one device vs swarm-wide.
-    Learn {
-        /// Target task.
-        task: String,
-        /// Learning scope.
-        scope: LearnScope,
-    },
-    /// Persist the task's output in durable storage.
-    Persist {
-        /// Target task.
-        task: String,
-    },
-    /// Synchronization barrier: the task waits for `condition` (e.g.
-    /// `"all"` devices) before running.
-    Synchronize {
-        /// Target task.
-        task: String,
-        /// Barrier condition.
-        condition: String,
-    },
-}
-
-impl Directive {
-    /// The task this directive applies to.
-    pub fn task(&self) -> &str {
-        match self {
-            Directive::Schedule { task, .. }
-            | Directive::Isolate { task }
-            | Directive::Place { task, .. }
-            | Directive::Restore { task, .. }
-            | Directive::Learn { task, .. }
-            | Directive::Persist { task }
-            | Directive::Synchronize { task, .. } => task,
-        }
+    /// Pins the task to `site` (Listing 2's `Place`).
+    pub fn place(mut self, site: PlacementSite) -> TaskDef {
+        self.place = Some(site);
+        self
     }
 }
 
@@ -269,7 +102,7 @@ impl Directive {
 pub enum GraphError {
     /// Two tasks share a name.
     DuplicateTask(String),
-    /// A parent/relation/directive references an unknown task.
+    /// A parent edge names an unknown task.
     UnknownTask(String),
     /// The dependency graph has a cycle through this task.
     Cycle(String),
@@ -297,9 +130,6 @@ impl std::error::Error for GraphError {}
 #[derive(Debug, Clone, Default)]
 pub struct TaskGraphBuilder {
     tasks: Vec<TaskDef>,
-    relations: Vec<Relation>,
-    directives: Vec<Directive>,
-    constraints: Vec<Constraint>,
 }
 
 impl TaskGraphBuilder {
@@ -314,115 +144,46 @@ impl TaskGraphBuilder {
         self
     }
 
-    /// Declares that two tasks may run in parallel.
-    pub fn parallel(mut self, a: impl Into<String>, b: impl Into<String>) -> TaskGraphBuilder {
-        self.relations.push(Relation::Parallel(a.into(), b.into()));
-        self
-    }
-
-    /// Declares that two tasks may partially overlap.
-    pub fn overlap(mut self, a: impl Into<String>, b: impl Into<String>) -> TaskGraphBuilder {
-        self.relations.push(Relation::Overlap(a.into(), b.into()));
-        self
-    }
-
-    /// Declares strict ordering between two tasks.
-    pub fn serial(mut self, a: impl Into<String>, b: impl Into<String>) -> TaskGraphBuilder {
-        self.relations.push(Relation::Serial(a.into(), b.into()));
-        self
-    }
-
-    /// Adds a management directive.
-    pub fn directive(mut self, d: Directive) -> TaskGraphBuilder {
-        self.directives.push(d);
-        self
-    }
-
-    /// Adds an application constraint.
-    pub fn constraint(mut self, c: Constraint) -> TaskGraphBuilder {
-        self.constraints.push(c);
-        self
-    }
-
     /// Validates and freezes the graph.
     ///
     /// # Errors
     ///
-    /// Returns a [`GraphError`] for duplicate names, unknown references,
+    /// Returns a [`GraphError`] for duplicate names, unknown parents,
     /// self-parents, cycles, or an empty graph.
     pub fn build(self) -> Result<TaskGraph, GraphError> {
         if self.tasks.is_empty() {
             return Err(GraphError::Empty);
         }
-        let mut names = HashSet::new();
-        for t in &self.tasks {
-            if !names.insert(t.name.clone()) {
+        let mut index: HashMap<&str, usize> = HashMap::with_capacity(self.tasks.len());
+        for (i, t) in self.tasks.iter().enumerate() {
+            if index.insert(&t.name, i).is_some() {
                 return Err(GraphError::DuplicateTask(t.name.clone()));
             }
         }
-        let known = |n: &str| names.contains(n);
-        for t in &self.tasks {
+        // Parent edges, each task's children in declaration order.
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); self.tasks.len()];
+        let mut indeg = vec![0usize; self.tasks.len()];
+        for (i, t) in self.tasks.iter().enumerate() {
             for p in &t.parents {
                 if p == &t.name {
                     return Err(GraphError::SelfParent(t.name.clone()));
                 }
-                if !known(p) {
-                    return Err(GraphError::UnknownTask(p.clone()));
-                }
-            }
-        }
-        for r in &self.relations {
-            let (a, b) = match r {
-                Relation::Parallel(a, b) | Relation::Overlap(a, b) | Relation::Serial(a, b) => {
-                    (a, b)
-                }
-            };
-            for n in [a, b] {
-                if !known(n) {
-                    return Err(GraphError::UnknownTask(n.clone()));
-                }
-            }
-        }
-        for d in &self.directives {
-            if !known(d.task()) {
-                return Err(GraphError::UnknownTask(d.task().to_string()));
-            }
-        }
-        // Cycle detection over parent edges + Serial relations.
-        let index: HashMap<&str, usize> = self
-            .tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.name.as_str(), i))
-            .collect();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); self.tasks.len()];
-        for (i, t) in self.tasks.iter().enumerate() {
-            for p in &t.parents {
-                adj[index[p.as_str()]].push(i);
-            }
-        }
-        for r in &self.relations {
-            if let Relation::Serial(a, b) = r {
-                adj[index[a.as_str()]].push(index[b.as_str()]);
+                let &parent = index
+                    .get(p.as_str())
+                    .ok_or_else(|| GraphError::UnknownTask(p.clone()))?;
+                adj[parent].push(i);
+                indeg[i] += 1;
             }
         }
         // Kahn's algorithm; leftovers indicate a cycle.
-        let mut indeg = vec![0usize; adj.len()];
-        for edges in &adj {
-            for &v in edges {
-                indeg[v] += 1;
-            }
-        }
         let mut stack: Vec<usize> = indeg
             .iter()
             .enumerate()
             .filter(|&(_, &d)| d == 0)
             .map(|(i, _)| i)
             .collect();
-        let mut seen = 0;
         let mut topo = Vec::with_capacity(adj.len());
         while let Some(u) = stack.pop() {
-            seen += 1;
             topo.push(u);
             for &v in &adj[u] {
                 indeg[v] -= 1;
@@ -431,7 +192,7 @@ impl TaskGraphBuilder {
                 }
             }
         }
-        if seen != adj.len() {
+        if topo.len() != adj.len() {
             let stuck = indeg
                 .iter()
                 .position(|&d| d > 0)
@@ -440,9 +201,6 @@ impl TaskGraphBuilder {
         }
         Ok(TaskGraph {
             tasks: self.tasks,
-            relations: self.relations,
-            directives: self.directives,
-            constraints: self.constraints,
             topo_order: topo,
         })
     }
@@ -452,9 +210,6 @@ impl TaskGraphBuilder {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskGraph {
     tasks: Vec<TaskDef>,
-    relations: Vec<Relation>,
-    directives: Vec<Directive>,
-    constraints: Vec<Constraint>,
     topo_order: Vec<usize>,
 }
 
@@ -505,62 +260,9 @@ impl TaskGraph {
             .collect()
     }
 
-    /// Declared relations.
-    pub fn relations(&self) -> &[Relation] {
-        &self.relations
-    }
-
-    /// Management directives.
-    pub fn directives(&self) -> &[Directive] {
-        &self.directives
-    }
-
-    /// Application constraints.
-    pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
-    }
-
-    /// The pinned placement for a task, if a `Place` directive exists.
+    /// The site a task is pinned to by `Place`, if any.
     pub fn pinned_site(&self, task: &str) -> Option<PlacementSite> {
-        self.directives.iter().find_map(|d| match d {
-            Directive::Place { task: t, site } if t == task => Some(*site),
-            _ => None,
-        })
-    }
-
-    /// Whether a task demands a dedicated container.
-    pub fn is_isolated(&self, task: &str) -> bool {
-        self.directives
-            .iter()
-            .any(|d| matches!(d, Directive::Isolate { task: t } if t == task))
-    }
-
-    /// Whether a task's output must be persisted.
-    pub fn is_persisted(&self, task: &str) -> bool {
-        self.directives
-            .iter()
-            .any(|d| matches!(d, Directive::Persist { task: t } if t == task))
-    }
-
-    /// The learning scope for a task (default [`LearnScope::Off`]).
-    pub fn learn_scope(&self, task: &str) -> LearnScope {
-        self.directives
-            .iter()
-            .find_map(|d| match d {
-                Directive::Learn { task: t, scope } if t == task => Some(*scope),
-                _ => None,
-            })
-            .unwrap_or(LearnScope::Off)
-    }
-
-    /// Whether two tasks were declared parallel-safe.
-    pub fn may_run_parallel(&self, a: &str, b: &str) -> bool {
-        self.relations.iter().any(|r| match r {
-            Relation::Parallel(x, y) | Relation::Overlap(x, y) => {
-                (x == a && y == b) || (x == b && y == a)
-            }
-            Relation::Serial(..) => false,
-        })
+        self.task(task).and_then(|t| t.place)
     }
 }
 
@@ -570,8 +272,8 @@ mod tests {
 
     fn two_tier() -> TaskGraphBuilder {
         TaskGraphBuilder::new()
-            .task(TaskDef::new("collect").code("c"))
-            .task(TaskDef::new("recognize").code("r").parent("collect"))
+            .task(TaskDef::new("collect"))
+            .task(TaskDef::new("recognize").parent("collect"))
     }
 
     #[test]
@@ -622,32 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_relation_participates_in_cycle_check() {
-        let err = two_tier()
-            .serial("recognize", "collect") // contradicts the parent edge
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, GraphError::Cycle(_)));
-    }
-
-    #[test]
-    fn unknown_relation_target_rejected() {
-        let err = two_tier().parallel("collect", "ghost").build().unwrap_err();
-        assert_eq!(err, GraphError::UnknownTask("ghost".into()));
-    }
-
-    #[test]
-    fn unknown_directive_target_rejected() {
-        let err = two_tier()
-            .directive(Directive::Persist {
-                task: "ghost".into(),
-            })
-            .build()
-            .unwrap_err();
-        assert_eq!(err, GraphError::UnknownTask("ghost".into()));
-    }
-
-    #[test]
     fn empty_graph_rejected() {
         assert_eq!(
             TaskGraphBuilder::new().build().unwrap_err(),
@@ -656,56 +332,28 @@ mod tests {
     }
 
     #[test]
-    fn directives_are_queryable() {
-        let g = two_tier()
-            .directive(Directive::Place {
-                task: "collect".into(),
-                site: PlacementSite::Edge,
-            })
-            .directive(Directive::Isolate {
-                task: "recognize".into(),
-            })
-            .directive(Directive::Persist {
-                task: "recognize".into(),
-            })
-            .directive(Directive::Learn {
-                task: "recognize".into(),
-                scope: LearnScope::Swarm,
-            })
+    fn pins_are_queryable() {
+        let g = TaskGraphBuilder::new()
+            .task(TaskDef::new("collect").place(PlacementSite::Edge))
+            .task(TaskDef::new("recognize").parent("collect"))
             .build()
             .unwrap();
         assert_eq!(g.pinned_site("collect"), Some(PlacementSite::Edge));
         assert_eq!(g.pinned_site("recognize"), None);
-        assert!(g.is_isolated("recognize"));
-        assert!(!g.is_isolated("collect"));
-        assert!(g.is_persisted("recognize"));
-        assert_eq!(g.learn_scope("recognize"), LearnScope::Swarm);
-        assert_eq!(g.learn_scope("collect"), LearnScope::Off);
+        assert_eq!(g.pinned_site("ghost"), None);
     }
 
     #[test]
-    fn parallel_relation_is_symmetric() {
-        let g = two_tier().parallel("collect", "recognize").build().unwrap();
-        assert!(g.may_run_parallel("collect", "recognize"));
-        assert!(g.may_run_parallel("recognize", "collect"));
-        assert!(!g.may_run_parallel("collect", "collect"));
-    }
-
-    #[test]
-    fn topological_order_respects_all_edges() {
+    fn topological_order_respects_parent_edges() {
         let g = TaskGraphBuilder::new()
             .task(TaskDef::new("a"))
             .task(TaskDef::new("b").parent("a"))
             .task(TaskDef::new("c").parent("a"))
             .task(TaskDef::new("d").parent("b").parent("c"))
-            .serial("b", "c")
             .build()
             .unwrap();
-        let order = g.topological_names();
-        let pos = |n: &str| order.iter().position(|&x| x == n).unwrap();
-        assert!(pos("a") < pos("b"));
-        assert!(pos("b") < pos("c"), "serial(b, c) must order them");
-        assert!(pos("c") < pos("d"));
+        // Kahn's stack pops the last-declared ready child first.
+        assert_eq!(g.topological_names(), vec!["a", "c", "b", "d"]);
     }
 
     #[test]

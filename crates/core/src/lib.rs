@@ -3,10 +3,9 @@
 //! The HiveMind platform itself — the paper's contribution, built on the
 //! substrates in the sibling crates:
 //!
-//! * [`dsl`] — the declarative programming model (Listings 1–3): tasks,
-//!   task graphs, timing/execution dependencies, and the optional
-//!   management directives (`Schedule`, `Isolate`, `Place`, `Restore`,
-//!   `Learn`, `Persist`).
+//! * [`dsl`] — the declarative programming model (Listings 1–3), reduced
+//!   to what a run reads: tasks, their parent edges, and the `Place`
+//!   directive that pins a task to the edge or the cloud.
 //! * [`synthesis`] — program synthesis for task placement (Fig. 8):
 //!   enumerate the *meaningful* cloud/edge execution models, generate the
 //!   cross-tier communication bindings, profile each candidate, and pick

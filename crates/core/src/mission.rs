@@ -166,7 +166,7 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
     // The user's DSL task graph goes through the Fig. 8 synthesis pass and
     // the resulting placement is pinned on the engine (for non-hybrid
     // platforms this degenerates to the platform's forced placement, with
-    // `Place` directives honored).
+    // `Place` pins honored).
     for (app, site) in crate::programs::synthesized_placements(scenario, cfg.platform) {
         engine.pin_placement(app, site);
     }

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use hivemind_apps::scenario::Scenario;
 use hivemind_apps::suite::App;
 
-use crate::dsl::{Directive, LearnScope, PlacementSite, TaskDef, TaskGraph, TaskGraphBuilder};
+use crate::dsl::{PlacementSite, TaskDef, TaskGraph, TaskGraphBuilder};
 use crate::platform::Platform;
 use crate::synthesis::{explore, Objective, TaskCost};
 
@@ -45,21 +45,15 @@ fn task_name(app: App) -> &'static str {
 
 /// Compiles a scenario's phase pipeline into its DSL task graph.
 ///
-/// Structure mirrors Listing 3: a `createRoute` planning root, an edge-
-/// pinned `collectImage` sensor tier, per-frame phases as its children
-/// (with `Parallel` declarations), and any barrier phase (`deduplication`)
-/// as a `Synchronize`d, `Persist`ed final tier with swarm-wide learning on
-/// its parent recognition stage.
+/// Structure mirrors Listing 3: a `createRoute` planning root, a
+/// `collectImage` sensor tier (synthesis keeps sensor tasks on the edge),
+/// per-frame phases as its children, and any barrier phase
+/// (`deduplication`) as a final tier fed by the last per-frame phase.
+/// Safety-critical phases carry a `Place` pin to the edge.
 pub fn scenario_graph(scenario: Scenario) -> TaskGraph {
     let mut builder = TaskGraphBuilder::new()
-        .task(TaskDef::new("createRoute").code("tasks/create_route"))
-        .task(
-            TaskDef::new("collectImage")
-                .code("tasks/collect_image")
-                .arg("speed", "4")
-                .arg("colorFormat", "color")
-                .parent("createRoute"),
-        );
+        .task(TaskDef::new("createRoute"))
+        .task(TaskDef::new("collectImage").parent("createRoute"));
     let mut per_frame: Vec<&'static str> = Vec::new();
     for phase in scenario.phases() {
         if phase.name == "createRoute" {
@@ -70,39 +64,14 @@ pub fn scenario_graph(scenario: Scenario) -> TaskGraph {
             // The barrier phase consumes the last per-frame phase's output.
             *per_frame.last().unwrap_or(&"collectImage")
         } else {
+            per_frame.push(name);
             "collectImage"
         };
-        builder = builder.task(
-            TaskDef::new(name)
-                .code(format!("tasks/{name}"))
-                .parent(parent),
-        );
-        if phase.sync_barrier {
-            builder = builder
-                .directive(Directive::Synchronize {
-                    task: name.into(),
-                    condition: "all".into(),
-                })
-                .directive(Directive::Persist { task: name.into() })
-                .serial(parent, name);
-        } else {
-            if let Some(&prev) = per_frame.last() {
-                builder = builder.parallel(prev, name);
-            }
-            per_frame.push(name);
-        }
+        let mut task = TaskDef::new(name).parent(parent);
         if phase.app.edge_pinned() {
-            builder = builder.directive(Directive::Place {
-                task: name.into(),
-                site: PlacementSite::Edge,
-            });
+            task = task.place(PlacementSite::Edge);
         }
-        if matches!(phase.app, App::FaceRecognition | App::TreeRecognition) {
-            builder = builder.directive(Directive::Learn {
-                task: name.into(),
-                scope: LearnScope::Swarm,
-            });
-        }
+        builder = builder.task(task);
     }
     builder
         .build()
@@ -188,16 +157,14 @@ mod tests {
     fn moving_people_matches_listing3_shape() {
         let g = scenario_graph(Scenario::MovingPeople);
         assert_eq!(g.len(), 5);
-        assert!(g.may_run_parallel("obstacleAvoidance", "faceRecognition"));
+        assert_eq!(
+            g.children("collectImage"),
+            vec!["obstacleAvoidance", "faceRecognition"]
+        );
         assert_eq!(g.children("faceRecognition"), vec!["deduplication"]);
         assert_eq!(
             g.pinned_site("obstacleAvoidance"),
             Some(PlacementSite::Edge)
-        );
-        assert!(g.is_persisted("deduplication"));
-        assert_eq!(
-            g.learn_scope("faceRecognition"),
-            crate::dsl::LearnScope::Swarm
         );
     }
 

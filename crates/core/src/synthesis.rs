@@ -148,7 +148,8 @@ pub struct CandidateProfile {
     pub cloud_core_secs: f64,
 }
 
-/// What the user optimizes for (their DSL-level constraint).
+/// What the user optimizes for (the paper's DSL-level constraint, given
+/// to [`explore`] directly).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Objective {
     /// Minimize latency.
@@ -303,7 +304,7 @@ pub fn single_app_placement(app: App, platform: Platform) -> PlacementSite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dsl::{Directive, TaskDef, TaskGraphBuilder};
+    use crate::dsl::{TaskDef, TaskGraphBuilder};
 
     fn two_tier() -> TaskGraph {
         TaskGraphBuilder::new()
@@ -335,14 +336,10 @@ mod tests {
     }
 
     #[test]
-    fn place_directives_are_honored() {
+    fn place_pins_are_honored() {
         let g = TaskGraphBuilder::new()
-            .task(TaskDef::new("a"))
+            .task(TaskDef::new("a").place(PlacementSite::Cloud))
             .task(TaskDef::new("b").parent("a"))
-            .directive(Directive::Place {
-                task: "a".into(),
-                site: PlacementSite::Cloud,
-            })
             .build()
             .unwrap();
         let placements = enumerate_placements(&g);

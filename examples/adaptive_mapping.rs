@@ -10,7 +10,7 @@
 //! cargo run --release --example adaptive_mapping
 //! ```
 
-use hivemind::core::adaptive::run_adaptive_from;
+use hivemind::core::adaptive::run_adaptive;
 use hivemind::core::dsl::PlacementSite;
 use hivemind::core::prelude::*;
 
@@ -21,7 +21,7 @@ fn main() {
 
     println!("Goal: median OCR task latency under 2.0 s");
     println!("User hint: run panelRecognition at the edge\n");
-    let out = run_adaptive_from(
+    let out = run_adaptive(
         &cfg,
         App::TextRecognition,
         Some(PlacementSite::Edge),

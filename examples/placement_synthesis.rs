@@ -8,48 +8,22 @@
 
 use std::collections::HashMap;
 
-use hivemind::core::dsl::{Directive, LearnScope, PlacementSite, TaskDef, TaskGraphBuilder};
+use hivemind::core::dsl::{PlacementSite, TaskDef, TaskGraphBuilder};
 use hivemind::core::prelude::*;
 use hivemind::core::synthesis::{explore, Objective, TaskCost};
 
 fn main() {
     // Listing 3: people recognition and deduplication.
     let graph = TaskGraphBuilder::new()
-        .task(TaskDef::new("createRoute").code("tasks/create_route"))
-        .task(
-            TaskDef::new("collectImage")
-                .code("tasks/collect_image")
-                .arg("resolution", "1024p")
-                .parent("createRoute"),
-        )
+        .task(TaskDef::new("createRoute"))
+        .task(TaskDef::new("collectImage").parent("createRoute"))
         .task(
             TaskDef::new("obstacleAvoidance")
-                .code("tasks/obstacle_avoid")
-                .parent("collectImage"),
+                .parent("collectImage")
+                .place(PlacementSite::Edge),
         )
-        .task(
-            TaskDef::new("faceRecognition")
-                .code("tasks/face_rec")
-                .parent("collectImage"),
-        )
-        .task(
-            TaskDef::new("deduplication")
-                .code("tasks/dedup")
-                .parent("faceRecognition"),
-        )
-        .parallel("obstacleAvoidance", "faceRecognition")
-        .serial("faceRecognition", "deduplication")
-        .directive(Directive::Place {
-            task: "obstacleAvoidance".into(),
-            site: PlacementSite::Edge,
-        })
-        .directive(Directive::Learn {
-            task: "faceRecognition".into(),
-            scope: LearnScope::Swarm,
-        })
-        .directive(Directive::Persist {
-            task: "deduplication".into(),
-        })
+        .task(TaskDef::new("faceRecognition").parent("collectImage"))
+        .task(TaskDef::new("deduplication").parent("faceRecognition"))
         .build()
         .expect("Listing 3 is a valid task graph");
 

@@ -3,48 +3,40 @@
 
 use std::collections::HashMap;
 
+use hivemind::apps::scenario::Scenario;
 use hivemind::apps::suite::App;
-use hivemind::core::dsl::{
-    Constraint, Directive, GraphError, PlacementSite, TaskDef, TaskGraphBuilder,
-};
+use hivemind::core::dsl::{GraphError, PlacementSite, TaskDef, TaskGraph, TaskGraphBuilder};
 use hivemind::core::engine::{Engine, EngineConfig};
 use hivemind::core::platform::Platform;
+use hivemind::core::programs::scenario_graph;
 use hivemind::core::synthesis::{
-    bindings, enumerate_placements, explore, single_app_placement, Binding, Objective, TaskCost,
+    bindings, enumerate_placements, estimate, explore, single_app_placement, Binding, Objective,
+    TaskCost,
 };
 
-fn scenario_b_graph() -> hivemind::core::dsl::TaskGraph {
-    TaskGraphBuilder::new()
-        .constraint(Constraint::ExecTime { secs: 300.0 })
-        .task(TaskDef::new("createRoute").code("t/route"))
-        .task(
-            TaskDef::new("collectImage")
-                .code("t/collect")
-                .parent("createRoute"),
-        )
-        .task(
-            TaskDef::new("obstacleAvoidance")
-                .code("t/oa")
-                .parent("collectImage"),
-        )
-        .task(
-            TaskDef::new("faceRecognition")
-                .code("t/face")
-                .parent("collectImage"),
-        )
-        .task(
-            TaskDef::new("deduplication")
-                .code("t/dedup")
-                .parent("faceRecognition"),
-        )
-        .parallel("obstacleAvoidance", "faceRecognition")
-        .serial("faceRecognition", "deduplication")
-        .directive(Directive::Place {
-            task: "obstacleAvoidance".into(),
-            site: PlacementSite::Edge,
-        })
+/// Listing 3's tasks, with `obstacleAvoidance` pinned to the edge.
+fn scenario_b_tasks() -> Vec<TaskDef> {
+    vec![
+        TaskDef::new("createRoute"),
+        TaskDef::new("collectImage").parent("createRoute"),
+        TaskDef::new("obstacleAvoidance")
+            .parent("collectImage")
+            .place(PlacementSite::Edge),
+        TaskDef::new("faceRecognition").parent("collectImage"),
+        TaskDef::new("deduplication").parent("faceRecognition"),
+    ]
+}
+
+fn build(tasks: Vec<TaskDef>) -> TaskGraph {
+    tasks
+        .into_iter()
+        .fold(TaskGraphBuilder::new(), TaskGraphBuilder::task)
         .build()
         .expect("Listing 3 is valid")
+}
+
+fn scenario_b_graph() -> TaskGraph {
+    build(scenario_b_tasks())
 }
 
 fn scenario_b_costs() -> HashMap<String, TaskCost> {
@@ -74,7 +66,7 @@ fn scenario_b_costs() -> HashMap<String, TaskCost> {
 fn exploration_prunes_to_meaningful_models() {
     let graph = scenario_b_graph();
     // 5 tasks; collectImage auto-pinned (sensor), obstacleAvoidance pinned
-    // by directive → 2^3 = 8 meaningful models.
+    // by `place` → 2^3 = 8 meaningful models.
     let placements = enumerate_placements(&graph);
     assert_eq!(placements.len(), 8);
     for p in &placements {
@@ -167,4 +159,95 @@ fn power_objective_changes_the_winner() {
         }
     }
     assert!(power[0].profile.edge_energy <= perf[0].profile.edge_energy);
+}
+
+#[test]
+fn place_pin_changes_the_count_and_the_winner() {
+    let pinned = scenario_b_graph();
+    let mut tasks = scenario_b_tasks();
+    tasks[2].place = None;
+    let free = build(tasks);
+    assert_eq!(enumerate_placements(&pinned).len(), 8);
+    assert_eq!(enumerate_placements(&free).len(), 16);
+    let costs = scenario_b_costs();
+    let winner = |graph: &TaskGraph| {
+        explore(graph, &costs, Platform::HiveMind, Objective::Power)
+            .swap_remove(0)
+            .placement
+    };
+    assert_eq!(winner(&pinned)["obstacleAvoidance"], PlacementSite::Edge);
+    assert_eq!(winner(&free)["obstacleAvoidance"], PlacementSite::Cloud);
+}
+
+#[test]
+fn a_parent_edge_changes_bindings_and_estimate() {
+    let base = scenario_b_graph();
+    let mut tasks = scenario_b_tasks();
+    tasks[4].parents.push("obstacleAvoidance".into());
+    let joined = build(tasks);
+    let costs = scenario_b_costs();
+    let placement = explore(&base, &costs, Platform::HiveMind, Objective::Performance)
+        .swap_remove(0)
+        .placement;
+    let before = bindings(&base, &placement);
+    let after = bindings(&joined, &placement);
+    assert_eq!(after.len(), before.len() + 1);
+    assert!(after.contains(&(
+        "obstacleAvoidance".to_string(),
+        "deduplication".to_string(),
+        Binding::CrossTierRpc
+    )));
+    let latency =
+        |graph: &TaskGraph| estimate(graph, &placement, &costs, Platform::HiveMind).latency;
+    assert!(latency(&joined) > latency(&base));
+}
+
+#[test]
+fn scenario_topological_orders_are_pinned() {
+    let expected = [
+        (
+            Scenario::StationaryItems,
+            vec![
+                "createRoute",
+                "collectImage",
+                "itemRecognition",
+                "obstacleAvoidance",
+            ],
+        ),
+        (
+            Scenario::MovingPeople,
+            vec![
+                "createRoute",
+                "collectImage",
+                "faceRecognition",
+                "deduplication",
+                "obstacleAvoidance",
+            ],
+        ),
+        (
+            Scenario::TreasureHunt,
+            vec![
+                "createRoute",
+                "collectImage",
+                "routeUpdate",
+                "panelRecognition",
+            ],
+        ),
+        (
+            Scenario::CarMaze,
+            vec![
+                "createRoute",
+                "collectImage",
+                "obstacleAvoidance",
+                "routeUpdate",
+            ],
+        ),
+    ];
+    for (scenario, names) in expected {
+        assert_eq!(
+            scenario_graph(scenario).topological_names(),
+            names,
+            "{scenario:?}"
+        );
+    }
 }

@@ -1,8 +1,8 @@
-//! Tier-2 golden calibration tests (slow; excluded from the default
-//! suite). Run with:
+//! Golden calibration tests, part of the default suite (both together
+//! take a few seconds, also in the debug profile). Run alone with:
 //!
 //! ```text
-//! cargo test --release --test golden_calibration -- --ignored
+//! cargo test --release --test golden_calibration
 //! ```
 //!
 //! These pin the reproduction's two headline calibration numbers to the
@@ -23,7 +23,6 @@ const DURATION_SECS: f64 = 60.0;
 /// queueing model's p99 must stay within 5% of the detailed DES on
 /// average (the paper reports < 5% everywhere on its testbed).
 #[test]
-#[ignore = "tier-2 golden calibration: ~30 full DES runs"]
 fn analytic_model_tracks_des_within_five_percent() {
     let platforms = [
         Platform::CentralizedFaaS,
@@ -81,7 +80,6 @@ fn analytic_model_tracks_des_within_five_percent() {
 /// - the *up to 2.85x* factor is a per-app ratio at moderate load —
 ///   under saturation the ratio diverges and stops being comparable.
 #[test]
-#[ignore = "tier-2 golden calibration: 4x10 full DES runs with replicates"]
 fn hivemind_improvement_over_centralized_matches_paper() {
     let runner = Runner::from_env();
     let mean_total = |app: App, platform: Platform, rate_scale: f64| {
