@@ -5,9 +5,8 @@
 //! ```
 //!
 //! Set `HIVEMIND_FULL=1` (or pass `--full`) for paper-length runs (120 s
-//! jobs, 10 repeats, swarm sweep to 8192 devices). Pass `--smoke` to
-//! forward smoke mode to every figure (the seconds-scale deterministic
-//! slice the golden tests use). Pass `--trace <path>` to collect event
+//! jobs, 10 repeats, swarm sweep to 100k devices); the default run is
+//! what the golden tests pin. Pass `--trace <path>` to collect event
 //! traces from every figure; each figure gets its own trace family
 //! (`<stem>.fig01.<ext>`, `<stem>.fig03.<ext>`, ...) so the figures never
 //! overwrite each other's files.
@@ -27,9 +26,6 @@ fn main() {
     let dir = exe.parent().expect("bin dir");
     for fig in figures {
         let mut cmd = Command::new(dir.join(fig));
-        if cli.smoke_flag() {
-            cmd.arg("--smoke");
-        }
         if cli.full() {
             cmd.arg("--full");
         }

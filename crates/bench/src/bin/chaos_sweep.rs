@@ -11,10 +11,10 @@
 //! under a different disturbance level — the curves are pure fault
 //! response, not seed noise.
 //!
-//! `--smoke` runs a quick deterministic slice (nonzero packet loss, one
-//! server crash, one device MTBF failure) and prints the outcome JSON;
-//! CI diffs that output across `HIVEMIND_THREADS` values to pin down
-//! byte-determinism of the fault plane.
+//! The run ends with a fault cocktail (nonzero packet loss, one server
+//! crash, one device MTBF failure) through the replicate runner, printed
+//! as outcome JSON; the golden pins it across `HIVEMIND_THREADS` and
+//! `HIVEMIND_SHARDS` values, so the fault plane stays byte-deterministic.
 
 use hivemind_bench::{banner, runner, Table};
 use hivemind_core::prelude::*;
@@ -142,7 +142,8 @@ fn sweep() {
     );
 }
 
-fn smoke() {
+/// Prints the outcome JSON of a fault cocktail, recovery block included.
+fn outcome_json() {
     // Nonzero loss + one scheduled server crash on the single-app side...
     let cluster_plan = FaultPlan::default()
         .packet_loss(0.05)
@@ -176,13 +177,10 @@ fn smoke() {
     assert!(r.device_failures >= 1, "MTBF must claim a device");
     assert!(r.mean_detection_secs >= 3.0, "heartbeat window is 3 s");
     println!("mission: {}", mission.to_json());
-    println!("chaos smoke ok");
 }
 
 fn main() {
-    if hivemind_bench::cli::Cli::from_env().smoke() {
-        smoke();
-    } else {
-        sweep();
-    }
+    hivemind_bench::cli::Cli::from_env();
+    sweep();
+    outcome_json();
 }

@@ -4,14 +4,13 @@
 //! Centralized IaaS, Centralized FaaS, Distributed Edge, and HiveMind.
 
 use hivemind_bench::report::Report;
-use hivemind_bench::{banner, repeats, smoke, Table};
+use hivemind_bench::{banner, repeats, Table};
 use hivemind_core::prelude::*;
 
 fn main() {
     let report = Report::from_env();
     banner("Figure 1: treasure-hunt scenario, execution time + consumed battery");
-    let device_counts: &[u32] = if smoke() { &[16] } else { &[16, 1000] };
-    for &devices in device_counts {
+    for devices in [16, 1000] {
         println!("--- {devices}-drone swarm ---");
         let mut table = Table::new([
             "platform",

@@ -4,7 +4,7 @@
 //! for face recognition as drones and frame resolution increase.
 
 use hivemind_bench::report::Report;
-use hivemind_bench::{banner, ms, pct, single_app_duration_secs, smoke, Table, Workload};
+use hivemind_bench::{banner, ms, pct, single_app_duration_secs, Table, Workload};
 use hivemind_core::prelude::*;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
         "median (ms)",
         "p99 (ms)",
     ]);
-    let workloads = Workload::active_set();
+    let workloads = Workload::evaluation_set();
     let configs: Vec<ExperimentConfig> = workloads
         .iter()
         .map(|w| {
@@ -53,24 +53,15 @@ fn main() {
     // input_scale 1.0 = the default 2 MB batch; sweep 512 KB → 8 MB at
     // the full 8 fps offered load the paper uses for this experiment.
     let mut cells = Vec::new();
-    let resolutions: &[(&str, f64)] = if smoke() {
-        &[("2MB", 1.0), ("8MB", 4.0)]
-    } else {
-        &[
-            ("512KB", 0.25),
-            ("1MB", 0.5),
-            ("2MB", 1.0),
-            ("4MB", 2.0),
-            ("8MB", 4.0),
-        ]
-    };
-    let drone_counts: &[u32] = if smoke() {
-        &[4, 16]
-    } else {
-        &[2, 4, 8, 12, 16]
-    };
-    for &(label, scale) in resolutions {
-        for &drones in drone_counts {
+    let resolutions = [
+        ("512KB", 0.25),
+        ("1MB", 0.5),
+        ("2MB", 1.0),
+        ("4MB", 2.0),
+        ("8MB", 4.0),
+    ];
+    for (label, scale) in resolutions {
+        for drones in [2, 4, 8, 12, 16] {
             cells.push((label, scale, drones));
         }
     }

@@ -3,7 +3,7 @@
 //! cloud vs distributed edge execution.
 
 use hivemind_bench::report::{task_quantile_secs, Report};
-use hivemind_bench::{banner, ms, repeats, smoke, Table, Workload};
+use hivemind_bench::{banner, ms, repeats, Table, Workload};
 use hivemind_core::prelude::*;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
         "edge p50",
         "edge p99",
     ]);
-    let apps: Vec<Workload> = Workload::active_set()
+    let apps: Vec<Workload> = Workload::evaluation_set()
         .into_iter()
         .filter(|w| matches!(w, Workload::App(_)))
         .collect();
@@ -49,12 +49,7 @@ fn main() {
 
     banner("Figure 4b: job latency (s) for the end-to-end scenarios");
     let mut table = Table::new(["scenario", "platform", "median (s)", "max (s)", "completed"]);
-    let scenarios: &[Scenario] = if smoke() {
-        &[Scenario::StationaryItems]
-    } else {
-        &[Scenario::StationaryItems, Scenario::MovingPeople]
-    };
-    for &scenario in scenarios {
+    for scenario in [Scenario::StationaryItems, Scenario::MovingPeople] {
         for platform in [Platform::CentralizedFaaS, Platform::DistributedEdge] {
             let set = report.run_replicated(
                 &ExperimentConfig::scenario(scenario)

@@ -5,7 +5,7 @@
 //! tasks over time when a fraction of functions fail.
 
 use hivemind_bench::report::Report;
-use hivemind_bench::{banner, ms, single_app_duration_secs, smoke, Table, Workload};
+use hivemind_bench::{banner, ms, single_app_duration_secs, Table, Workload};
 use hivemind_core::prelude::*;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
         "serverless (intra)",
         "speedup",
     ]);
-    let apps: Vec<Workload> = Workload::active_set()
+    let apps: Vec<Workload> = Workload::evaluation_set()
         .into_iter()
         .filter(|w| matches!(w, Workload::App(_)))
         .collect();
@@ -59,33 +59,16 @@ fn main() {
     println!(" maze/weather/soil benefit least; S9/S10 gain dramatically from intra-task)");
 
     banner("Figure 5b: S1 latency under fluctuating load (median ms per 30 s window)");
-    // Ramp: 1 → 4 → 10 → 16 → 6 → 1 active drones (compressed 6× under
-    // --smoke, same shape).
-    let (profile, total) = if smoke() {
-        (
-            vec![
-                (0.0, 1u32),
-                (5.0, 4),
-                (10.0, 10),
-                (15.0, 16),
-                (20.0, 6),
-                (25.0, 1),
-            ],
-            30.0,
-        )
-    } else {
-        (
-            vec![
-                (0.0, 1u32),
-                (30.0, 4),
-                (60.0, 10),
-                (90.0, 16),
-                (120.0, 6),
-                (150.0, 1),
-            ],
-            180.0,
-        )
-    };
+    // Ramp: 1 → 4 → 10 → 16 → 6 → 1 active drones.
+    let profile = vec![
+        (0.0, 1u32),
+        (30.0, 4),
+        (60.0, 10),
+        (90.0, 16),
+        (120.0, 6),
+        (150.0, 1),
+    ];
+    let total = 180.0;
     let deployment = |platform: Platform, workers: Option<u32>| {
         let mut cfg = ExperimentConfig::single_app(App::FaceRecognition)
             .platform(platform)

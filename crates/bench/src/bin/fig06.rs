@@ -23,7 +23,7 @@ fn main() {
         "faas p99",
         "faas p99/p50",
     ]);
-    let apps: Vec<Workload> = Workload::active_set()
+    let apps: Vec<Workload> = Workload::evaluation_set()
         .into_iter()
         .filter(|w| matches!(w, Workload::App(_)))
         .collect();

@@ -23,7 +23,7 @@ fn main() {
         Platform::DistributedEdge,
         Platform::HiveMind,
     ];
-    let workloads = Workload::active_set();
+    let workloads = Workload::evaluation_set();
     let configs: Vec<ExperimentConfig> = workloads
         .iter()
         .flat_map(|w| platforms.map(|p| w.config(p, 1)))

@@ -24,7 +24,7 @@ fn main() {
     let mut hm_total = 0.0;
     let mut n = 0.0;
     let platforms = [Platform::CentralizedFaaS, Platform::HiveMind];
-    let workloads = Workload::active_set();
+    let workloads = Workload::evaluation_set();
     let configs: Vec<ExperimentConfig> = workloads
         .iter()
         .flat_map(|w| {

@@ -16,7 +16,7 @@ fn main() {
         headers.push(format!("{} p99", p.label()));
     }
     let mut table = Table::new(headers);
-    let workloads = Workload::active_set();
+    let workloads = Workload::evaluation_set();
     let configs: Vec<ExperimentConfig> = workloads
         .iter()
         .flat_map(|w| Platform::ABLATIONS.map(|p| w.config(p, 3)))

@@ -23,7 +23,7 @@ fn main() {
         Platform::HiveMind,
     ];
     let mut bandwidth_rows = Vec::new();
-    let workloads = Workload::active_set();
+    let workloads = Workload::evaluation_set();
     let configs: Vec<ExperimentConfig> = workloads
         .iter()
         .flat_map(|w| platforms.map(|p| w.config(p, 4)))

@@ -11,16 +11,15 @@
 
 use hivemind_apps::learning::run_campaign;
 use hivemind_bench::report::Report;
-use hivemind_bench::{banner, repeats, runner, smoke, Table};
+use hivemind_bench::{banner, repeats, runner, Table};
 use hivemind_core::prelude::*;
 
 fn main() {
     let report = Report::from_env();
     banner("Figure 15 (learning dynamics): online detector accuracy per retraining policy");
     let mut table = Table::new(["policy", "correct %", "false neg %", "false pos %"]);
-    let rounds = if smoke() { 40 } else { 150 };
     let campaigns = runner().map(&RetrainMode::ALL, |_, &mode| {
-        run_campaign(mode, 16, rounds, 6, 42)
+        run_campaign(mode, 16, 150, 6, 42)
     });
     for (mode, q) in RetrainMode::ALL.iter().zip(campaigns) {
         table.row([
@@ -41,12 +40,7 @@ fn main() {
         "false pos %",
         "targets",
     ]);
-    let scenarios: &[Scenario] = if smoke() {
-        &[Scenario::StationaryItems]
-    } else {
-        &[Scenario::StationaryItems, Scenario::MovingPeople]
-    };
-    for &scenario in scenarios {
+    for scenario in [Scenario::StationaryItems, Scenario::MovingPeople] {
         for mode in RetrainMode::ALL {
             let n = repeats();
             let set = report.run_replicated(

@@ -2,7 +2,7 @@
 //! battery consumption for the Treasure Hunt and Maze scenarios.
 
 use hivemind_bench::report::Report;
-use hivemind_bench::{banner, repeats, smoke, Table};
+use hivemind_bench::{banner, repeats, Table};
 use hivemind_core::prelude::*;
 
 fn main() {
@@ -17,12 +17,7 @@ fn main() {
         "battery max (%)",
         "goals",
     ]);
-    let scenarios: &[Scenario] = if smoke() {
-        &[Scenario::TreasureHunt]
-    } else {
-        &[Scenario::TreasureHunt, Scenario::CarMaze]
-    };
-    for &scenario in scenarios {
+    for scenario in [Scenario::TreasureHunt, Scenario::CarMaze] {
         for platform in [
             Platform::CentralizedFaaS,
             Platform::DistributedEdge,

@@ -11,7 +11,7 @@
 //! that host has, so the sweep does not offer it.
 
 use hivemind_bench::report::Report;
-use hivemind_bench::{banner, full_fidelity, smoke, Table};
+use hivemind_bench::{banner, full_fidelity, Table};
 use hivemind_core::prelude::*;
 
 fn main() {
@@ -24,19 +24,15 @@ fn main() {
         "bandwidth p99 (MB/s)",
         "job latency (s)",
     ]);
-    let points: &[(&str, f64, f64)] = if smoke() {
-        &[("2MB", 1.0, 1.0), ("8MB 32fps", 4.0, 4.0)]
-    } else {
-        &[
-            ("0.5MB", 0.25, 1.0),
-            ("1MB", 0.5, 1.0),
-            ("2MB", 1.0, 1.0),
-            ("4MB", 2.0, 1.0),
-            ("8MB", 4.0, 1.0),
-            ("8MB 16fps", 4.0, 2.0),
-            ("8MB 32fps", 4.0, 4.0),
-        ]
-    };
+    let points = [
+        ("0.5MB", 0.25, 1.0),
+        ("1MB", 0.5, 1.0),
+        ("2MB", 1.0, 1.0),
+        ("4MB", 2.0, 1.0),
+        ("8MB", 4.0, 1.0),
+        ("8MB 16fps", 4.0, 2.0),
+        ("8MB 32fps", 4.0, 4.0),
+    ];
     let cells: Vec<(Scenario, &str, f64, f64)> =
         [Scenario::StationaryItems, Scenario::MovingPeople]
             .into_iter()
@@ -71,11 +67,7 @@ fn main() {
     banner(
         "Figure 17b: bandwidth + tail latency vs swarm size (simulated; links scale with swarm)",
     );
-    let mut sizes = if smoke() {
-        vec![16u32, 48]
-    } else {
-        vec![16u32, 32, 64, 128, 256, 512, 1024, 2048, 4096]
-    };
+    let mut sizes = vec![16u32, 32, 64, 128, 256, 512, 1024, 2048, 4096];
     if full_fidelity() {
         // The 100k point is where spatial sharding earns its keep: one
         // replicate spread across every core instead of one core per

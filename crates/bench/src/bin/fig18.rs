@@ -4,7 +4,7 @@
 //! all workloads across the three platforms.
 
 use hivemind_bench::report::Report;
-use hivemind_bench::{banner, ms, single_app_duration_secs, smoke, Table};
+use hivemind_bench::{banner, ms, single_app_duration_secs, Table};
 use hivemind_core::analytic::{deviation_pct, QuickModel};
 use hivemind_core::prelude::*;
 
@@ -28,8 +28,7 @@ fn main() {
         Platform::DistributedEdge,
         Platform::HiveMind,
     ];
-    let apps: &[App] = if smoke() { &App::ALL[..2] } else { &App::ALL };
-    let cells: Vec<(App, Platform)> = apps
+    let cells: Vec<(App, Platform)> = App::ALL
         .iter()
         .flat_map(|&app| platforms.map(|p| (app, p)))
         .collect();
@@ -44,24 +43,22 @@ fn main() {
         .collect();
     let des_outcomes = report.run_configs(&configs);
     for (&(app, platform), des) in cells.iter().zip(des_outcomes) {
-        {
-            let mut qm = QuickModel::testbed(platform, app);
-            qm.duration_secs = single_app_duration_secs();
-            let model = qm.predict(8000, 8);
-            let dev = deviation_pct(des.tasks.total.p99(), model.p99());
-            worst = worst.max(dev.abs());
-            mean_abs += dev.abs();
-            n += 1.0;
-            table.row([
-                app.label().to_string(),
-                platform.label().to_string(),
-                ms(des.tasks.total.median()),
-                ms(model.median()),
-                ms(des.tasks.total.p99()),
-                ms(model.p99()),
-                format!("{dev:+.1}%"),
-            ]);
-        }
+        let mut qm = QuickModel::testbed(platform, app);
+        qm.duration_secs = single_app_duration_secs();
+        let model = qm.predict(8000, 8);
+        let dev = deviation_pct(des.tasks.total.p99(), model.p99());
+        worst = worst.max(dev.abs());
+        mean_abs += dev.abs();
+        n += 1.0;
+        table.row([
+            app.label().to_string(),
+            platform.label().to_string(),
+            ms(des.tasks.total.median()),
+            ms(model.median()),
+            ms(des.tasks.total.p99()),
+            ms(model.p99()),
+            format!("{dev:+.1}%"),
+        ]);
     }
     table.print();
     println!();

@@ -39,9 +39,11 @@
 //!
 //! The checker is a pure function of the model — FNV-fingerprint dedup,
 //! canonical action order, no wall clock — so every number and schedule
-//! printed here is byte-deterministic. `--smoke` runs the smaller
-//! instances through the replicate runner's worker pool; CI diffs that
-//! output across `HIVEMIND_THREADS` values.
+//! printed here is byte-deterministic, whichever worker of the replicate
+//! runner explores it; the golden pins the output across
+//! `HIVEMIND_THREADS` values. The default run checks the exchange
+//! protocol on two sessions (about 0.4 M states, a second); `--full` (or
+//! `HIVEMIND_FULL=1`) on three (about 10 M states, half a minute).
 
 use hivemind_bench::{banner, runner, Table};
 use hivemind_core::mc::{
@@ -120,7 +122,7 @@ fn catch<M: McModel>(
     );
     check_fixed(&v.schedule);
     // The wording, "replayed through the DES engine" included, is
-    // pinned by the `mc_sweep --smoke` golden.
+    // pinned by the `mc_sweep` golden.
     format!(
         "{name}\n  violation: {}\n  minimal counterexample ({} steps):\n{}\
          \n  replayed through the DES engine: step {step}, same violation; \
@@ -129,69 +131,103 @@ fn catch<M: McModel>(
     )
 }
 
-/// The disconnect plane's planted bugs run only in the full sweep: the
-/// smoke section (and its golden) predates the protocol and pins the
-/// original five.
-fn disconnect_bugs() -> [String; 2] {
-    [
-        catch(
-            "reconnect replay: watermark dedup off, duplicates re-delivered",
-            "exactly-once replay",
-            disconnect_no_dedup_mutant,
-            24,
-            |s| assert_eq!(replay_schedule(disconnect_instance(), s), None),
-        ),
-        catch(
-            "reconnect grace: heal without re-arm read silence as death",
-            "spurious failure declaration",
-            disconnect_no_grace_mutant,
-            24,
-            |s| assert_eq!(replay_schedule(disconnect_instance(), s), None),
-        ),
-    ]
-}
-
-fn planted_bugs() -> [String; 5] {
-    [
-        catch(
+/// Checks planted bug `index` (0–6) and returns its rendered report.
+fn planted_bug(index: usize) -> String {
+    match index {
+        0 => catch(
             "failover: orphaned strips died with their heir (pre-fix controller)",
             "task conservation",
             failover_legacy_instance,
             24,
             |s| assert_eq!(replay_schedule(failover_instance(), s), None),
         ),
-        catch(
+        1 => catch(
             "breaker: cool-down expiry skipped the half-open probe phase",
             "breaker legality",
             retry_breaker_mutant,
             24,
             |s| assert_eq!(replay_schedule(retry_breaker_instance(), s), None),
         ),
-        catch(
+        2 => catch(
             "exchange: duplicated FetchResp ran the child twice (dedup off)",
             "double execution",
             exchange_mutant,
             14,
             |s| assert_eq!(replay_schedule(exchange_smoke_instance(), s), None),
         ),
-        catch(
+        3 => catch(
             "shard merge: barrier concatenated batches in shard order",
             "merge order",
             shard_merge_mutant,
             16,
             |s| assert_eq!(replay_schedule(shard_merge_instance(), s), None),
         ),
-        catch(
+        4 => catch(
             "shard horizon: a shard consumed one lookahead past the epoch",
             "lookahead horizon",
             shard_eager_mutant,
             16,
             |s| assert_eq!(replay_schedule(shard_merge_instance(), s), None),
         ),
-    ]
+        5 => catch(
+            "reconnect replay: watermark dedup off, duplicates re-delivered",
+            "exactly-once replay",
+            disconnect_no_dedup_mutant,
+            24,
+            |s| assert_eq!(replay_schedule(disconnect_instance(), s), None),
+        ),
+        _ => catch(
+            "reconnect grace: heal without re-arm read silence as death",
+            "spurious failure declaration",
+            disconnect_no_grace_mutant,
+            24,
+            |s| assert_eq!(replay_schedule(disconnect_instance(), s), None),
+        ),
+    }
 }
 
-fn sweep() {
+/// Explores protocol `index` (0–4) exhaustively and returns its stats
+/// table row. `full` swaps the 2-session exchange instance for the
+/// 3-session one (about 10 M states).
+fn protocol_row(index: usize, full: bool) -> [String; 7] {
+    match index {
+        0 => stats_row(
+            "controller failover",
+            &verify("failover", &failover_instance(), &cfg(24)),
+        ),
+        1 => stats_row(
+            "retry + circuit breaker",
+            &verify("retry+breaker", &retry_breaker_instance(), &cfg(24)),
+        ),
+        2 => {
+            let (label, model) = if full {
+                ("data exchange (3 sessions)", exchange_instance())
+            } else {
+                ("data exchange (2 sessions)", exchange_smoke_instance())
+            };
+            let config = McConfig {
+                max_depth: 40,
+                max_states: 30_000_000,
+            };
+            stats_row(label, &verify("exchange", &model, &config))
+        }
+        3 => stats_row(
+            "sharded barrier merge (3 shards)",
+            &verify("shard merge", &shard_merge_instance(), &cfg(16)),
+        ),
+        _ => stats_row(
+            "disconnected operation",
+            &verify("disconnect", &disconnect_instance(), &cfg(24)),
+        ),
+    }
+}
+
+fn main() {
+    let full = hivemind_bench::cli::Cli::from_env().full();
+    // Every exploration fans out across the replicate runner's workers:
+    // HIVEMIND_THREADS changes the execution schedule but must not change
+    // one byte of this output.
+    let runner = runner();
     banner("Model checking: exhaustive exploration under all fault schedules");
     let mut table = Table::new([
         "protocol",
@@ -202,23 +238,9 @@ fn sweep() {
         "terminals",
         "violations",
     ]);
-    let failover = verify("failover", &failover_instance(), &cfg(24));
-    table.row(stats_row("controller failover", &failover));
-    let breaker = verify("retry+breaker", &retry_breaker_instance(), &cfg(24));
-    table.row(stats_row("retry + circuit breaker", &breaker));
-    let exchange = verify(
-        "exchange",
-        &exchange_instance(),
-        &McConfig {
-            max_depth: 40,
-            max_states: 30_000_000,
-        },
-    );
-    table.row(stats_row("data exchange (3 sessions)", &exchange));
-    let shard = verify("shard merge", &shard_merge_instance(), &cfg(16));
-    table.row(stats_row("sharded barrier merge (3 shards)", &shard));
-    let disconnect = verify("disconnect", &disconnect_instance(), &cfg(24));
-    table.row(stats_row("disconnected operation", &disconnect));
+    for row in runner.map(&[0, 1, 2, 3, 4], |_, &i| protocol_row(i, full)) {
+        table.row(row);
+    }
     table.print();
     println!("(2 servers / 1 controller / 3 tasks per protocol; every fault");
     println!(" schedule within the crash/drop/duplicate/failover budgets;");
@@ -226,60 +248,7 @@ fn sweep() {
     println!(" the disconnect protocol every partition/heal/replay schedule)");
 
     banner("Planted bugs: each must yield a replayable minimal counterexample");
-    for rendered in planted_bugs() {
+    for rendered in runner.map(&[0, 1, 2, 3, 4, 5, 6], |_, &i| planted_bug(i)) {
         println!("{rendered}");
-    }
-    for rendered in disconnect_bugs() {
-        println!("{rendered}");
-    }
-}
-
-fn smoke() {
-    // The smaller exhaustive instances plus all five planted bugs, fanned
-    // across the replicate runner's workers: HIVEMIND_THREADS changes the
-    // execution schedule but must not change one byte of this output.
-    let jobs: Vec<usize> = (0..5).collect();
-    let sections = runner().map(&jobs, |_, &job| match job {
-        0 => {
-            let stats = verify("failover", &failover_instance(), &cfg(24));
-            format!(
-                "failover: {} states, {} transitions, diameter {}, {} terminals, 0 violations",
-                stats.states, stats.transitions, stats.max_depth, stats.terminals
-            )
-        }
-        1 => {
-            let stats = verify("retry+breaker", &retry_breaker_instance(), &cfg(24));
-            format!(
-                "retry+breaker: {} states, {} transitions, diameter {}, {} terminals, 0 violations",
-                stats.states, stats.transitions, stats.max_depth, stats.terminals
-            )
-        }
-        2 => {
-            let stats = verify("exchange", &exchange_smoke_instance(), &cfg(28));
-            format!(
-                "exchange: {} states, {} transitions, diameter {}, {} terminals, 0 violations",
-                stats.states, stats.transitions, stats.max_depth, stats.terminals
-            )
-        }
-        3 => {
-            let stats = verify("shard merge", &shard_merge_instance(), &cfg(16));
-            format!(
-                "shard merge: {} states, {} transitions, diameter {}, {} terminals, 0 violations",
-                stats.states, stats.transitions, stats.max_depth, stats.terminals
-            )
-        }
-        _ => planted_bugs().join("\n"),
-    });
-    for section in sections {
-        println!("{section}");
-    }
-    println!("mc smoke ok");
-}
-
-fn main() {
-    if hivemind_bench::cli::Cli::from_env().smoke() {
-        smoke();
-    } else {
-        sweep();
     }
 }

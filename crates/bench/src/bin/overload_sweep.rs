@@ -23,9 +23,9 @@
 //! The overload plane draws no randomness: every shed, breaker, and
 //! spillover decision is a pure function of queue lengths, counters, and
 //! event times, so each sweep cell runs the *same* workload sample under
-//! a different policy. `--smoke` runs a quick deterministic slice through
-//! the replicate runner and prints the outcome JSON; CI diffs that output
-//! across `HIVEMIND_THREADS` values to pin down byte-determinism.
+//! a different policy. The run ends with a saturated cluster under the
+//! full policy, through the replicate runner, printed as outcome JSON;
+//! the golden pins it across `HIVEMIND_THREADS` values.
 
 use hivemind_bench::{banner, runner, Table};
 use hivemind_core::prelude::*;
@@ -246,7 +246,8 @@ fn sweep() {
     );
 }
 
-fn smoke() {
+/// Prints the outcome JSON of a saturated cluster, shed block included.
+fn outcome_json() {
     // A saturated cluster under the full policy (bound + deadline +
     // breaker + spillover + ingress backpressure), through the replicate
     // runner so HIVEMIND_THREADS affects the execution schedule but must
@@ -272,13 +273,10 @@ fn smoke() {
         assert_eq!(s.tasks_shed, 0, "spillover leaves no task abandoned");
         println!("seed {seed}: {}", outcome.to_json());
     }
-    println!("overload smoke ok");
 }
 
 fn main() {
-    if hivemind_bench::cli::Cli::from_env().smoke() {
-        smoke();
-    } else {
-        sweep();
-    }
+    hivemind_bench::cli::Cli::from_env();
+    sweep();
+    outcome_json();
 }

@@ -15,10 +15,10 @@
 //! that lease-based autonomy carries >= 95% of the work where the
 //! hold-only baseline visibly loses it.
 //!
-//! `--smoke` runs a quick deterministic slice through the replicate
-//! runner and prints the outcome JSON; CI diffs that output across
-//! `HIVEMIND_THREADS` and `HIVEMIND_SHARDS` values to pin down
-//! byte-determinism of the disconnect plane.
+//! The run ends with one partition through the replicate runner, printed
+//! as outcome JSON; the golden pins it across `HIVEMIND_THREADS` and
+//! `HIVEMIND_SHARDS` values, so the disconnect plane stays
+//! byte-deterministic.
 
 use hivemind_bench::{banner, runner, Table};
 use hivemind_core::prelude::*;
@@ -162,7 +162,9 @@ fn sweep() {
     assert!(r.mean_staleness_secs > 0.0, "replayed summaries aged");
 }
 
-fn smoke() {
+/// Prints the outcome JSON of one healed partition, reconnect block
+/// included.
+fn outcome_json() {
     // One 10 s partition mid-run, autonomy armed, through the replicate
     // runner: HIVEMIND_THREADS / HIVEMIND_SHARDS affect the execution
     // schedule but must not affect any byte of the output.
@@ -192,13 +194,10 @@ fn smoke() {
         );
         println!("seed {seed}: {}", outcome.to_json());
     }
-    println!("partition smoke ok");
 }
 
 fn main() {
-    if hivemind_bench::cli::Cli::from_env().smoke() {
-        smoke();
-    } else {
-        sweep();
-    }
+    hivemind_bench::cli::Cli::from_env();
+    sweep();
+    outcome_json();
 }

@@ -6,14 +6,11 @@
 //!
 //! Recognized flags:
 //!
-//! - `--smoke` — the seconds-scale deterministic slice; the golden tests
-//!   run this.
 //! - `--full` — paper-fidelity runs (equivalent to `HIVEMIND_FULL=1`).
-//!   Full fidelity wins when both are requested.
 //! - `--trace <path>` / `--trace=<path>` — export structured event
 //!   traces for every run, via [`Report`].
 //!
-//! Anything else — an unrecognised argument such as a misspelt `--smok`,
+//! Anything else — an unrecognised argument such as a misspelt `--ful`,
 //! or `--trace` without a path — is an error: [`Cli::from_env`] prints it
 //! with the usage text and exits with status 2, rather than running the
 //! default fidelity as if nothing had been asked. Every binary calls it
@@ -23,15 +20,13 @@ use std::path::{Path, PathBuf};
 
 use crate::report::Report;
 
-const USAGE: &str = "usage: <binary> [--smoke] [--full] [--trace <path>]
-  --smoke          seconds-scale deterministic slice
-  --full           paper-fidelity runs (or HIVEMIND_FULL=1); wins over --smoke
+const USAGE: &str = "usage: <binary> [--full] [--trace <path>]
+  --full           paper-fidelity runs (or HIVEMIND_FULL=1)
   --trace <path>   export event traces for every run (also --trace=<path>)";
 
 /// Parsed harness command line.
 #[derive(Debug, Clone)]
 pub struct Cli {
-    smoke_flag: bool,
     full_flag: bool,
     trace: Option<PathBuf>,
 }
@@ -54,8 +49,8 @@ impl Cli {
     }
 
     /// The recognised flags of the process command line, skipping
-    /// anything else. The crate's fidelity helpers ([`crate::smoke`],
-    /// [`crate::full_fidelity`]) read flags this way because they also run
+    /// anything else. The crate's fidelity helper
+    /// ([`crate::full_fidelity`]) reads flags this way because it also runs
     /// inside test binaries, whose command line belongs to the test
     /// harness; binaries have already validated theirs via `from_env`.
     pub(crate) fn flags_from_env() -> Cli {
@@ -64,14 +59,12 @@ impl Cli {
 
     fn parse<I: IntoIterator<Item = String>>(args: I, strict: bool) -> Result<Cli, String> {
         let mut cli = Cli {
-            smoke_flag: false,
             full_flag: false,
             trace: None,
         };
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--smoke" => cli.smoke_flag = true,
                 "--full" => cli.full_flag = true,
                 "--trace" => match args.next() {
                     Some(path) => cli.trace = Some(PathBuf::from(path)),
@@ -90,11 +83,6 @@ impl Cli {
         Ok(cli)
     }
 
-    /// Whether `--smoke` itself was passed (even if `--full` overrides it).
-    pub fn smoke_flag(&self) -> bool {
-        self.smoke_flag
-    }
-
     /// Whether full-fidelity mode is in effect (`--full` or
     /// `HIVEMIND_FULL=1`).
     pub fn full(&self) -> bool {
@@ -102,12 +90,6 @@ impl Cli {
             || std::env::var("HIVEMIND_FULL")
                 .map(|v| v == "1")
                 .unwrap_or(false)
-    }
-
-    /// Whether smoke mode is in effect (`--smoke`, unless full fidelity
-    /// overrides it).
-    pub fn smoke(&self) -> bool {
-        self.smoke_flag && !self.full()
     }
 
     /// The `--trace` export path, if any.
@@ -135,8 +117,8 @@ mod tests {
 
     #[test]
     fn recognizes_shared_flags() {
-        let cli = parse(&["--smoke", "--trace", "t.json"]);
-        assert!(cli.smoke_flag());
+        let cli = parse(&["--full", "--trace", "t.json"]);
+        assert!(cli.full());
         assert_eq!(cli.trace_path(), Some(Path::new("t.json")));
         assert_eq!(
             parse(&["--trace=u.json"]).trace_path(),
@@ -146,29 +128,29 @@ mod tests {
 
     #[test]
     fn unrecognised_arguments_fail_with_usage() {
-        let err = try_parse(&["--smok"]).expect_err("a misspelt flag must not run");
-        assert!(err.starts_with("unrecognised argument `--smok`"), "{err}");
-        assert!(err.contains(USAGE), "{err}");
-        assert!(try_parse(&["--smoke", "extra"]).is_err());
+        // There is no seconds-scale `--smoke` tier: the goldens pin the
+        // default run.
+        for bad in ["--ful", "--smoke"] {
+            let err = try_parse(&[bad]).expect_err("an unknown flag must not run");
+            assert!(
+                err.starts_with(&format!("unrecognised argument `{bad}`")),
+                "{err}"
+            );
+            assert!(err.contains(USAGE), "{err}");
+        }
+        assert!(try_parse(&["--full", "extra"]).is_err());
         let dangling = try_parse(&["--trace"]).expect_err("--trace needs a path");
         assert!(dangling.contains(USAGE), "{dangling}");
-        // The lenient reading behind the fidelity helpers skips foreign
+        // The lenient reading behind the fidelity helper skips foreign
         // arguments (a test harness's `--quiet`) and keeps the flags.
-        let lenient = Cli::parse(["--quiet", "--smoke"].map(String::from), false);
-        assert!(lenient.expect("lenient parsing cannot fail").smoke_flag());
-    }
-
-    #[test]
-    fn full_beats_smoke() {
-        let cli = parse(&["--smoke", "--full"]);
-        assert!(cli.full());
-        assert!(!cli.smoke(), "full fidelity wins over smoke");
+        let lenient = Cli::parse(["--quiet", "--full"].map(String::from), false);
+        assert!(lenient.expect("lenient parsing cannot fail").full_flag);
     }
 
     #[test]
     fn bare_command_line_is_inert() {
         let cli = parse(&[]);
-        assert!(!cli.smoke_flag());
+        assert!(!cli.full_flag);
         assert!(cli.trace_path().is_none());
         assert!(!cli.report().tracing());
     }

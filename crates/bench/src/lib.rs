@@ -23,20 +23,20 @@
 //! `all_figures` runs the lot. Performance is measured by hivebench, a
 //! separate workspace under `benchmark/`.
 //!
-//! Every figure binary accepts `--smoke`: a seconds-scale deterministic
-//! slice of the figure — short durations, two repeats, a three-workload
-//! set — used by the golden snapshot tests (`tests/golden_smoke.rs`). The
-//! default (no flag) output is untouched by smoke mode.
+//! Each binary has one default run, seconds-scale in a release build,
+//! and `--full` (or `HIVEMIND_FULL=1`) for paper-length runs. The golden
+//! tests (`tests/goldens.rs`) pin every default stdout byte for byte, and
+//! every number EXPERIMENTS.md's figure sections quote must appear in
+//! its figure's golden.
 //!
-//! `chaos_sweep` is the odd one out: instead of reproducing a figure it
-//! sweeps the unified fault plane (function-fault rate × packet loss,
-//! controller failover, device MTBF) and asserts graceful degradation;
-//! `chaos_sweep --smoke` prints a small deterministic slice that CI
-//! byte-diffs across `HIVEMIND_THREADS` values. `overload_sweep` does the
-//! same for the overload-control plane: offered load × admission bound ×
-//! circuit breaker, asserting that shedding keeps queueing bounded at the
-//! capacity plateau while the unbounded baseline's latency grows without
-//! limit.
+//! The sweeps are the odd ones out: instead of reproducing a figure they
+//! assert graceful degradation. `chaos_sweep` sweeps the unified fault
+//! plane (function-fault rate × packet loss, controller failover, device
+//! MTBF); `overload_sweep` does the same for the overload-control plane
+//! (offered load × admission bound × circuit breaker); `partition_sweep`
+//! for the disconnect plane. Each ends with outcome-JSON lines from the
+//! replicate runner, which the goldens pin across `HIVEMIND_THREADS`
+//! values. `mc_sweep` model-checks the coordination protocols.
 //!
 //! Every figure binary accepts `--trace <path>` to export structured
 //! event traces (Chrome `trace_event` JSON + JSONL) for the runs behind
@@ -71,27 +71,6 @@ impl Workload {
         v.push(Workload::Scenario(Scenario::StationaryItems));
         v.push(Workload::Scenario(Scenario::MovingPeople));
         v
-    }
-
-    /// The smoke-mode slice of [`Workload::evaluation_set`]: two apps
-    /// with different profiles plus one end-to-end mission, enough to
-    /// exercise every execution path in seconds.
-    pub fn smoke_set() -> Vec<Workload> {
-        vec![
-            Workload::App(App::FaceRecognition),
-            Workload::App(App::WeatherAnalytics),
-            Workload::Scenario(Scenario::StationaryItems),
-        ]
-    }
-
-    /// [`Workload::smoke_set`] under `--smoke`, the full
-    /// [`Workload::evaluation_set`] otherwise.
-    pub fn active_set() -> Vec<Workload> {
-        if smoke() {
-            Workload::smoke_set()
-        } else {
-            Workload::evaluation_set()
-        }
     }
 
     /// Paper column label.
@@ -139,12 +118,10 @@ pub fn run_replicated(config: &ExperimentConfig, replicates: u64) -> RunSet {
 
 /// Single-app workload duration. The paper runs each job for 120 s; set
 /// `HIVEMIND_FULL=1` for that, default 60 s keeps the full harness
-/// quick, `--smoke` drops to 4 s.
+/// quick.
 pub fn single_app_duration_secs() -> f64 {
     if full_fidelity() {
         120.0
-    } else if smoke() {
-        4.0
     } else {
         60.0
     }
@@ -156,20 +133,10 @@ pub fn full_fidelity() -> bool {
     cli::Cli::flags_from_env().full()
 }
 
-/// Whether smoke mode is requested (`--smoke` on the command line). Smoke
-/// mode is the golden-test slice: every figure prints a deterministic,
-/// seconds-scale subset of its tables. Full fidelity wins if both are
-/// set. Delegates to the shared [`cli`] parser.
-pub fn smoke() -> bool {
-    cli::Cli::flags_from_env().smoke()
-}
-
 /// Number of repetitions for distribution-style figures.
 pub fn repeats() -> u64 {
     if full_fidelity() {
         10
-    } else if smoke() {
-        2
     } else {
         3
     }

@@ -1521,8 +1521,8 @@ pub fn exchange_instance() -> ExchangeModel {
 }
 
 /// A smaller exchange instance — one volatile and one durable session,
-/// same adversary budgets — cheap enough for debug builds and the smoke
-/// bench while still exercising every protocol path.
+/// same adversary budgets — cheap enough for debug builds and
+/// `mc_sweep`'s default run while still exercising every protocol path.
 pub fn exchange_smoke_instance() -> ExchangeModel {
     ExchangeModel::new(&exchange_placements(2, true), 1, 1, 1)
 }
@@ -1686,7 +1686,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "~10M states, ~30 s in release; mc_sweep explores it on every CI run"]
+    #[ignore = "~10M states, ~30 s in release; mc_sweep --full explores it on every CI run"]
     fn exchange_instance_holds_exhaustively() {
         let report = check(
             &exchange_instance(),

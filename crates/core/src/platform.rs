@@ -134,8 +134,7 @@ impl Platform {
                     ExchangeProtocol::CouchDb
                 };
                 ClusterParams {
-                    exchange_in: exchange,
-                    exchange_out: exchange,
+                    exchange,
                     ..ClusterParams::default()
                 }
             }
@@ -160,7 +159,6 @@ impl Platform {
             // swarm-scale load exactly as Fig. 5a/5b's fixed deployments do.
             workers: (total_cores / 160).max(2),
             exchange: ExchangeProtocol::DirectRpc,
-            ..FixedPoolParams::default()
         }
     }
 
@@ -201,7 +199,7 @@ mod tests {
         assert!(p.remote_memory());
         let params = p.cluster_params(12, 40, 0.0).unwrap();
         assert!(params.straggler_mitigation);
-        assert_eq!(params.exchange_in, ExchangeProtocol::RemoteMemory);
+        assert_eq!(params.exchange, ExchangeProtocol::RemoteMemory);
         assert_eq!(p.cloud_rpc_profile(), accelerated_rpc_profile());
     }
 
@@ -217,8 +215,7 @@ mod tests {
         assert_eq!(
             p.cluster_params(12, 40, 0.0).unwrap(),
             ClusterParams {
-                exchange_in: ExchangeProtocol::CouchDb,
-                exchange_out: ExchangeProtocol::CouchDb,
+                exchange: ExchangeProtocol::CouchDb,
                 ..hivemind
             }
         );

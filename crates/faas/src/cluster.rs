@@ -33,6 +33,22 @@ use crate::types::{
 };
 use hivemind_net::rpc::RateGate;
 
+/// Quantile of an app's execution times that flags a straggler (paper:
+/// p90, Sec. 4.6).
+const STRAGGLER_QUANTILE: f64 = 0.90;
+/// Completed samples an app needs before straggler detection activates.
+const STRAGGLER_MIN_SAMPLES: usize = 20;
+/// Stragglers within [`PROBATION_WINDOW`] that put a node on probation.
+const PROBATION_THRESHOLD: u32 = 3;
+/// Sliding window for counting per-node stragglers.
+const PROBATION_WINDOW: SimDuration = SimDuration::from_secs(60);
+/// How long a node stays on probation ("a few minutes", Sec. 4.6).
+const PROBATION_DURATION: SimDuration = SimDuration::from_secs(180);
+/// Control-plane decision throughput of one scheduler, decisions/s. The
+/// centralized controller serializes admissions; past this rate the
+/// control plane itself queues (the Sec. 5.6 scalability wall).
+const CONTROLLER_RPS: f64 = 500.0;
+
 /// Cluster sizing and policy knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterParams {
@@ -44,32 +60,17 @@ pub struct ClusterParams {
     pub policy: SchedulerPolicy,
     /// Container lifecycle parameters.
     pub container: ContainerParams,
-    /// Protocol for input fetch when not colocated.
-    pub exchange_in: ExchangeProtocol,
-    /// Protocol for output store.
-    pub exchange_out: ExchangeProtocol,
+    /// Data-exchange protocol for the input fetch (when not colocated)
+    /// and the output store.
+    pub exchange: ExchangeProtocol,
     /// Probability an invocation attempt fails mid-run (Fig. 5c injects
     /// 0.05–0.20).
     pub fault_rate: f64,
-    /// Enable p90 straggler respawn.
+    /// Enable p90 straggler respawn and node probation.
     pub straggler_mitigation: bool,
-    /// Quantile that flags a straggler (paper: 0.90, tunable).
-    pub straggler_quantile: f64,
-    /// Minimum completed samples before straggler detection activates.
-    pub straggler_min_samples: usize,
-    /// Stragglers within [`Self::probation_window`] that trigger probation.
-    pub probation_threshold: u32,
-    /// Sliding window for counting per-node stragglers.
-    pub probation_window: SimDuration,
-    /// How long a node stays on probation ("a few minutes", Sec. 4.6).
-    pub probation_duration: SimDuration,
     /// Cluster-wide cap on concurrently admitted functions (AWS Lambda's
     /// default user limit is 1,000).
     pub max_concurrent: u32,
-    /// Control-plane decision throughput of one scheduler, decisions/s.
-    /// The centralized controller serializes admissions; past this rate
-    /// the control plane itself queues (the Sec. 5.6 scalability wall).
-    pub controller_rps: f64,
     /// Number of scheduler shards (Sec. 4.3: HiveMind falls back to
     /// multiple schedulers with shared state when one saturates).
     pub scheduler_shards: u32,
@@ -90,17 +91,10 @@ impl Default for ClusterParams {
             cores_per_server: 40,
             policy: SchedulerPolicy::OpenWhiskDefault,
             container: ContainerParams::openwhisk_default(),
-            exchange_in: ExchangeProtocol::CouchDb,
-            exchange_out: ExchangeProtocol::CouchDb,
+            exchange: ExchangeProtocol::CouchDb,
             fault_rate: 0.0,
             straggler_mitigation: false,
-            straggler_quantile: 0.90,
-            straggler_min_samples: 20,
-            probation_threshold: 3,
-            probation_window: SimDuration::from_secs(60),
-            probation_duration: SimDuration::from_secs(180),
             max_concurrent: 1000,
-            controller_rps: 500.0,
             scheduler_shards: 1,
             retry: RetryPolicy::default(),
             overload: OverloadPolicy::default(),
@@ -115,8 +109,7 @@ impl ClusterParams {
         ClusterParams {
             policy: SchedulerPolicy::HiveMind,
             container: ContainerParams::hivemind(),
-            exchange_in: ExchangeProtocol::RemoteMemory,
-            exchange_out: ExchangeProtocol::RemoteMemory,
+            exchange: ExchangeProtocol::RemoteMemory,
             straggler_mitigation: true,
             ..ClusterParams::default()
         }
@@ -126,8 +119,7 @@ impl ClusterParams {
     /// ablation of Fig. 13): same scheduler/keep-alive, CouchDB data plane.
     pub fn hivemind_no_accel() -> Self {
         ClusterParams {
-            exchange_in: ExchangeProtocol::CouchDb,
-            exchange_out: ExchangeProtocol::CouchDb,
+            exchange: ExchangeProtocol::CouchDb,
             ..ClusterParams::hivemind()
         }
     }
@@ -307,10 +299,9 @@ impl Cluster {
     pub fn new(params: ClusterParams, forge: RngForge) -> Self {
         assert!(params.servers > 0 && params.cores_per_server > 0);
         assert!((0.0..=1.0).contains(&params.fault_rate));
-        assert!((0.0..1.0).contains(&params.straggler_quantile));
-        assert!(params.controller_rps > 0.0 && params.scheduler_shards > 0);
+        assert!(params.scheduler_shards > 0);
         let servers = params.servers as usize;
-        let gate_rate = params.controller_rps * params.scheduler_shards as f64;
+        let gate_rate = CONTROLLER_RPS * params.scheduler_shards as f64;
         Cluster {
             controller_gate: RateGate::new(gate_rate),
             warm: WarmPool::new(params.container.clone()),
@@ -595,7 +586,7 @@ impl Cluster {
 
     fn straggler_threshold(&self, app: AppId) -> Option<SimDuration> {
         let hist = self.exec_history.get(&app)?;
-        if hist.len() < self.params.straggler_min_samples {
+        if hist.len() < STRAGGLER_MIN_SAMPLES {
             return None;
         }
         Some(SimDuration::from_secs_f64(hist.quantile()))
@@ -821,7 +812,7 @@ impl Cluster {
         let in_proto = if colocated {
             ExchangeProtocol::InMemory
         } else {
-            self.params.exchange_in
+            self.params.exchange
         };
         let data_in = if profile.input_bytes > 0 {
             self.dataplane
@@ -958,20 +949,19 @@ impl Cluster {
             q.push_back(now);
             while q
                 .front()
-                .is_some_and(|&t| now.saturating_since(t) > self.params.probation_window)
+                .is_some_and(|&t| now.saturating_since(t) > PROBATION_WINDOW)
             {
                 q.pop_front();
             }
-            if q.len() as u32 >= self.params.probation_threshold {
-                self.probation_until[server as usize] = now + self.params.probation_duration;
+            if q.len() as u32 >= PROBATION_THRESHOLD {
+                self.probation_until[server as usize] = now + PROBATION_DURATION;
                 q.clear();
             }
         }
         let exec_total = wasted + exec_eff;
-        let straggler_q = self.params.straggler_quantile;
         self.exec_history
             .entry(app)
-            .or_insert_with(|| QuantileTracker::new(straggler_q))
+            .or_insert_with(|| QuantileTracker::new(STRAGGLER_QUANTILE))
             .record_duration(exec_eff);
         {
             let st = &mut self.invs[idx as usize];
@@ -1009,7 +999,7 @@ impl Cluster {
         let output_bytes = self.apps[&app].output_bytes;
         let data_out = if output_bytes > 0 {
             self.dataplane
-                .exchange(now, self.params.exchange_out, output_bytes, &mut self.rng)
+                .exchange(now, self.params.exchange, output_bytes, &mut self.rng)
         } else {
             SimDuration::ZERO
         };
@@ -1431,8 +1421,7 @@ mod tests {
         let run = |mitigate: bool| -> f64 {
             let params = ClusterParams {
                 straggler_mitigation: mitigate,
-                exchange_in: ExchangeProtocol::InMemory,
-                exchange_out: ExchangeProtocol::InMemory,
+                exchange: ExchangeProtocol::InMemory,
                 ..ClusterParams::default()
             };
             let mut c = Cluster::new(params, RngForge::new(7));

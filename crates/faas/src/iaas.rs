@@ -6,9 +6,7 @@
 //! per-invocation instantiation (the workers are long-lived) but the pool
 //! cannot grow: when offered load exceeds the provisioned capacity, tasks
 //! queue and latency explodes — exactly the saturation behaviour of the
-//! "Avg Res" deployment in Fig. 5b. Growing the pool *is* possible, but at
-//! IaaS timescales: spinning up an instance takes seconds, not
-//! milliseconds.
+//! "Avg Res" deployment in Fig. 5b.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -31,10 +29,6 @@ pub struct FixedPoolParams {
     /// Data-exchange protocol between stages (reserved deployments talk
     /// over the same CouchDB/RPC substrate).
     pub exchange: ExchangeProtocol,
-    /// Instance spin-up time if the pool is ever asked to grow
-    /// ("traditional PaaS/IaaS clouds introduce several seconds of
-    /// overheads to spin up new instances", Sec. 3.2).
-    pub spin_up: SimDuration,
 }
 
 impl Default for FixedPoolParams {
@@ -42,7 +36,6 @@ impl Default for FixedPoolParams {
         FixedPoolParams {
             workers: 40,
             exchange: ExchangeProtocol::DirectRpc,
-            spin_up: SimDuration::from_secs(4),
         }
     }
 }
@@ -313,7 +306,6 @@ mod tests {
             FixedPoolParams {
                 workers,
                 exchange: ExchangeProtocol::InMemory,
-                ..FixedPoolParams::default()
             },
             RngForge::new(5),
         );
