@@ -50,10 +50,9 @@ pub mod report;
 
 use hivemind_apps::scenario::Scenario;
 use hivemind_apps::suite::App;
-use hivemind_core::experiment::{Experiment, ExperimentConfig};
-use hivemind_core::metrics::Outcome;
+use hivemind_core::experiment::ExperimentConfig;
 use hivemind_core::platform::Platform;
-use hivemind_core::runner::{RunSet, Runner};
+use hivemind_core::runner::Runner;
 
 /// The twelve evaluation workloads: S1–S10 plus the two drone scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,29 +90,12 @@ impl Workload {
         };
         config.platform(platform).seed(seed)
     }
-
-    /// Runs this workload on `platform` with `seed`.
-    pub fn run(&self, platform: Platform, seed: u64) -> Outcome {
-        Experiment::new(self.config(platform, seed)).run()
-    }
-
-    /// Runs `replicates` seeds of this workload in parallel (replicate
-    /// seeds derived from `root_seed`; workers from `HIVEMIND_THREADS`).
-    pub fn run_replicated(&self, platform: Platform, root_seed: u64, replicates: u64) -> RunSet {
-        runner().run_replicates(&self.config(platform, root_seed), replicates)
-    }
 }
 
 /// The harness-wide parallel runner (thread count from
 /// `HIVEMIND_THREADS`, default = available parallelism).
 pub fn runner() -> Runner {
     Runner::from_env()
-}
-
-/// Runs `replicates` derived-seed copies of `config` on the harness
-/// runner.
-pub fn run_replicated(config: &ExperimentConfig, replicates: u64) -> RunSet {
-    runner().run_replicates(config, replicates)
 }
 
 /// Single-app workload duration. The paper runs each job for 120 s; set

@@ -239,18 +239,19 @@ impl TaskRecord {
     }
 }
 
-/// Hub-side actions (everything device-local lives in the shard phase).
+/// Hub-side actions (everything device-local lives in the shard phase);
+/// a task's actions name its progress slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Action {
     SubmitCloud {
-        task: u32,
+        slot: u32,
     },
     Response {
-        task: u32,
+        slot: u32,
         from_server: u32,
     },
     Finish {
-        task: u32,
+        slot: u32,
     },
     /// A scheduled partition healed: run the reconnect reconciliation
     /// session (replay every device's buffered updates exactly once).
@@ -268,9 +269,9 @@ enum TagPurpose {
     ReplaySummary,
 }
 
-/// Fabric transfer tags carry their task (or replay sequence number) and
-/// purpose arithmetically (purpose in the two low bits), so deliveries
-/// decode without a side table.
+/// Fabric transfer tags carry their task's progress slot (or a replay
+/// sequence number) and purpose arithmetically (purpose in the two low
+/// bits), so deliveries decode without a side table.
 fn transfer_tag(id: u64, purpose: TagPurpose) -> u64 {
     id * 4 + purpose as u64
 }
@@ -285,18 +286,28 @@ fn decode_transfer_tag(tag: u64) -> (u32, TagPurpose) {
 /// needs. It rides with the job through the device FIFO as the job's
 /// payload, so no side table holds in-flight jobs. It stays at 16 bytes
 /// because every device queue entry carries one.
+///
+/// A capture's job carries the task's birth facts on to its uplink
+/// effect, less the capture instant: the job was queued at it, so it is
+/// the job's finish less its queueing delay and `service`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EdgeJob {
+    /// An edge-placed task's execution.
     Exec {
         app: App,
+        label: u32,
         service: SimDuration,
     },
+    /// A hybrid cloud-placed task's on-device filter tier.
     Filter {
-        upload_bytes: u64,
+        app: App,
+        label: u32,
+        service: SimDuration,
     },
-    /// Degraded-model re-execution of a task whose cloud work was shed
-    /// (brownout spillover).
-    Spillover,
+    /// Degraded-model re-execution of the task in progress slot `slot`,
+    /// whose cloud work was shed (brownout spillover) or whose device
+    /// went autonomous.
+    Spillover { slot: u32 },
 }
 const _: () = assert!(std::mem::size_of::<EdgeJob>() == 16);
 
@@ -308,37 +319,30 @@ fn edge_job(task: u32, job: EdgeJob) -> u64 {
         + match job {
             EdgeJob::Exec { .. } => 0,
             EdgeJob::Filter { .. } => 1,
-            EdgeJob::Spillover => 2,
+            EdgeJob::Spillover { .. } => 2,
         }
 }
 
-/// What the hub keeps of every submitted task, indexed by task id, from
-/// submission for the rest of the run: the facts fixed at its birth.
-/// Everything a task accumulates on its way lives in a [`Progress`]
-/// slot instead, held only while the task is in flight.
+/// [`Progress::task`] of a slot on the free list.
+const FREE: u32 = u32::MAX;
+
+/// Everything the hub holds of a task, and only while it is in flight: a
+/// slab entry taken at its first hub touch and freed when it resolves, so
+/// the hub's task state is sized by in-flight work. The first touch is the
+/// task's uplink effect, which brings the facts fixed at its birth; from
+/// then on the hub names the task by its slot.
 #[derive(Debug, Clone, Copy)]
-struct Birth {
-    capture: SimTime,
+struct Progress {
+    /// The task id, or [`FREE`] while the slot is on the free list.
+    task: u32,
+    device: u32,
     label: u32,
+    /// Outstanding cloud sub-invocations (intra-task parallelism).
+    remaining: u32,
     app: App,
     /// Where it runs; a degraded task is moved to the edge.
     placement: PlacementSite,
-}
-
-/// [`Engine::slots`] entry of a task the hub has not touched yet.
-const UNTOUCHED: u32 = u32::MAX;
-/// [`Engine::slots`] entry of a task that completed, was lost, shed or
-/// dropped: its progress slot went back to the free list.
-const RESOLVED: u32 = u32::MAX - 1;
-
-/// A task's accumulated state while it is in flight through the hub: a
-/// slab entry taken at its first hub touch (its uplink effect) and freed
-/// when it resolves, so the slab is sized by in-flight work.
-#[derive(Debug, Clone, Copy, Default)]
-struct Progress {
-    device: u32,
-    /// Outstanding cloud sub-invocations (intra-task parallelism).
-    remaining: u32,
+    capture: SimTime,
     network: SimDuration,
     management: SimDuration,
     instantiation: SimDuration,
@@ -353,9 +357,38 @@ struct Progress {
     ending: Option<Ending>,
 }
 
-// Per queued task the engine holds one capture entry and one birth
-// record plus a 4-byte slot index; these pin the first two.
-const _: () = assert!(std::mem::size_of::<Birth>() == 16);
+impl Progress {
+    /// The state of `task` at its first touch: nothing accumulated yet.
+    fn born(
+        task: u32,
+        device: u32,
+        label: u32,
+        app: App,
+        placement: PlacementSite,
+        capture: SimTime,
+    ) -> Progress {
+        Progress {
+            task,
+            device,
+            label,
+            remaining: 0,
+            app,
+            placement,
+            capture,
+            network: SimDuration::ZERO,
+            management: SimDuration::ZERO,
+            instantiation: SimDuration::ZERO,
+            data_io: SimDuration::ZERO,
+            exec: SimDuration::ZERO,
+            sub_done: capture,
+            cold: false,
+            ending: None,
+        }
+    }
+}
+
+// Per queued task the engine holds one capture entry and nothing else;
+// this pins its size.
 const _: () = assert!(std::mem::size_of::<(SimTime, Capture)>() == 24);
 
 /// A capture scheduled on a shard's [`CaptureRun`], which orders it by
@@ -364,6 +397,8 @@ const _: () = assert!(std::mem::size_of::<(SimTime, Capture)>() == 24);
 struct Capture {
     task: u32,
     device: u32,
+    /// Caller label.
+    label: u32,
     app: App,
     placement: PlacementSite,
 }
@@ -372,28 +407,35 @@ struct Capture {
 /// [`EffectKey`] instant in globally merged key order.
 #[derive(Debug, Clone, Copy)]
 enum Effect {
-    /// Put `bytes` on the uplink toward a (hub-chosen) server, tagged as
-    /// a task upload; carries the latency-breakdown contributions of the
+    /// Put the task's upload ([`upload_bytes`]) on the uplink toward a
+    /// (hub-chosen) server, tagged as a task upload: a cloud-placed task's
+    /// first hub touch. Carries the task's birth facts (id, label, app,
+    /// capture instant) and the latency-breakdown contributions of the
     /// device-side leg that produced it.
     Uplink {
         task: u32,
-        bytes: u64,
+        label: u32,
+        app: App,
+        capture: SimTime,
         network: SimDuration,
         management: SimDuration,
     },
-    /// Like [`Effect::Uplink`] but for an edge-executed task's result
-    /// (no cloud execution follows); `exec` is the on-device service
-    /// time drawn at capture.
+    /// Like [`Effect::Uplink`] but for an edge-placed task's result
+    /// ([`result_bytes`]; no cloud execution follows); `exec` is the
+    /// on-device service time drawn at capture.
     ResultUplink {
         task: u32,
-        bytes: u64,
+        label: u32,
+        app: App,
+        capture: SimTime,
         network: SimDuration,
         management: SimDuration,
         exec: SimDuration,
     },
-    /// A spillover (degraded on-device) job finished; the result is
-    /// already on the device, so the task completes with no uplink.
-    FinishLocal { task: u32, queued: SimDuration },
+    /// The spillover (degraded on-device) job of the task in progress
+    /// slot `slot` finished; the result is already on the device, so the
+    /// task completes with no uplink.
+    FinishLocal { slot: u32, queued: SimDuration },
     /// Queue-depth trace counter from the shard phase (the tracer is
     /// hub-owned, so shard-side emissions ride the effect stream and
     /// land in merge-key order).
@@ -600,11 +642,10 @@ pub struct Engine {
     /// Lifetime push + pop count of `actions` (profiling breakdown).
     action_ops: u64,
     seq: u64,
-    /// Every submitted task's birth facts, indexed by task id.
-    births: Vec<Birth>,
-    /// Every submitted task's progress slot index, or [`UNTOUCHED`] /
-    /// [`RESOLVED`].
-    slots: Vec<u32>,
+    /// Tasks submitted so far: the next task id.
+    submitted: u32,
+    /// Tasks resolved so far (completed, lost, shed or dropped).
+    resolved: u32,
     /// The progress slab: slots of in-flight tasks, recycled through
     /// `free`.
     progress: Vec<Progress>,
@@ -618,7 +659,7 @@ pub struct Engine {
     /// Spillover jobs created by the hub phase, resubmitted to their
     /// device's FIFO at the epoch boundary (the one hub→device feedback
     /// edge; the boundary is shard-count-invariant, so the deferral is
-    /// deterministic).
+    /// deterministic). Entries are `(at, device, slot, service)`.
     spill_inbox: Vec<(SimTime, u32, u32, SimDuration)>,
     rng: SmallRng,
     next_server: u32,
@@ -828,8 +869,8 @@ impl Engine {
             actions: BinaryHeap::new(),
             action_ops: 0,
             seq: 0,
-            births: Vec::new(),
-            slots: Vec::new(),
+            submitted: 0,
+            resolved: 0,
             progress: Vec::new(),
             free: Vec::new(),
             records: Vec::new(),
@@ -922,7 +963,7 @@ impl Engine {
 
     /// Tasks submitted so far (task ids run `0..submitted()`).
     pub(crate) fn submitted(&self) -> u32 {
-        self.births.len() as u32
+        self.submitted
     }
 
     /// The resolved placement for an app on this platform.
@@ -952,14 +993,8 @@ impl Engine {
         assert!(at >= self.now, "cannot submit into the past");
         assert!(device < self.cfg.devices, "device out of range");
         let placement = self.placements[app as usize];
-        let id = self.births.len() as u32;
-        self.births.push(Birth {
-            capture: at,
-            label,
-            app,
-            placement,
-        });
-        self.slots.push(UNTOUCHED);
+        let id = self.submitted;
+        self.submitted += 1;
         if self.tracer.is_enabled() {
             self.tracer.instant(
                 "task",
@@ -979,6 +1014,7 @@ impl Engine {
             Capture {
                 task: id,
                 device,
+                label,
                 app,
                 placement,
             },
@@ -993,42 +1029,35 @@ impl Engine {
         self.actions.push(Reverse((at, seq, action)));
     }
 
-    /// Takes a progress slot for `task` at its first hub touch (its uplink
-    /// effect from `device`); later touches find the slot it holds.
-    fn touch(&mut self, task: u32, device: u32) -> &mut Progress {
-        if self.slots[task as usize] == UNTOUCHED {
-            let fresh = Progress {
-                device,
-                sub_done: self.births[task as usize].capture,
-                ..Progress::default()
-            };
-            let slot = match self.free.pop() {
-                Some(slot) => {
-                    self.progress[slot as usize] = fresh;
-                    slot
-                }
-                None => {
-                    self.progress.push(fresh);
-                    self.progress.len() as u32 - 1
-                }
-            };
-            self.slots[task as usize] = slot;
+    /// Takes a progress slot for a task at its first hub touch (its
+    /// uplink effect), holding `fresh`, and returns the slot.
+    fn touch(&mut self, fresh: Progress) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.progress[slot as usize] = fresh;
+                slot
+            }
+            None => {
+                self.progress.push(fresh);
+                self.progress.len() as u32 - 1
+            }
         }
-        self.slot(task)
     }
 
-    /// The progress slot of in-flight `task`.
-    fn slot(&mut self, task: u32) -> &mut Progress {
-        let slot = self.slots[task as usize];
-        debug_assert!(slot < RESOLVED, "task {task} is not in flight");
-        &mut self.progress[slot as usize]
+    /// The state of the in-flight task in `slot`.
+    fn slot(&mut self, slot: u32) -> &mut Progress {
+        let st = &mut self.progress[slot as usize];
+        debug_assert!(st.task != FREE, "slot {slot} is not in flight");
+        st
     }
 
-    /// Returns resolved `task`'s progress slot to the free list.
-    fn release(&mut self, task: u32) {
-        let slot = std::mem::replace(&mut self.slots[task as usize], RESOLVED);
-        debug_assert!(slot < RESOLVED, "task {task} resolved twice");
+    /// Returns a resolved task's progress slot to the free list.
+    fn release(&mut self, slot: u32) {
+        let st = &mut self.progress[slot as usize];
+        debug_assert!(st.task != FREE, "slot {slot} released twice");
+        st.task = FREE;
         self.free.push(slot);
+        self.resolved += 1;
     }
 
     /// Resolves a device id to its `(shard index, block offset)` pair.
@@ -1066,8 +1095,8 @@ impl Engine {
     /// up front for every unresolved task, which is exact unless a plane
     /// ends some of them without a record.
     pub fn run_to_completion(&mut self) -> Vec<TaskRecord> {
-        let unresolved = self.slots.iter().filter(|&&s| s != RESOLVED).count();
-        let mut out = Vec::with_capacity(unresolved);
+        let unresolved = self.submitted - self.resolved;
+        let mut out = Vec::with_capacity(unresolved as usize);
         self.run_until_with(SimTime::MAX, |r| out.push(r));
         out
     }
@@ -1379,10 +1408,11 @@ impl Engine {
     /// epoch boundary, in hub (time) order.
     fn drain_spillover(&mut self, end: SimTime) {
         for i in 0..self.spill_inbox.len() {
-            let (orig, device, task, service) = self.spill_inbox[i];
+            let (orig, device, slot, service) = self.spill_inbox[i];
             let at = orig.max(end);
+            let task = self.slot(slot).task;
             let sh = &mut self.shards[self.map.shard_of(device) as usize];
-            let depth = sh.submit(at, device, task, service, EdgeJob::Spillover);
+            let depth = sh.submit(at, device, task, service, EdgeJob::Spillover { slot });
             self.tracer
                 .counter("edge", "queue", device, at, depth as f64);
         }
@@ -1396,72 +1426,77 @@ impl Engine {
         match effect {
             Effect::Uplink {
                 task,
-                bytes,
+                label,
+                app,
+                capture,
                 network,
                 management,
             } => {
-                {
-                    let st = self.touch(task, device);
-                    st.network += network;
-                    st.management += management;
-                }
+                let slot = self.touch(Progress {
+                    network,
+                    management,
+                    ..Progress::born(task, device, label, app, PlacementSite::Cloud, capture)
+                });
                 if let Some(heal) = self.autonomous_at(at) {
                     // The device's cloud lease expired mid-partition:
                     // degrade to autonomous on-device execution instead
                     // of holding the uplink for the rest of the window.
-                    self.degrade_task(at, device, task, heal);
+                    self.degrade_task(at, device, slot, heal);
                     return;
                 }
+                let bytes = upload_bytes(&self.ctx, app);
                 self.hub_draw(device, Draw::Radio(bytes));
                 let server = self.pick_server();
                 self.send_task(
                     at,
-                    task,
+                    slot,
                     Transfer {
                         src: Node::Device(device),
                         dst: Node::Server(server),
                         bytes,
-                        tag: transfer_tag(task as u64, TagPurpose::Upload),
+                        tag: transfer_tag(slot as u64, TagPurpose::Upload),
                     },
                 );
             }
             Effect::ResultUplink {
                 task,
-                bytes,
+                label,
+                app,
+                capture,
                 network,
                 management,
                 exec,
             } => {
-                {
-                    let st = self.touch(task, device);
-                    st.network += network;
-                    st.management += management;
-                    st.exec = exec;
-                }
+                let slot = self.touch(Progress {
+                    network,
+                    management,
+                    exec,
+                    ..Progress::born(task, device, label, app, PlacementSite::Edge, capture)
+                });
                 if let Some(heal) = self.autonomous_at(at) {
                     // The result is already computed at full fidelity on
                     // the device; finish locally and queue a summary for
                     // replay at heal instead of holding the upload.
                     self.note_autonomous(at, device, heal);
                     self.buffer_update(at, device, task);
-                    self.finish_task(at, task);
+                    self.finish_task(at, slot);
                     return;
                 }
                 let server = self.pick_server();
                 self.send_task(
                     at,
-                    task,
+                    slot,
                     Transfer {
                         src: Node::Device(device),
                         dst: Node::Server(server),
-                        bytes,
-                        tag: transfer_tag(task as u64, TagPurpose::ResultUpload),
+                        bytes: result_bytes(&self.ctx, app),
+                        tag: transfer_tag(slot as u64, TagPurpose::ResultUpload),
                     },
                 );
             }
-            Effect::FinishLocal { task, queued } => {
-                self.slot(task).management += queued;
-                self.finish_task(at, task);
+            Effect::FinishLocal { slot, queued } => {
+                self.slot(slot).management += queued;
+                self.finish_task(at, slot);
             }
             Effect::QueueDepth { depth } => {
                 self.tracer
@@ -1472,17 +1507,17 @@ impl Engine {
 
     fn handle_action(&mut self, t: SimTime, action: Action) {
         match action {
-            Action::SubmitCloud { task } => {
-                let app = self.births[task as usize].app;
+            Action::SubmitCloud { slot } => {
+                let app = self.slot(slot).app;
                 let k = if self.cfg.intra_task {
                     app.intra_parallelism()
                 } else {
                     1
                 };
-                self.slot(task).remaining = k;
+                self.slot(slot).remaining = k;
                 let app_id = if k > 1 { split_id(app) } else { app.app_id() };
                 for i in 0..k {
-                    let tag = (task as u64) * 16 + i as u64;
+                    let tag = (slot as u64) * 16 + i as u64;
                     let inv = Invocation::root(app_id, tag);
                     if let Some(c) = self.cluster.as_mut() {
                         c.submit(t, inv);
@@ -1493,24 +1528,20 @@ impl Engine {
                     }
                 }
             }
-            Action::Response { task, from_server } => {
-                let bytes = self
-                    .ctx
-                    .profile(self.births[task as usize].app)
-                    .output_bytes;
-                let device = self.slot(task).device;
+            Action::Response { slot, from_server } => {
+                let st = *self.slot(slot);
                 self.send_task(
                     t,
-                    task,
+                    slot,
                     Transfer {
                         src: Node::Server(from_server),
-                        dst: Node::Device(device),
-                        bytes,
-                        tag: transfer_tag(task as u64, TagPurpose::Response),
+                        dst: Node::Device(st.device),
+                        bytes: self.ctx.profile(st.app).output_bytes,
+                        tag: transfer_tag(slot as u64, TagPurpose::Response),
                     },
                 );
             }
-            Action::Finish { task } => self.finish_task(t, task),
+            Action::Finish { slot } => self.finish_task(t, slot),
             Action::Reconnect => self.reconcile_reconnect(t),
         }
     }
@@ -1522,41 +1553,41 @@ impl Engine {
     }
 
     fn handle_delivery(&mut self, d: hivemind_net::fabric::Delivery) {
-        let (task, purpose) = decode_transfer_tag(d.tag);
+        let (slot, purpose) = decode_transfer_tag(d.tag);
         match purpose {
             TagPurpose::Upload | TagPurpose::ResultUpload => {
-                self.slot(task).network += d.latency();
+                self.slot(slot).network += d.latency();
                 self.rng_draws += 1;
                 let recv = self.cloud_rpc.recv_cost(&mut self.rng, d.bytes);
-                self.slot(task).network += recv;
+                self.slot(slot).network += recv;
                 let action = if purpose == TagPurpose::Upload {
-                    Action::SubmitCloud { task }
+                    Action::SubmitCloud { slot }
                 } else {
-                    Action::Finish { task }
+                    Action::Finish { slot }
                 };
                 self.push_action(d.delivered_at + recv, action);
             }
             TagPurpose::Response => {
                 let device = {
-                    let st = self.slot(task);
+                    let st = self.slot(slot);
                     st.network += d.latency();
                     st.device
                 };
                 self.rng_draws += 1;
                 let recv = self.ctx.edge_rpc.recv_overhead.sample(&mut self.rng);
-                self.slot(task).network += recv;
+                self.slot(slot).network += recv;
                 self.hub_draw(device, Draw::Radio(d.bytes));
-                self.push_action(d.delivered_at + recv, Action::Finish { task });
+                self.push_action(d.delivered_at + recv, Action::Finish { slot });
             }
             TagPurpose::ReplaySummary => {}
         }
     }
 
     fn handle_cloud_completion(&mut self, c: Completion) {
-        let task = (c.tag / 16) as u32;
+        let slot = (c.tag / 16) as u32;
         let b = c.breakdown;
-        let (sub_done, device, ending) = {
-            let st = self.slot(task);
+        let (sub_done, device, app, ending) = {
+            let st = self.slot(slot);
             // Aggregate sub-invocation contributions; the slowest defines
             // the completion time, the cost components take the max (they
             // overlap in wall-clock time), management accumulates.
@@ -1575,7 +1606,7 @@ impl Engine {
             if st.remaining != 0 {
                 return;
             }
-            (st.sub_done, st.device, st.ending)
+            (st.sub_done, st.device, st.app, st.ending)
         };
         if let Some(ending) = ending {
             // A lost task gets no response and no record; brownout
@@ -1584,35 +1615,33 @@ impl Engine {
                 Ending::Shed if self.cfg.overload.spillover => Ending::Spilled,
                 ending => ending,
             };
-            self.end_task(sub_done, device, task, ending);
+            self.end_task(sub_done, device, slot, ending);
             return;
         }
-        let app = self.births[task as usize].app;
         let output_bytes = self.ctx.profile(app).output_bytes;
         self.rng_draws += 1;
         let send = self.cloud_rpc.send_cost(&mut self.rng, output_bytes);
-        self.slot(task).network += send;
+        self.slot(slot).network += send;
         self.push_action(
             sub_done + send,
             Action::Response {
-                task,
+                slot,
                 from_server: c.server,
             },
         );
     }
 
-    fn finish_task(&mut self, t: SimTime, task: u32) {
-        let birth = self.births[task as usize];
-        let st = *self.slot(task);
-        self.release(task);
+    fn finish_task(&mut self, t: SimTime, slot: u32) {
+        let st = *self.slot(slot);
+        self.release(slot);
         let record = TaskRecord {
-            task,
-            app: birth.app,
+            task: st.task,
+            app: st.app,
             device: st.device,
-            label: birth.label,
-            capture: birth.capture,
+            label: st.label,
+            capture: st.capture,
             done: t,
-            placement: birth.placement,
+            placement: st.placement,
             network: st.network,
             management: st.management,
             instantiation: st.instantiation,
@@ -1700,17 +1729,13 @@ impl Engine {
     }
 
     /// Moves out the series of concurrently active cloud functions,
-    /// whichever backend is in use, leaving it empty on the engine. The
-    /// series is trimmed to its length, since an outcome that keeps it
-    /// outlives the engine.
+    /// whichever backend is in use, leaving it empty on the engine.
     pub fn take_active_series(&mut self) -> Option<hivemind_sim::stats::TimeSeries> {
-        let mut series = match (self.cluster.as_mut(), self.pool.as_mut()) {
-            (Some(c), _) => c.take_active_series(),
-            (None, Some(p)) => p.take_active_series(),
-            (None, None) => return None,
-        };
-        series.shrink_to_fit();
-        Some(series)
+        match (self.cluster.as_mut(), self.pool.as_mut()) {
+            (Some(c), _) => Some(c.take_active_series()),
+            (None, Some(p)) => Some(p.take_active_series()),
+            (None, None) => None,
+        }
     }
 }
 
@@ -1831,6 +1856,7 @@ fn shard_capture(sh: &mut Shard, ctx: &ShardCtx, at: SimTime, c: Capture) {
     let Capture {
         task,
         device,
+        label,
         app,
         placement,
     } = c;
@@ -1847,21 +1873,14 @@ fn shard_capture(sh: &mut Shard, ctx: &ShardCtx, at: SimTime, c: Capture) {
                 device,
                 task,
                 service,
-                EdgeJob::Exec { app, service },
+                EdgeJob::Exec {
+                    app,
+                    label,
+                    service,
+                },
             );
         }
         PlacementSite::Cloud => {
-            let mut upload = (scaled_input_bytes(ctx, app) as f64) * ctx.upload_fraction;
-            if ctx.hybrid {
-                // The synthesized collect tier is rate-adaptive: it
-                // never offers more than ~70% of the device's fair
-                // share of the wireless medium, so HiveMind "does not
-                // saturate the network links" even at 8 MB / 32 fps
-                // (Sec. 5.6, Fig. 17a) — excess pixels are culled by
-                // the on-device filter instead.
-                upload = upload.min(ctx.uplink_budget);
-            }
-            let upload_bytes = (upload as u64).max(1);
             if ctx.hybrid {
                 // The synthesized on-device filter tier runs first: a
                 // cheap salience detector, far lighter than the full
@@ -1878,18 +1897,25 @@ fn shard_capture(sh: &mut Shard, ctx: &ShardCtx, at: SimTime, c: Capture) {
                     device,
                     task,
                     filter,
-                    EdgeJob::Filter { upload_bytes },
+                    EdgeJob::Filter {
+                        app,
+                        label,
+                        service: filter,
+                    },
                 );
             } else {
+                let bytes = upload_bytes(ctx, app);
                 sh.rng_draws += 1;
-                let send = ctx.edge_rpc.send_cost(&mut sh.rngs[di], upload_bytes);
+                let send = ctx.edge_rpc.send_cost(&mut sh.rngs[di], bytes);
                 emit(
                     sh,
                     device,
                     at + send,
                     Effect::Uplink {
                         task,
-                        bytes: upload_bytes,
+                        label,
+                        app,
+                        capture: at,
                         network: send,
                         management: SimDuration::ZERO,
                     },
@@ -1946,8 +1972,12 @@ fn edge_completion(
     let task = (id / 4) as u32; // `edge_job`'s inverse
     let di = (dev - sh.first_dev) as usize;
     match job {
-        EdgeJob::Exec { app, service } => {
-            let bytes = ctx.profile(app).output_bytes.max(1);
+        EdgeJob::Exec {
+            app,
+            label,
+            service,
+        } => {
+            let bytes = result_bytes(ctx, app);
             sh.draw(di, Draw::Radio(bytes));
             sh.rng_draws += 1;
             let send = ctx.edge_rpc.send_cost(&mut sh.rngs[di], bytes);
@@ -1957,32 +1987,41 @@ fn edge_completion(
                 finish + send,
                 Effect::ResultUplink {
                     task,
-                    bytes,
+                    label,
+                    app,
+                    capture: finish - queued - service,
                     network: send,
                     management: queued,
                     exec: service,
                 },
             );
         }
-        EdgeJob::Filter { upload_bytes } => {
+        EdgeJob::Filter {
+            app,
+            label,
+            service,
+        } => {
+            let bytes = upload_bytes(ctx, app);
             sh.rng_draws += 1;
-            let send = ctx.edge_rpc.send_cost(&mut sh.rngs[di], upload_bytes);
+            let send = ctx.edge_rpc.send_cost(&mut sh.rngs[di], bytes);
             emit(
                 sh,
                 dev,
                 finish + send,
                 Effect::Uplink {
                     task,
-                    bytes: upload_bytes,
+                    label,
+                    app,
+                    capture: finish - queued - service,
                     network: send,
                     management: queued,
                 },
             );
         }
-        EdgeJob::Spillover => {
+        EdgeJob::Spillover { slot } => {
             // Degraded re-execution finished: the result is already on
             // the device, so the task completes with no downlink leg.
-            emit(sh, dev, finish, Effect::FinishLocal { task, queued });
+            emit(sh, dev, finish, Effect::FinishLocal { slot, queued });
         }
     }
 }
@@ -1997,6 +2036,25 @@ fn edge_service(rng: &mut SmallRng, ctx: &ShardCtx, app: App) -> SimDuration {
 
 fn scaled_input_bytes(ctx: &ShardCtx, app: App) -> u64 {
     ((ctx.profile(app).input_bytes as f64) * ctx.input_scale).max(1.0) as u64
+}
+
+/// What a cloud-placed capture of `app` puts on the uplink.
+fn upload_bytes(ctx: &ShardCtx, app: App) -> u64 {
+    let mut upload = (scaled_input_bytes(ctx, app) as f64) * ctx.upload_fraction;
+    if ctx.hybrid {
+        // The synthesized collect tier is rate-adaptive: it never offers
+        // more than ~70% of the device's fair share of the wireless
+        // medium, so HiveMind "does not saturate the network links" even
+        // at 8 MB / 32 fps (Sec. 5.6, Fig. 17a) — excess pixels are
+        // culled by the on-device filter instead.
+        upload = upload.min(ctx.uplink_budget);
+    }
+    (upload as u64).max(1)
+}
+
+/// What an edge-placed task of `app` puts on the uplink: its result.
+fn result_bytes(ctx: &ShardCtx, app: App) -> u64 {
+    ctx.profile(app).output_bytes.max(1)
 }
 
 fn scaled_profile(app: App, cfg: &EngineConfig) -> AppProfile {

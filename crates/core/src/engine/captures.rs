@@ -185,6 +185,7 @@ mod tests {
         Capture {
             task,
             device,
+            label: 0,
             app: App::Maze,
             placement: PlacementSite::Edge,
         }

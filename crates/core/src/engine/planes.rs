@@ -246,11 +246,12 @@ impl Planes {
 }
 
 impl Engine {
-    /// Ends `task` — or sends it to degraded on-device execution — for a
-    /// reason other than a completed record: counts the ending on its
-    /// ledger, releases the progress slot of a task that is over, and
-    /// emits the `task/<kind>` instant.
-    pub(super) fn end_task(&mut self, at: SimTime, device: u32, task: u32, ending: Ending) {
+    /// Ends the task in progress slot `slot` — or sends it to degraded
+    /// on-device execution — for a reason other than a completed record:
+    /// counts the ending on its ledger, releases the slot of a task that
+    /// is over, and emits the `task/<kind>` instant.
+    pub(super) fn end_task(&mut self, at: SimTime, device: u32, slot: u32, ending: Ending) {
+        let task = self.slot(slot).task;
         let penalty = DEGRADED_ACCURACY_PENALTY_PCT;
         match ending {
             Ending::Lost => self.planes.faults.tasks_lost += 1,
@@ -266,8 +267,8 @@ impl Engine {
             }
         }
         match ending {
-            Ending::Spilled | Ending::Degraded => self.run_degraded(at, device, task),
-            Ending::Lost | Ending::Shed | Ending::Dropped => self.release(task),
+            Ending::Spilled | Ending::Degraded => self.run_degraded(at, device, slot),
+            Ending::Lost | Ending::Shed | Ending::Dropped => self.release(slot),
         }
         if let Some(name) = ending.trace_name() {
             if self.tracer.is_enabled() {
@@ -282,31 +283,32 @@ impl Engine {
         }
     }
 
-    /// Sends one of `task`'s transfers; a transfer the fabric tail-drops
-    /// at the partition hold bound ends the task.
-    pub(super) fn send_task(&mut self, at: SimTime, task: u32, transfer: Transfer) {
+    /// Sends one of the transfers of the task in progress slot `slot`; a
+    /// transfer the fabric tail-drops at the partition hold bound ends
+    /// the task.
+    pub(super) fn send_task(&mut self, at: SimTime, slot: u32, transfer: Transfer) {
         if self.fabric.send(at, transfer).is_none() {
-            let device = self.slot(task).device;
-            self.end_task(at, device, task, Ending::Dropped);
+            let device = self.slot(slot).device;
+            self.end_task(at, device, slot, Ending::Dropped);
         }
     }
 
-    /// Runs `task` as a degraded on-device job: one hub-stream service
-    /// draw stretched for the device and divided by
-    /// [`DEGRADED_SPEEDUP`], charged to the device battery. The device
+    /// Runs the task in progress slot `slot` as a degraded on-device job:
+    /// one hub-stream service draw stretched for the device and divided
+    /// by [`DEGRADED_SPEEDUP`], charged to the device battery. The device
     /// FIFO belongs to the shard phase, which may already have advanced
     /// past `at`, so the job is resubmitted at the (shard-count-invariant)
     /// epoch boundary.
-    fn run_degraded(&mut self, at: SimTime, device: u32, task: u32) {
-        let birth = &mut self.births[task as usize];
-        birth.placement = PlacementSite::Edge;
-        let app = birth.app;
+    fn run_degraded(&mut self, at: SimTime, device: u32, slot: u32) {
+        let st = self.slot(slot);
+        st.placement = PlacementSite::Edge;
+        let app = st.app;
         self.rng_draws += 1;
         let service = edge_service(&mut self.rng, &self.ctx, app).mul_f64(1.0 / DEGRADED_SPEEDUP);
-        let st = self.slot(task);
+        let st = self.slot(slot);
         st.exec = st.exec.max(service);
         self.hub_draw(device, Draw::Compute(service));
-        self.spill_inbox.push((at, device, task, service));
+        self.spill_inbox.push((at, device, slot, service));
     }
 
     /// Schedules one reconnect session per distinct heal instant when the
@@ -383,13 +385,14 @@ impl Engine {
         }
     }
 
-    /// Re-routes a cloud-bound task to degraded autonomous on-device
-    /// execution — the brownout spillover path — and buffers its update
-    /// summary.
-    pub(super) fn degrade_task(&mut self, at: SimTime, device: u32, task: u32, heal: f64) {
+    /// Re-routes the cloud-bound task in progress slot `slot` to degraded
+    /// autonomous on-device execution — the brownout spillover path — and
+    /// buffers its update summary.
+    pub(super) fn degrade_task(&mut self, at: SimTime, device: u32, slot: u32, heal: f64) {
         self.note_autonomous(at, device, heal);
+        let task = self.slot(slot).task;
         self.buffer_update(at, device, task);
-        self.end_task(at, device, task, Ending::Degraded);
+        self.end_task(at, device, slot, Ending::Degraded);
     }
 
     /// The heal-time reconciliation session: every device drains its

@@ -159,6 +159,7 @@ mod tests {
             Capture {
                 task: 0,
                 device: 7,
+                label: 0,
                 app: App::Maze,
                 placement: PlacementSite::Edge,
             },

@@ -385,12 +385,13 @@ impl Outcome {
 /// Serializes a [`Summary`] as its order statistics (deterministic
 /// regardless of sample insertion order).
 pub(crate) fn summary_json(out: &mut String, s: &Summary) {
+    let [median, p99] = s.quantiles([0.5, 0.99]);
     out.push_str(&format!(
         "{{\"len\":{},\"mean\":{:?},\"median\":{:?},\"p99\":{:?},\"min\":{:?},\"max\":{:?}}}",
         s.len(),
         s.mean(),
-        s.median(),
-        s.p99(),
+        median,
+        p99,
         s.min(),
         s.max()
     ));

@@ -1250,7 +1250,8 @@ impl Cluster {
         self.wait_queue.len()
     }
 
-    /// Time series of concurrently active functions (Fig. 5c).
+    /// Concurrently active functions over time (Fig. 5c), sampled once
+    /// per second, with the exact peak.
     pub fn active_series(&self) -> &TimeSeries {
         &self.active_series
     }

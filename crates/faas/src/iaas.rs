@@ -249,7 +249,8 @@ impl FixedPool {
         self.wait_queue.len()
     }
 
-    /// Concurrently running tasks over time.
+    /// Concurrently running tasks over time, sampled once per second,
+    /// with the exact peak.
     pub fn active_series(&self) -> &TimeSeries {
         &self.active_series
     }

@@ -6,8 +6,8 @@
 //! * [`Summary`] — a sample reservoir with exact quantiles, used for
 //!   latency distributions (Figs. 4, 5a, 6, 11, 13, 16).
 //! * [`Histogram`] — fixed-bin counts for PDF-style violin data.
-//! * [`TimeSeries`] — `(t, value)` samples for load/active-task curves
-//!   (Figs. 5b, 5c).
+//! * [`TimeSeries`] — a step-valued load/active-task curve sampled once
+//!   per second of virtual time, with its exact maximum (Figs. 5b, 5c).
 //! * [`Meter`] — windowed byte/event accounting for bandwidth figures
 //!   (Figs. 3b, 14b, 17).
 
@@ -119,29 +119,45 @@ impl Summary {
         var.sqrt()
     }
 
-    /// The sorted cache, built on first use after a mutation.
-    fn sorted(&self) -> &[f64] {
-        self.sorted.get_or_init(|| {
-            let mut v = self.samples.clone();
-            v.sort_by(f64::total_cmp);
-            v
-        })
+    /// A sorted copy of the samples. Values that `total_cmp` ranks equal
+    /// have equal bits, so the unstable sort (which needs no scratch
+    /// buffer) gives the one sorted order.
+    fn sorted_copy(&self) -> Vec<f64> {
+        let mut v = self.samples.clone();
+        v.sort_unstable_by(f64::total_cmp);
+        v
     }
 
-    /// Exact `q`-quantile (nearest-rank); `0.0` when empty.
+    /// Exact `q`-quantile (nearest-rank); `0.0` when empty. The first
+    /// query after a mutation builds a sorted copy of the samples, which
+    /// later queries reuse.
     ///
     /// # Panics
     ///
     /// Panics unless `0.0 <= q <= 1.0`.
     pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let sorted = self.sorted();
-        let n = sorted.len();
-        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        sorted[rank - 1]
+        nearest_rank(self.sorted.get_or_init(|| self.sorted_copy()), q)
+    }
+
+    /// [`Summary::quantile`] at each of `qs`, from one sorted copy. When
+    /// no query has built the cached copy, the copy is dropped before
+    /// returning: a caller that reads many large summaries once (an
+    /// outcome's serialization) holds one sorted copy at a time, not one
+    /// per summary.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every `q` is in `[0, 1]`.
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
+        let fresh;
+        let sorted = match self.sorted.get() {
+            Some(cached) => cached,
+            None => {
+                fresh = self.sorted_copy();
+                &fresh
+            }
+        };
+        qs.map(|q| nearest_rank(sorted, q))
     }
 
     /// Median (p50).
@@ -195,6 +211,21 @@ impl Summary {
     pub fn histogram(&self, bins: usize) -> Histogram {
         Histogram::from_samples(&self.samples, bins)
     }
+}
+
+/// The nearest-rank `q`-quantile of `sorted`; `0.0` when empty.
+///
+/// # Panics
+///
+/// Panics unless `0.0 <= q <= 1.0`.
+fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
+    let n = sorted.len();
+    if n == 0 {
+        return 0.0;
+    }
+    let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+    sorted[rank - 1]
 }
 
 trait PipeFinite {
@@ -421,68 +452,115 @@ impl Histogram {
     }
 }
 
-/// A time-stamped series of scalar observations.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A step-valued scalar (a load or active-task count) sampled once per
+/// [`TimeSeries::PERIOD`] of virtual time.
+///
+/// [`TimeSeries::record`] marks a change of the value. The series keeps
+/// one sample per whole period, the value in effect at that instant
+/// after every change made at it, plus the latest change and the exact
+/// running maximum, so it grows with the run's virtual length rather
+/// than with the number of changes.
+///
+/// # Examples
+///
+/// ```rust
+/// use hivemind_sim::stats::TimeSeries;
+/// use hivemind_sim::time::{SimDuration, SimTime};
+///
+/// let mut ts = TimeSeries::new();
+/// ts.record(SimTime::from_secs(1), 4.0);
+/// // A 10 ms spike between two grid instants.
+/// ts.record(SimTime::from_secs(1) + SimDuration::from_millis(500), 9.0);
+/// ts.record(SimTime::from_secs(1) + SimDuration::from_millis(510), 4.0);
+/// assert_eq!(ts.value_at(SimTime::from_secs(2)), Some(4.0));
+/// assert_eq!(ts.max(), 9.0);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
+    /// Grid index of `samples[0]`: the first whole period at or after
+    /// the first change.
+    start: u64,
+    /// The value in effect at each grid instant from `start` up to the
+    /// latest change.
+    samples: Vec<f64>,
+    /// The latest change: its instant and value.
+    last: Option<(SimTime, f64)>,
+    /// The largest value ever recorded.
+    max: f64,
+}
+
+impl Default for TimeSeries {
+    fn default() -> Self {
+        TimeSeries {
+            start: 0,
+            samples: Vec::new(),
+            last: None,
+            max: f64::NEG_INFINITY,
+        }
+    }
 }
 
 impl TimeSeries {
+    /// The sampling period: one second of virtual time.
+    pub const PERIOD: SimDuration = SimDuration::from_secs(1);
+
     /// Creates an empty series.
     pub fn new() -> Self {
         TimeSeries::default()
     }
 
-    /// Appends an observation.
+    /// Records that the value became `value` at `t`.
     ///
     /// # Panics
     ///
-    /// Panics if `t` precedes the previous observation (series must be
+    /// Panics if `t` precedes the previous change (series must be
     /// chronological).
     pub fn record(&mut self, t: SimTime, value: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(t >= last, "time series must be chronological");
+        let period = Self::PERIOD.as_nanos();
+        let (grid, on_grid) = (t.as_nanos() / period, t.as_nanos().is_multiple_of(period));
+        match self.last {
+            None => self.start = grid + u64::from(!on_grid),
+            Some((last, held)) => {
+                assert!(t >= last, "time series must be chronological");
+                // Every grid instant strictly before `t` holds the value
+                // the previous change left.
+                let before = (grid + u64::from(!on_grid)).max(self.start);
+                let len = (before - self.start) as usize;
+                if len > self.samples.len() {
+                    self.samples.resize(len, held);
+                }
+            }
         }
-        self.points.push((t, value));
+        if on_grid {
+            let i = (grid - self.start) as usize;
+            if i == self.samples.len() {
+                self.samples.push(value);
+            } else {
+                self.samples[i] = value;
+            }
+        }
+        self.last = Some((t, value));
+        self.max = self.max.max(value);
     }
 
-    /// The raw points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Releases capacity left over from growth, for a series kept long
-    /// after its last observation.
-    pub fn shrink_to_fit(&mut self) {
-        self.points.shrink_to_fit();
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The last value at or before `t` (step interpolation), or `None`
-    /// if `t` precedes the first observation.
+    /// The value in effect at `t`, or `None` before the first change.
+    /// Exact at every grid instant and at or after the latest change;
+    /// between two earlier grid instants it reads the value at the
+    /// earlier one (`None` if that precedes the first change).
     pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        match self.points.partition_point(|&(pt, _)| pt <= t) {
-            0 => None,
-            idx => Some(self.points[idx - 1].1),
+        let (last, held) = self.last?;
+        if t >= last {
+            return Some(held);
         }
+        let grid = t.as_nanos() / Self::PERIOD.as_nanos();
+        grid.checked_sub(self.start)
+            .map(|i| self.samples[i as usize])
     }
 
-    /// Maximum observed value; `0.0` when empty.
+    /// Maximum recorded value, including changes between grid instants;
+    /// `0.0` when empty.
     pub fn max(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(f64::NEG_INFINITY, f64::max)
-            .pipe_finite()
+        self.max.pipe_finite()
     }
 }
 
@@ -613,6 +691,19 @@ mod tests {
     }
 
     #[test]
+    fn summary_quantiles_match_quantile_with_or_without_the_cache() {
+        let s: Summary = (0..1_000u64)
+            .map(|i| ((i * 7_919) % 1_009) as f64)
+            .collect();
+        let qs = [0.0, 0.25, 0.5, 0.99, 1.0];
+        let uncached = s.quantiles(qs);
+        assert!(s.sorted.get().is_none(), "a one-off read caches nothing");
+        assert_eq!(uncached, qs.map(|q| s.quantile(q)));
+        assert_eq!(s.quantiles(qs), uncached, "read through the cache");
+        assert_eq!(Summary::new().quantiles([0.5]), [0.0]);
+    }
+
+    #[test]
     fn summary_std_dev() {
         let s: Summary = vec![2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
             .into_iter()
@@ -655,6 +746,55 @@ mod tests {
         let mut ts = TimeSeries::new();
         ts.record(SimTime::from_secs(2), 1.0);
         ts.record(SimTime::from_secs(1), 1.0);
+    }
+
+    #[test]
+    fn time_series_max_keeps_a_spike_between_grid_instants() {
+        let ms = |n: u64| SimTime::ZERO + SimDuration::from_millis(n);
+        let mut ts = TimeSeries::new();
+        ts.record(ms(0), 2.0);
+        ts.record(ms(1_200), 50.0);
+        ts.record(ms(1_700), 3.0);
+        ts.record(ms(4_000), 1.0);
+        for s in 0..=3 {
+            let v = ts.value_at(SimTime::from_secs(s));
+            assert_ne!(v, Some(50.0), "grid instant {s} s holds the spike");
+        }
+        assert_eq!(ts.value_at(SimTime::from_secs(1)), Some(2.0));
+        assert_eq!(ts.value_at(SimTime::from_secs(2)), Some(3.0));
+        assert_eq!(ts.max(), 50.0);
+        assert_eq!(TimeSeries::new().max(), 0.0);
+    }
+
+    #[test]
+    fn time_series_grid_instant_reads_the_last_change_at_it() {
+        let mut ts = TimeSeries::new();
+        ts.record(SimTime::from_secs(2), 1.0);
+        ts.record(SimTime::from_secs(2), 7.0);
+        ts.record(SimTime::from_secs(3), 5.0);
+        ts.record(SimTime::from_secs(3), 4.0);
+        ts.record(SimTime::from_secs(3), 6.0);
+        ts.record(SimTime::from_secs(9), 0.0);
+        assert_eq!(ts.value_at(SimTime::from_secs(1)), None);
+        assert_eq!(ts.value_at(SimTime::from_secs(2)), Some(7.0));
+        assert_eq!(ts.value_at(SimTime::from_secs(3)), Some(6.0));
+        assert_eq!(ts.value_at(SimTime::from_secs(8)), Some(6.0));
+        assert_eq!(ts.value_at(SimTime::from_secs(9)), Some(0.0));
+        assert_eq!(ts.max(), 7.0);
+    }
+
+    #[test]
+    fn time_series_reads_exactly_past_the_last_change() {
+        let at = |ns: u64| SimTime::from_nanos(ns);
+        let mut ts = TimeSeries::new();
+        ts.record(at(400_000_000), 3.0);
+        ts.record(at(2_500_000_001), 8.0);
+        // Off the grid, before the first grid instant.
+        assert_eq!(ts.value_at(at(399_999_999)), None);
+        assert_eq!(ts.value_at(at(2_500_000_000)), Some(3.0));
+        assert_eq!(ts.value_at(at(2_500_000_001)), Some(8.0));
+        assert_eq!(ts.value_at(at(2_700_000_000)), Some(8.0));
+        assert_eq!(ts.value_at(SimTime::MAX), Some(8.0));
     }
 
     #[test]

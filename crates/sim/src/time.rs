@@ -209,6 +209,22 @@ impl Sub<SimTime> for SimTime {
     }
 }
 
+impl Sub<SimDuration> for SimTime {
+    type Output = SimTime;
+    /// The instant `rhs` before `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rhs` reaches back past [`SimTime::ZERO`].
+    fn sub(self, rhs: SimDuration) -> SimTime {
+        SimTime(
+            self.0
+                .checked_sub(rhs.0)
+                .expect("SimTime subtraction underflow"),
+        )
+    }
+}
+
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
