@@ -803,6 +803,9 @@ impl Engine {
             }
             if let Some(p) = pool.as_mut() {
                 p.register_app(app.app_id(), scaled_profile(app, &cfg));
+                if cfg.intra_task {
+                    p.register_app(split_id(app), split_profile(app, &cfg));
+                }
             }
         }
 
@@ -1820,6 +1823,7 @@ fn shard_phase(sh: &mut Shard, ctx: &ShardCtx, upto: SimTime) {
         }
         drain_completions(sh, ctx, t);
     }
+    sh.captures.release_consumed();
     // The hub merges batches by `(time, device, seq)`; emissions can be
     // future-dated (`finish + send`), so local order is not key order.
     // Keys are unique, so the unstable sort is order-deterministic and

@@ -11,6 +11,12 @@
 //! Entries are keyed `(at, task)`. Task ids grow with submission, so
 //! within one shard this is the order of `(at, submission seq)`: equal
 //! instants pop in submission order.
+//!
+//! A bulk submission puts a whole mission's captures in the run before
+//! the first pop, so the buffer's high-water mark is every capture ever
+//! submitted. After each shard phase, [`CaptureRun::release_consumed`]
+//! hands back what the popped front no longer needs, so resident memory
+//! follows the captures still pending.
 
 use std::collections::VecDeque;
 
@@ -20,6 +26,14 @@ use super::Capture;
 
 /// The order key of a scheduled capture.
 type Key = (SimTime, u32);
+
+/// Capacity, in entries, that no shrink goes below; a buffer no larger
+/// is never shrunk. 8,192 entries of 24 B are 192 KiB, above the 128 KiB
+/// at which the system allocator maps a block on its own: a smaller
+/// block lives inside the allocator's heap, where shrinking it returns
+/// no pages. Runs that never exceed it keep their capacity, so their
+/// steady-state epochs allocate nothing.
+const RELEASE_FLOOR: usize = 8_192;
 
 fn key(&(at, c): &(SimTime, Capture)) -> Key {
     (at, c.task)
@@ -31,8 +45,11 @@ fn key(&(at, c): &(SimTime, Capture)) -> Key {
 /// keeping one capture pending per device) reuses its popped front
 /// instead of growing with the mission. The two buffers are all it
 /// holds: a fold merges into whichever has the larger capacity, so a
-/// bulk submission is held once, not once per buffer. Both keep their
-/// high-water capacity, so steady-state epochs allocate nothing.
+/// bulk submission is held once, not once per buffer. Up to
+/// [`RELEASE_FLOOR`] entries both keep their high-water capacity, so
+/// steady-state epochs allocate nothing; above it,
+/// [`CaptureRun::release_consumed`] shrinks a buffer once its live
+/// entries fall below half its capacity.
 pub(super) struct CaptureRun {
     /// Sorted by key, strictly ascending.
     run: VecDeque<(SimTime, Capture)>,
@@ -107,6 +124,22 @@ impl CaptureRun {
         self.ops
     }
 
+    /// Hands back capacity the pending captures no longer need: a buffer
+    /// above [`RELEASE_FLOOR`] whose live entries fill less than half of
+    /// it shrinks to an eighth above its live count (never below the
+    /// floor). Capacity thus falls geometrically, and a buffer must lose
+    /// nearly half its entries again, or grow by an eighth, before it
+    /// reallocates, so the copying costs amortized O(1) per capture.
+    /// Called once per shard phase; the pop order is untouched.
+    pub(super) fn release_consumed(&mut self) {
+        if let Some(cap) = released(self.run.capacity(), self.run.len()) {
+            self.run.shrink_to(cap);
+        }
+        if let Some(cap) = released(self.tail.capacity(), self.tail.len()) {
+            self.tail.shrink_to(cap);
+        }
+    }
+
     /// Sorts the tail into the run. Keys are unique, so the unstable sort
     /// is deterministic and allocates nothing. The two then merge in
     /// place, from the back, into the buffer with the larger capacity:
@@ -139,6 +172,12 @@ impl CaptureRun {
             self.tail = Vec::from(std::mem::replace(&mut self.run, merged));
         }
     }
+}
+
+/// The capacity to shrink a buffer of `cap` entries holding `len` to, if
+/// it should shrink at all.
+fn released(cap: usize, len: usize) -> Option<usize> {
+    (cap > RELEASE_FLOOR && len < cap / 2).then(|| (len + len / 8).max(RELEASE_FLOOR))
 }
 
 /// Merges sorted `src` into `dst`, whose first `n` entries are sorted and
@@ -212,9 +251,22 @@ mod tests {
         task: u32,
         pushes: u64,
         pops: u64,
+        /// Releases that shrank a buffer.
+        shrinks: u64,
     }
 
     impl Pair {
+        fn new() -> Pair {
+            Pair {
+                run: CaptureRun::new(),
+                heap: BinaryHeap::new(),
+                task: 0,
+                pushes: 0,
+                pops: 0,
+                shrinks: 0,
+            }
+        }
+
         fn push(&mut self, at: SimTime, device: u32) {
             self.run.push(at, capture(self.task, device));
             self.heap.push(Reverse((at, self.task)));
@@ -227,7 +279,8 @@ mod tests {
             assert_eq!(self.run.peek(), self.heap.peek().map(|r| r.0), "peek");
         }
 
-        /// Pops everything due by `t` from both sides, comparing each.
+        /// Pops everything due by `t` from both sides, comparing each,
+        /// then releases consumed capacity as a shard phase's end does.
         fn pop_until(&mut self, t: SimTime) {
             while let Some((at, c)) = self.run.pop_until(t) {
                 let Reverse(want) = self.heap.pop().expect("reference has it");
@@ -240,19 +293,39 @@ mod tests {
                 self.heap.peek().is_none_or(|r| r.0 .0 > t),
                 "left a due capture queued"
             );
+            let before = capacity(&self.run);
+            self.run.release_consumed();
+            if capacity(&self.run) < before {
+                self.shrinks += 1;
+            }
+            self.check_peek();
         }
     }
 
-    #[test]
-    fn interleaved_batches_and_stragglers_track_reference() {
-        let mut rng = Lcg(0x2545F4914F6CDD1D);
-        let mut p = Pair {
-            run: CaptureRun::new(),
-            heap: BinaryHeap::new(),
-            task: 0,
-            pushes: 0,
-            pops: 0,
-        };
+    /// Entries both buffers can hold without reallocating.
+    fn capacity(run: &CaptureRun) -> usize {
+        run.run.capacity() + run.tail.capacity()
+    }
+
+    /// One device-major bulk submission: each of `devices` devices
+    /// captures `frames` times, 125 ms apart, starting at `base`.
+    fn bulk(p: &mut Pair, base: u64, devices: u64, frames: u64) {
+        let ms = |n: u64| SimDuration::from_millis(n).as_nanos();
+        for d in 0..devices {
+            for f in 0..frames {
+                p.push(
+                    SimTime::from_nanos(base + f * ms(125) + d * ms(3)),
+                    d as u32,
+                );
+            }
+        }
+    }
+
+    /// Drives `p` through a seeded mix of bulk batches, in-order appends,
+    /// stragglers below the head, equal instants and bounded pops,
+    /// checking every pop and peek against the reference, then drains it.
+    fn track_reference(p: &mut Pair, seed: u64) {
+        let mut rng = Lcg(seed);
         // Virtual time already consumed; captures land at or after it.
         let mut now = 0u64;
         let ms = |n: u64| SimDuration::from_millis(n).as_nanos();
@@ -266,14 +339,14 @@ mod tests {
                     let frames = 1 + rng.below(6);
                     let on_grid = rng.below(2) == 0;
                     let base = now + ms(rng.below(2_000));
-                    for d in 0..devices {
-                        for f in 0..frames {
-                            let at = if on_grid {
-                                (base / ms(1_000) + f) * ms(1_000)
-                            } else {
-                                base + f * ms(125) + d * ms(3)
-                            };
-                            p.push(SimTime::from_nanos(at.max(now)), d as u32);
+                    if !on_grid {
+                        bulk(p, base, devices, frames);
+                    } else {
+                        for d in 0..devices {
+                            for f in 0..frames {
+                                let at = (base / ms(1_000) + f) * ms(1_000);
+                                p.push(SimTime::from_nanos(at.max(now)), d as u32);
+                            }
                         }
                     }
                 }
@@ -312,7 +385,92 @@ mod tests {
         p.pop_until(SimTime::MAX);
         assert!(p.heap.is_empty());
         assert_eq!(p.run.peek(), None);
-        assert!(p.pops > 1_000, "the workload drained a real backlog");
         assert_eq!(p.run.ops(), p.pushes + p.pops, "one op per push and pop");
+    }
+
+    #[test]
+    fn interleaved_batches_and_stragglers_track_reference() {
+        let mut p = Pair::new();
+        track_reference(&mut p, 0x2545F4914F6CDD1D);
+        assert!(p.pops > 1_000, "the workload drained a real backlog");
+    }
+
+    /// The same mix on top of a mission-sized bulk submission, so the
+    /// run shrinks between pops while stragglers and batches fold in.
+    #[test]
+    fn shrinks_between_pops_keep_reference_order() {
+        let mut p = Pair::new();
+        // 40 devices x 500 frames: 20,000 captures over 62.5 s, about
+        // what the mix consumes in its 400 steps.
+        bulk(&mut p, 0, 40, 500);
+        track_reference(&mut p, 0x9E3779B97F4A7C15);
+        assert!(p.shrinks >= 2, "the run released capacity: {}", p.shrinks);
+        assert!(
+            capacity(&p.run) <= 2 * RELEASE_FLOOR,
+            "drained run shrank back"
+        );
+    }
+
+    /// A bulk-submitted run drained to a few entries holds capacity
+    /// within a constant factor of its live count, beyond the floor each
+    /// buffer may keep.
+    #[test]
+    fn drained_bulk_run_keeps_capacity_near_live_count() {
+        for pending in [0u64, 10, 5_000, 20_000] {
+            let mut p = Pair::new();
+            bulk(&mut p, 0, 100, 1_000);
+            let total = 100 * 1_000;
+            let mut popped = 0;
+            // Consume in one-second phases, as epochs do.
+            let mut t = 0;
+            while popped < total - pending {
+                t += SimDuration::from_millis(1_000).as_nanos();
+                while popped < total - pending {
+                    let Some((at, c)) = p.run.pop_until(SimTime::from_nanos(t)) else {
+                        break;
+                    };
+                    let Reverse(want) = p.heap.pop().expect("reference has it");
+                    assert_eq!((at, c.task), want, "pop");
+                    popped += 1;
+                }
+                p.run.release_consumed();
+            }
+            let live = p.run.run.len() + p.run.tail.len();
+            assert_eq!(live as u64, pending);
+            let cap = capacity(&p.run);
+            assert!(
+                cap <= 2 * live + 2 * RELEASE_FLOOR,
+                "{pending} pending: capacity {cap} for {live} live entries"
+            );
+        }
+    }
+
+    /// Capacity has hysteresis: once shrunk, alternating pushes and pops
+    /// right at the shrink boundary never reallocate.
+    #[test]
+    fn alternating_at_the_boundary_does_not_reallocate() {
+        let mut p = Pair::new();
+        let ms = |n: u64| SimDuration::from_millis(n).as_nanos();
+        // An in-order run of 4 x floor entries, one every millisecond.
+        let n = 4 * RELEASE_FLOOR as u64;
+        for i in 0..n {
+            p.push(SimTime::from_nanos(ms(i)), 0);
+        }
+        // Pop to one below half the capacity, so the release shrinks.
+        let half = (p.run.run.capacity() / 2) as u64;
+        p.pop_until(SimTime::from_nanos(ms(n - half)));
+        assert_eq!(p.shrinks, 1, "fell below half: one shrink");
+        let shrunk = capacity(&p.run);
+        let mut changes = 0;
+        for next in n..n + 1_000 {
+            // One append and one pop, each followed by a release.
+            p.push(SimTime::from_nanos(ms(next)), 0);
+            p.run.release_consumed();
+            changes += usize::from(capacity(&p.run) != shrunk);
+            let head = p.run.peek().expect("queued").0;
+            p.pop_until(head);
+            changes += usize::from(capacity(&p.run) != shrunk);
+        }
+        assert_eq!(changes, 0, "alternation changed capacity {changes} times");
     }
 }

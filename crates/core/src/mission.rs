@@ -432,6 +432,11 @@ fn drone_mission(cfg: &ExperimentConfig, scenario: Scenario) -> Outcome {
         }
     }
 
+    // The flight plans and per-device batch lists only served to draw the
+    // sightings; a 4,096-device fleet's batch lists alone hold ~4 MB.
+    drop(plans);
+    drop(batch_lists);
+
     // --- Run the per-frame pipeline to completion. ---
     // Room for every submitted task, plus Scenario B's dedup task.
     let mut tally = TaskTally::new(cfg, engine.submitted() as usize + 1);

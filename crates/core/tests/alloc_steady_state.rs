@@ -2,9 +2,12 @@
 //! in steady state, in debug and release builds alike.
 //!
 //! After a warm-up, every buffer a steady-state epoch touches holds its
-//! high-water capacity:
+//! capacity:
 //! - each shard's capture run and its tail (a fold merges in place, into
-//!   whichever of the two has the larger capacity);
+//!   whichever of the two has the larger capacity). Above a floor of
+//!   8,192 entries a buffer shrinks once its live entries fall below half
+//!   of it, which here happens twice in the warm-up (at about 8 s and
+//!   22 s), leaving the run at the floor, where it never shrinks again;
 //! - the hub's progress slab and its free list (a task takes a recycled
 //!   slot at its first hub touch and frees it when it resolves), and the
 //!   per-epoch record buffer drained to the caller;

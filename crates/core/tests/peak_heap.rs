@@ -9,12 +9,15 @@
 //! [`PEAK_BYTES_PER_TASK`].
 //!
 //! What a completed task may still cost at the peak: its capture entry
-//! (24 B), which its shard's capture run keeps allocated until the run
-//! ends, and one 8-byte sample per latency category (48 B) in the
-//! outcome, whose exact quantiles need every sample. The engine's hub
-//! holds nothing for a task that is not in flight. A per-task array
-//! kept for the whole run, a retained record, or per-task progress state
-//! pushes the figure past the bound.
+//! (24 B), since the whole schedule is submitted before the run and the
+//! peak falls at its start, and one 8-byte sample per latency category
+//! (48 B) in the outcome, whose exact quantiles need every sample and
+//! whose buffers are presized. A shard's capture run hands consumed
+//! capacity back as it runs, which this peak cannot see;
+//! `drained_heap.rs` guards that. The engine's hub holds nothing for a
+//! task that is not in flight. A per-task array kept for the whole run,
+//! a retained record, or per-task progress state pushes the figure past
+//! the bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -69,11 +72,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Peak live heap bytes per completed task. The mission completes 30,976
-/// tasks and peaks at 3.35–3.37 MB of live heap (108 B per task at one
-/// and at two shards, debug and release, with or without the phase
-/// worker). It read 169–170 B per task while the engine kept 20 B of
-/// birth facts and slot index for every task and the active-function
-/// series a point per change, and 345 B when the engine kept every
+/// tasks and peaks at 3.09 MB of live heap (99 B per task at one and at
+/// two shards, debug and release). It read 108 B per task while the
+/// mission kept its flight plans and per-device batch lists through the
+/// run, 169–170 B while the engine kept 20 B of birth facts and slot
+/// index for every task and the active-function series a point per
+/// change, and 345 B when the engine kept every
 /// task's full state and the mission every record until assembly.
 const PEAK_BYTES_PER_TASK: usize = 124;
 

@@ -45,6 +45,25 @@ fn every_ablation_platform_runs_every_app() {
     }
 }
 
+/// The reserved IaaS pool runs intra-task splits too: each SLAM task
+/// fans out into its split invocations, and every task still resolves.
+#[test]
+fn intra_task_splits_run_on_the_iaas_pool() {
+    let run = |intra: bool| {
+        Experiment::new(
+            ExperimentConfig::single_app(App::Slam)
+                .platform(Platform::CentralizedIaaS)
+                .intra_task(intra),
+        )
+        .run()
+    };
+    let mut split = run(true);
+    // 16 devices x 120 s x one task a second.
+    assert_eq!(split.tasks.len(), 1_920);
+    assert_eq!(split.tasks.len(), run(false).tasks.len());
+    assert!(split.median_task_ms() > 0.0);
+}
+
 #[test]
 fn outcomes_are_reproducible_across_runs() {
     let run = || {
