@@ -9,7 +9,7 @@ use hivemind_bench::{banner, ms, pct, single_app_duration_secs, Table, Workload}
 use hivemind_core::prelude::*;
 use hivemind_faas::dataplane::{DataPlane, ExchangeProtocol};
 use hivemind_sim::rng::RngForge;
-use hivemind_sim::stats::Summary;
+use hivemind_sim::stats::DurationSummary;
 
 fn main() {
     let report = Report::from_env();
@@ -109,10 +109,10 @@ fn main() {
     ] {
         let mut plane = DataPlane::new();
         let mut rng = RngForge::new(7).stream("fig6c");
-        let mut s = Summary::new();
+        let mut s = DurationSummary::new();
         for i in 0..2000u64 {
             let t = SimTime::ZERO + SimDuration::from_nanos(i * 62_500_000);
-            s.record_duration(plane.exchange(t, proto, 200_000, &mut rng));
+            s.record(plane.exchange(t, proto, 200_000, &mut rng));
         }
         table.row([label.to_string(), ms(s.median()), ms(s.p99())]);
     }

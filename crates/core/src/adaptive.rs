@@ -10,6 +10,7 @@
 //! workload under the new mapping.
 
 use hivemind_apps::suite::App;
+use hivemind_sim::stats::DurationSummary;
 use hivemind_sim::time::SimTime;
 
 use crate::dsl::PlacementSite;
@@ -91,9 +92,9 @@ pub fn run_adaptive(
     // --- Probe window. ---
     submit_window(&mut engine, 0.0, probe_secs);
     let mut records = engine.run_to_completion();
-    let mut probe = hivemind_sim::stats::Summary::new();
+    let mut probe = DurationSummary::new();
     for r in &records {
-        probe.record_duration(r.latency());
+        probe.record(r.latency());
     }
     let probe_median = probe.median();
 
@@ -117,9 +118,9 @@ pub fn run_adaptive(
     let start = engine.now().as_secs_f64().max(probe_secs);
     submit_window(&mut engine, start, start + steady_secs);
     let steady_records = engine.run_to_completion();
-    let mut steady = hivemind_sim::stats::Summary::new();
+    let mut steady = DurationSummary::new();
     for r in &steady_records {
-        steady.record_duration(r.latency());
+        steady.record(r.latency());
     }
     let steady_median = steady.median();
     records.extend(steady_records);

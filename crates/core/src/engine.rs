@@ -86,7 +86,9 @@ use hivemind_sim::disconnect::DisconnectPolicy;
 use hivemind_sim::faults::{self, FaultPlan};
 use hivemind_sim::overload::OverloadPolicy;
 use hivemind_sim::rng::RngForge;
-use hivemind_sim::shard::{merge_keyed_into, shards_from_env, EffectKey, ShardMap};
+use hivemind_sim::shard::{
+    available_cores, merge_keyed_into, shards_from_env, EffectKey, ShardMap,
+};
 use hivemind_sim::time::{SimDuration, SimTime};
 use hivemind_sim::trace::{ArgValue, Trace, TraceHandle};
 use rand::rngs::SmallRng;
@@ -112,15 +114,16 @@ use worker::PhaseWorker;
 /// one wireless hop of their causal time.
 const EPOCH_FLOOR: SimDuration = SimDuration::from_millis(250);
 
-/// Shard events an epoch must have processed before the next epoch's
-/// shard phase is moved onto the phase worker. Handing the shards over
-/// and back (waking the parked worker, then parking the caller at the
-/// barrier) costs ~20 µs per epoch on a 2-vCPU x86 VM; sparse engines —
-/// the testbed's 16 devices see a handful of events per 250 ms epoch —
-/// would pay that for almost nothing to overlap (without this floor the
+/// Shard work ahead (captures and queued device jobs, see
+/// `Shard::due_by`) that the next epoch's shard phase must have before
+/// it is moved onto the phase worker. Handing the shards over and back (waking the parked
+/// worker, then parking the caller at the barrier) costs ~20 µs per
+/// epoch on a 2-vCPU x86 VM; sparse engines — the testbed's 16 devices
+/// have a handful of frames due per 250 ms epoch — would pay that for
+/// almost nothing to overlap (without this floor the
 /// one-thread `fig_grid` sweep, `runner.wall_1thread_s` in hivebench,
 /// ran 2.3 s → 4.1–4.9 s on that VM).
-const OVERLAP_MIN_EVENTS: u64 = 64;
+const OVERLAP_MIN_WORK: usize = 64;
 
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
@@ -520,6 +523,14 @@ impl Shard {
         load
     }
 
+    /// A gauge of the shard work ahead up to `t`: the captures due by
+    /// then, plus the wake index's length, about one entry per device
+    /// with queued jobs, due by `t` or not (counting only the due ones
+    /// scans the index, which cost `edge_local` ~8% of its wall time).
+    fn due_by(&self, t: SimTime) -> usize {
+        self.captures.due_by(t) + self.wake.len()
+    }
+
     /// Indexes device `device`'s FIFO head at `t`.
     fn push_wake(&mut self, t: SimTime, device: u32) {
         self.wake_ops += 1;
@@ -691,9 +702,6 @@ pub struct Engine {
     /// so `next_wakeup` — and with it the epoch grid — ignores how far
     /// they ran ahead.
     spec_next: Option<SimTime>,
-    /// Shard events processed when the previous epoch's shard phase
-    /// ended (the overlap floor compares against it).
-    shard_events_mark: u64,
     /// Epochs whose hub ran alongside the next epoch's shard phase.
     overlapped_epochs: u64,
 }
@@ -891,13 +899,10 @@ impl Engine {
             rng_draws: 0,
             profile: std::env::var_os("HIVEMIND_PROFILE").is_some_and(|v| v != "0"),
             breakdown: PhaseBreakdown::default(),
-            phase_budget: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            phase_budget: available_cores(),
             worker: None,
             hub_draws: Vec::new(),
             spec_next: None,
-            shard_events_mark: 0,
             overlapped_epochs: 0,
             cfg,
         };
@@ -1199,13 +1204,17 @@ impl Engine {
     /// so `spec_end` never passes the next epoch's end, and the hub sends
     /// nothing to the shards but battery draws (logged, see
     /// [`Engine::hub_draw`]). Overlaps only when there is a core to spare
-    /// and the epoch just finished had enough shard work to pay for the
-    /// handoff ([`OVERLAP_MIN_EVENTS`]); returns whether it did.
+    /// and enough shard work is due by `spec_end` to pay for the handoff
+    /// ([`OVERLAP_MIN_WORK`]); returns whether it did. The work ahead,
+    /// not the work just done, decides, so the first epoch of a wave of
+    /// submissions overlaps too.
     fn start_overlap(&mut self, spec_end: SimTime) -> bool {
-        let events: u64 = self.shards.iter().map(|s| s.events).sum();
-        let epoch_events = events - std::mem::replace(&mut self.shard_events_mark, events);
         let budget = self.phase_budget / crate::runner::outer_workers();
-        if budget < 2 || epoch_events < OVERLAP_MIN_EVENTS {
+        if budget < 2 {
+            return false;
+        }
+        let due: usize = self.shards.iter().map(|s| s.due_by(spec_end)).sum();
+        if due < OVERLAP_MIN_WORK {
             return false;
         }
         let next = self
@@ -2155,9 +2164,9 @@ mod tests {
                 }
             }
             let records = engine.run_to_completion();
-            let mut s = hivemind_sim::stats::Summary::new();
+            let mut s = hivemind_sim::stats::DurationSummary::new();
             for r in &records {
-                s.record_duration(r.latency());
+                s.record(r.latency());
             }
             latencies.push(s.median());
         }
@@ -2194,9 +2203,9 @@ mod tests {
                 engine.submit_task(SimTime::from_secs(i), 0, App::Slam, 0);
             }
             let records = engine.run_to_completion();
-            let mut s = hivemind_sim::stats::Summary::new();
+            let mut s = hivemind_sim::stats::DurationSummary::new();
             for r in &records {
-                s.record_duration(r.latency());
+                s.record(r.latency());
             }
             s.median()
         };
@@ -2288,9 +2297,9 @@ mod tests {
         let records = engine.run_to_completion();
         assert_eq!(records.len(), 60);
         let median = |app: App| {
-            let mut s = hivemind_sim::stats::Summary::new();
+            let mut s = hivemind_sim::stats::DurationSummary::new();
             for r in records.iter().filter(|r| r.app == app) {
-                s.record_duration(r.latency());
+                s.record(r.latency());
             }
             s.median()
         };

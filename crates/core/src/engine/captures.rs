@@ -49,7 +49,7 @@ fn key(&(at, c): &(SimTime, Capture)) -> Key {
 /// [`RELEASE_FLOOR`] entries both keep their high-water capacity, so
 /// steady-state epochs allocate nothing; above it,
 /// [`CaptureRun::release_consumed`] shrinks a buffer once its live
-/// entries fall below half its capacity.
+/// entries fall below three quarters of its capacity.
 pub(super) struct CaptureRun {
     /// Sorted by key, strictly ascending.
     run: VecDeque<(SimTime, Capture)>,
@@ -119,17 +119,33 @@ impl CaptureRun {
         Some(entry)
     }
 
+    /// Captures due by `t`, counting the unfolded tail whole once its
+    /// earliest entry is due: a gauge of the shard work ahead that
+    /// neither folds nor scans the tail.
+    pub(super) fn due_by(&self, t: SimTime) -> usize {
+        let run = self.run.partition_point(|&(at, _)| at <= t);
+        let tail = if self.tail_min.is_some_and(|(at, _)| at <= t) {
+            self.tail.len()
+        } else {
+            0
+        };
+        run + tail
+    }
+
     /// Lifetime push + pop count.
     pub(super) fn ops(&self) -> u64 {
         self.ops
     }
 
     /// Hands back capacity the pending captures no longer need: a buffer
-    /// above [`RELEASE_FLOOR`] whose live entries fill less than half of
-    /// it shrinks to an eighth above its live count (never below the
-    /// floor). Capacity thus falls geometrically, and a buffer must lose
-    /// nearly half its entries again, or grow by an eighth, before it
-    /// reallocates, so the copying costs amortized O(1) per capture.
+    /// above [`RELEASE_FLOOR`] whose live entries fill less than three
+    /// quarters of it shrinks to an eighth above its live count (never
+    /// below the floor). Capacity thus falls geometrically, and a buffer
+    /// must lose about a sixth of its entries again, or grow by an
+    /// eighth, before it reallocates, so the copying costs amortized O(1)
+    /// per capture (about five moves each). Resident memory then exceeds
+    /// the pending captures by at most a third, which matters while the
+    /// outcome's latency samples fill in as the captures drain.
     /// Called once per shard phase; the pop order is untouched.
     pub(super) fn release_consumed(&mut self) {
         if let Some(cap) = released(self.run.capacity(), self.run.len()) {
@@ -177,7 +193,7 @@ impl CaptureRun {
 /// The capacity to shrink a buffer of `cap` entries holding `len` to, if
 /// it should shrink at all.
 fn released(cap: usize, len: usize) -> Option<usize> {
-    (cap > RELEASE_FLOOR && len < cap / 2).then(|| (len + len / 8).max(RELEASE_FLOOR))
+    (cap > RELEASE_FLOOR && len < cap - cap / 4).then(|| (len + len / 8).max(RELEASE_FLOOR))
 }
 
 /// Merges sorted `src` into `dst`, whose first `n` entries are sorted and
@@ -456,10 +472,11 @@ mod tests {
         for i in 0..n {
             p.push(SimTime::from_nanos(ms(i)), 0);
         }
-        // Pop to one below half the capacity, so the release shrinks.
-        let half = (p.run.run.capacity() / 2) as u64;
-        p.pop_until(SimTime::from_nanos(ms(n - half)));
-        assert_eq!(p.shrinks, 1, "fell below half: one shrink");
+        // Pop to one below three quarters of the capacity, so the
+        // release shrinks.
+        let cap = p.run.run.capacity() as u64;
+        p.pop_until(SimTime::from_nanos(ms(n - (cap - cap / 4))));
+        assert_eq!(p.shrinks, 1, "fell below three quarters: one shrink");
         let shrunk = capacity(&p.run);
         let mut changes = 0;
         for next in n..n + 1_000 {

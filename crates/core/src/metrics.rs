@@ -6,8 +6,7 @@
 //! battery.
 
 use hivemind_apps::learning::DetectionQuality;
-use hivemind_sim::stats::{Summary, TimeSeries};
-use hivemind_sim::time::SimDuration;
+use hivemind_sim::stats::{DurationSummary, TimeSeries};
 use hivemind_sim::trace::Trace;
 
 use crate::engine::TaskRecord;
@@ -16,41 +15,40 @@ use crate::engine::TaskRecord;
 #[derive(Debug, Clone, Default)]
 pub struct BreakdownSummary {
     /// End-to-end task latency.
-    pub total: Summary,
+    pub total: DurationSummary,
     /// Network (wire + RPC processing).
-    pub network: Summary,
+    pub network: DurationSummary,
     /// Management (control path, scheduling, queueing).
-    pub management: Summary,
+    pub management: DurationSummary,
     /// Container instantiation.
-    pub instantiation: Summary,
+    pub instantiation: DurationSummary,
     /// Data-plane I/O.
-    pub data_io: Summary,
+    pub data_io: DurationSummary,
     /// Execution.
-    pub exec: Summary,
+    pub exec: DurationSummary,
 }
 
 impl BreakdownSummary {
     /// An empty breakdown with room for `n` tasks in every category.
     pub fn with_capacity(n: usize) -> Self {
         BreakdownSummary {
-            total: Summary::with_capacity(n),
-            network: Summary::with_capacity(n),
-            management: Summary::with_capacity(n),
-            instantiation: Summary::with_capacity(n),
-            data_io: Summary::with_capacity(n),
-            exec: Summary::with_capacity(n),
+            total: DurationSummary::with_capacity(n),
+            network: DurationSummary::with_capacity(n),
+            management: DurationSummary::with_capacity(n),
+            instantiation: DurationSummary::with_capacity(n),
+            data_io: DurationSummary::with_capacity(n),
+            exec: DurationSummary::with_capacity(n),
         }
     }
 
     /// Accumulates one task record.
     pub fn record(&mut self, r: &TaskRecord) {
-        self.total.record_duration(r.latency());
-        self.network.record_duration(r.network);
-        self.management
-            .record_duration(r.management + r.instantiation);
-        self.instantiation.record_duration(r.instantiation);
-        self.data_io.record_duration(r.data_io);
-        self.exec.record_duration(r.exec);
+        self.total.record(r.latency());
+        self.network.record(r.network);
+        self.management.record(r.management + r.instantiation);
+        self.instantiation.record(r.instantiation);
+        self.data_io.record(r.data_io);
+        self.exec.record(r.exec);
     }
 
     /// Merges another breakdown into this one, category by category.
@@ -382,20 +380,26 @@ impl Outcome {
     }
 }
 
-/// Serializes a [`Summary`] as its order statistics (deterministic
-/// regardless of sample insertion order).
-pub(crate) fn summary_json(out: &mut String, s: &Summary) {
-    let [median, p99] = s.quantiles([0.5, 0.99]);
-    out.push_str(&format!(
-        "{{\"len\":{},\"mean\":{:?},\"median\":{:?},\"p99\":{:?},\"min\":{:?},\"max\":{:?}}}",
-        s.len(),
-        s.mean(),
-        median,
-        p99,
-        s.min(),
-        s.max()
-    ));
+/// Appends a summary's order statistics to `$out` as JSON (deterministic
+/// regardless of sample insertion order). `$s` is a
+/// [`DurationSummary`] or a [`hivemind_sim::stats::Summary`], which
+/// answer these queries alike.
+macro_rules! summary_json {
+    ($out:expr, $s:expr) => {{
+        let s = $s;
+        let [median, p99] = s.quantiles([0.5, 0.99]);
+        $out.push_str(&format!(
+            "{{\"len\":{},\"mean\":{:?},\"median\":{:?},\"p99\":{:?},\"min\":{:?},\"max\":{:?}}}",
+            s.len(),
+            s.mean(),
+            median,
+            p99,
+            s.min(),
+            s.max()
+        ));
+    }};
 }
+pub(crate) use summary_json;
 
 fn breakdown_json(out: &mut String, b: &BreakdownSummary) {
     out.push('{');
@@ -414,7 +418,7 @@ fn breakdown_json(out: &mut String, b: &BreakdownSummary) {
             out.push(',');
         }
         out.push_str(&format!("\"{key}\":"));
-        summary_json(out, s);
+        summary_json!(out, s);
     }
     out.push('}');
 }
@@ -433,17 +437,12 @@ fn mission_json(out: &mut String, m: &MissionOutcome) {
     }
 }
 
-/// Helper: a duration as fractional seconds (for summary recording).
-pub fn secs(d: SimDuration) -> f64 {
-    d.as_secs_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dsl::PlacementSite;
     use hivemind_apps::suite::App;
-    use hivemind_sim::time::SimTime;
+    use hivemind_sim::time::{SimDuration, SimTime};
 
     fn record(net_ms: u64, exec_ms: u64) -> TaskRecord {
         TaskRecord {

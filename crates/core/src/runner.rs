@@ -163,9 +163,7 @@ impl Runner {
 fn threads_from(var: Option<&str>) -> usize {
     match var.and_then(|v| v.trim().parse::<usize>().ok()) {
         Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        _ => hivemind_sim::shard::available_cores(),
     }
 }
 
@@ -279,9 +277,9 @@ impl RunSet {
             out.push_str(&s.to_string());
         }
         out.push_str("],\"combined\":{\"tasks_total\":");
-        summary_json(&mut out, &self.merged_tasks().total);
+        summary_json!(out, &self.merged_tasks().total);
         out.push_str(",\"mission_durations\":");
-        summary_json(&mut out, &self.mission_durations());
+        summary_json!(out, &self.mission_durations());
         out.push_str("},\"outcomes\":[");
         for (i, o) in self.outcomes.iter().enumerate() {
             if i > 0 {

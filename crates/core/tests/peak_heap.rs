@@ -10,8 +10,8 @@
 //!
 //! What a completed task may still cost at the peak: its capture entry
 //! (24 B), since the whole schedule is submitted before the run and the
-//! peak falls at its start, and one 8-byte sample per latency category
-//! (48 B) in the outcome, whose exact quantiles need every sample and
+//! peak falls at its start, and one 4-byte sample per latency category
+//! (24 B) in the outcome, whose exact quantiles need every sample and
 //! whose buffers are presized. A shard's capture run hands consumed
 //! capacity back as it runs, which this peak cannot see;
 //! `drained_heap.rs` guards that. The engine's hub holds nothing for a
@@ -72,14 +72,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Peak live heap bytes per completed task. The mission completes 30,976
-/// tasks and peaks at 3.09 MB of live heap (99 B per task at one and at
-/// two shards, debug and release). It read 108 B per task while the
+/// tasks and peaks at 2.26 MB of live heap at one shard and 2.30 MB at
+/// two (72 and 74 B per task, debug and release). It read 99 B per task
+/// while the latency samples took 8 bytes each, 108 B while the
 /// mission kept its flight plans and per-device batch lists through the
 /// run, 169–170 B while the engine kept 20 B of birth facts and slot
 /// index for every task and the active-function series a point per
 /// change, and 345 B when the engine kept every
 /// task's full state and the mission every record until assembly.
-const PEAK_BYTES_PER_TASK: usize = 124;
+const PEAK_BYTES_PER_TASK: usize = 99;
 
 #[test]
 fn mission_peak_heap_is_bounded_per_task() {

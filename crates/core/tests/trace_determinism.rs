@@ -11,7 +11,7 @@
 //!    reports for the same run.
 
 use hivemind_core::prelude::*;
-use hivemind_sim::stats::Summary;
+use hivemind_sim::stats::DurationSummary;
 
 fn base() -> ExperimentConfig {
     ExperimentConfig::single_app(App::FaceRecognition)
@@ -86,7 +86,7 @@ fn phase_spans_sum_to_the_breakdown_totals() {
     for platform in [Platform::CentralizedFaaS, Platform::HiveMind] {
         let outcome = Experiment::new(base().platform(platform)).run();
         let trace = outcome.trace.as_ref().expect("tracing enabled");
-        let sample_sum = |s: &Summary| s.mean() * s.len() as f64;
+        let sample_sum = |s: &DurationSummary| s.mean() * s.len() as f64;
         let tasks = &outcome.tasks;
         // The metrics layer folds instantiation into its management
         // summary (the paper's Fig. 3 convention); the trace keeps the

@@ -1294,7 +1294,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hivemind_sim::stats::Summary;
+    use hivemind_sim::stats::DurationSummary;
 
     fn run_all(cluster: &mut Cluster) -> Vec<Completion> {
         let mut done = Vec::new();
@@ -1434,9 +1434,9 @@ mod tests {
                 );
             }
             let done = run_all(&mut c);
-            let mut s = Summary::new();
+            let mut s = DurationSummary::new();
             for d in &done {
-                s.record_duration(d.breakdown.exec);
+                s.record(d.breakdown.exec);
             }
             s.p99()
         };

@@ -97,10 +97,8 @@ pub enum LinkClass {
 }
 
 /// Static description of one link.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
-    /// Human-readable name for diagnostics.
-    pub name: String,
     /// Capacity in bytes per second.
     pub bytes_per_sec: f64,
     /// One-way propagation delay.
@@ -187,57 +185,40 @@ impl Topology {
         assert!(params.devices > 0, "topology needs at least one device");
         assert!(params.servers > 0, "topology needs at least one server");
         let routers = params.effective_routers();
-        let mut links = Vec::new();
         let bits = |bps: f64| bps / 8.0;
-        for r in 0..routers {
-            links.push(LinkSpec {
-                name: format!("wifi{r}"),
-                bytes_per_sec: bits(params.wireless_bps),
-                propagation: params.wireless_propagation,
-                class: LinkClass::WirelessMedium,
-            });
-        }
-        for r in 0..routers {
-            links.push(LinkSpec {
-                name: format!("trunk-up{r}"),
-                bytes_per_sec: bits(params.trunk_bps),
-                propagation: params.wired_propagation,
-                class: LinkClass::RouterTrunk,
-            });
-        }
-        for r in 0..routers {
-            links.push(LinkSpec {
-                name: format!("trunk-down{r}"),
-                bytes_per_sec: bits(params.trunk_bps),
-                propagation: params.wired_propagation,
-                class: LinkClass::RouterTrunk,
-            });
-        }
+        let wireless = LinkSpec {
+            bytes_per_sec: bits(params.wireless_bps),
+            propagation: params.wireless_propagation,
+            class: LinkClass::WirelessMedium,
+        };
+        let trunk = LinkSpec {
+            bytes_per_sec: bits(params.trunk_bps),
+            propagation: params.wired_propagation,
+            class: LinkClass::RouterTrunk,
+        };
         // "We scale up the network links proportionately to the real
         // experiments" (Sec. 5.6): the testbed pairs a 40 Gb/s ToR with
         // 2 routers, so simulated swarms get 20 Gb/s of switching fabric
         // per router.
         let switch_scale = (routers as f64 / 2.0).max(1.0);
-        links.push(LinkSpec {
-            name: "tor".to_string(),
+        let switch = LinkSpec {
             bytes_per_sec: bits(params.switch_bps) * switch_scale,
             propagation: params.wired_propagation,
             class: LinkClass::Switch,
-        });
-        for s in 0..params.servers {
-            links.push(LinkSpec {
-                name: format!("nic-tx{s}"),
-                bytes_per_sec: bits(params.nic_bps),
-                propagation: params.wired_propagation,
-                class: LinkClass::ServerNic,
-            });
-            links.push(LinkSpec {
-                name: format!("nic-rx{s}"),
-                bytes_per_sec: bits(params.nic_bps),
-                propagation: params.wired_propagation,
-                class: LinkClass::ServerNic,
-            });
-        }
+        };
+        let nic = LinkSpec {
+            bytes_per_sec: bits(params.nic_bps),
+            propagation: params.wired_propagation,
+            class: LinkClass::ServerNic,
+        };
+        // The layout documented on `Topology`: wireless media, trunks up,
+        // trunks down, the switch, then each server's NIC tx and rx.
+        let r = routers as usize;
+        let links: Vec<LinkSpec> = std::iter::repeat_n(wireless, r)
+            .chain(std::iter::repeat_n(trunk, 2 * r))
+            .chain([switch])
+            .chain(std::iter::repeat_n(nic, 2 * params.servers as usize))
+            .collect();
         Topology {
             params,
             routers,
@@ -516,7 +497,8 @@ mod tests {
             .collect();
         for i in 0..n {
             let rule = !first[i] && succs[i].iter().all(|&s| preds[s].len() == 1);
-            assert_eq!(rule, passed.contains(&i), "link {}", t.links()[i].name);
+            let class = t.links()[i].class;
+            assert_eq!(rule, passed.contains(&i), "link {i} ({class:?})");
         }
         // The switch and the five NIC receive sides.
         assert_eq!(passed.len(), 6);

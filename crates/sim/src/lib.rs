@@ -93,6 +93,6 @@ pub use mc::{McConfig, McModel, McReport};
 pub use overload::{CircuitBreaker, OverloadPolicy};
 pub use rng::RngForge;
 pub use shard::{merge_keyed_into, EffectKey, ShardMap};
-pub use stats::Summary;
+pub use stats::{DurationSummary, Summary};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEvent, TraceHandle};

@@ -20,23 +20,30 @@
 //!   vector once per barrier epoch, allocation-free in steady state.
 //! * [`shards_from`] — `HIVEMIND_SHARDS` parsing (default 1: sharding
 //!   is opt-in, the single-shard path is the reference semantics).
+//! * [`available_cores`] — the process's core count, probed once.
+
+use std::sync::OnceLock;
 
 use crate::time::SimTime;
 
 /// Environment variable selecting the shard count.
 pub const SHARDS_ENV: &str = "HIVEMIND_SHARDS";
 
+/// The cores this process may run on (`available_parallelism`, which
+/// honours CPU affinity; 1 if it cannot tell), probed on the first call
+/// only: the probe reads the cgroup files on every call, which costs
+/// more than building a small engine.
+pub fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Parses a `HIVEMIND_SHARDS`-style value. `None`, empty, or garbage
 /// fall back to 1 (unsharded); `0` or `auto` mean "one shard per
 /// available core".
 pub fn shards_from(var: Option<&str>) -> u32 {
-    let auto = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get() as u32)
-            .unwrap_or(1)
-    };
     match var.map(str::trim) {
-        Some("0") | Some("auto") => auto(),
+        Some("0") | Some("auto") => available_cores() as u32,
         Some(v) => match v.parse::<u32>() {
             Ok(n) if n >= 1 => n,
             _ => 1,

@@ -3,8 +3,10 @@
 //! Every figure in the paper reduces to medians, tails (p99), means, and
 //! time series of counters. This module provides:
 //!
-//! * [`Summary`] — a sample reservoir with exact quantiles, used for
-//!   latency distributions (Figs. 4, 5a, 6, 11, 13, 16).
+//! * [`DurationSummary`] — durations with exact quantiles at 4 bytes per
+//!   sample, used for latency distributions (Figs. 4, 5a, 6, 11, 13, 16).
+//! * [`Summary`] — a sample reservoir of any scalar with exact quantiles
+//!   (battery levels, model predictions, replicate statistics).
 //! * [`Histogram`] — fixed-bin counts for PDF-style violin data.
 //! * [`TimeSeries`] — a step-valued load/active-task curve sampled once
 //!   per second of virtual time, with its exact maximum (Figs. 5b, 5c).
@@ -75,18 +77,13 @@ impl Summary {
     ///
     /// # Panics
     ///
-    /// Panics if `value` is not finite — a NaN in a latency stream is
+    /// Panics if `value` is not finite — a NaN in a sample stream is
     /// always an upstream bug and should fail loudly.
     pub fn record(&mut self, value: f64) {
         assert!(value.is_finite(), "summary sample must be finite");
         self.samples.push(value);
         self.sum += value;
         self.sorted.take();
-    }
-
-    /// Records a duration, in seconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs_f64());
     }
 
     /// Number of samples recorded.
@@ -219,13 +216,242 @@ impl Summary {
 ///
 /// Panics unless `0.0 <= q <= 1.0`.
 fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-    let n = sorted.len();
-    if n == 0 {
-        return 0.0;
+    match rank(sorted.len(), q) {
+        Some(r) => sorted[r - 1],
+        None => 0.0,
     }
-    let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-    sorted[rank - 1]
+}
+
+/// The 1-indexed nearest rank of the `q`-quantile among `n` samples;
+/// `None` when `n == 0`.
+///
+/// # Panics
+///
+/// Panics unless `0.0 <= q <= 1.0`.
+fn rank(n: usize, q: f64) -> Option<usize> {
+    assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
+    (n > 0).then(|| ((q * n as f64).ceil() as usize).clamp(1, n))
+}
+
+/// Marks, in [`DurationSummary`]'s narrow buffer, a sample held in its
+/// wide buffer. No narrow sample equals it.
+const WIDE: u32 = u32::MAX;
+
+/// A collection of durations with exact order statistics, in seconds,
+/// at 4 bytes per sample.
+///
+/// Answers exactly what a [`Summary`] fed the same durations through
+/// [`SimDuration::as_secs_f64`] answers, bit for bit: `len`, `mean`,
+/// `min`, `max`, `quantile` and `merge`. Each sample is kept as whole
+/// nanoseconds, as a `u32` when it is under `u32::MAX` ns (4.29 s);
+/// a longer one is kept exactly in a side buffer of `u64`, with a
+/// `u32::MAX` marker in its place. Converting nanoseconds to seconds
+/// preserves order, so the sorted nanoseconds, converted, are the sorted
+/// seconds; and the mean keeps `Summary`'s running `f64` sum of seconds
+/// in insertion order. Like `Summary`, quantile queries build a sorted
+/// copy once and cache it until the next mutation, and
+/// [`DurationSummary::quantiles`] builds one without caching it.
+///
+/// # Examples
+///
+/// ```rust
+/// use hivemind_sim::stats::{DurationSummary, Summary};
+/// use hivemind_sim::time::SimDuration;
+///
+/// let mut d = DurationSummary::new();
+/// let mut s = Summary::new();
+/// for ms in [120, 5, 7_000, 33] {
+///     d.record(SimDuration::from_millis(ms));
+///     s.record(SimDuration::from_millis(ms).as_secs_f64());
+/// }
+/// assert_eq!(d.len(), 4);
+/// assert_eq!(d.quantile(0.5), s.quantile(0.5));
+/// assert_eq!(d.max(), 7.0);
+/// assert_eq!(d.mean(), s.mean());
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct DurationSummary {
+    /// Samples in insertion order, in nanoseconds; [`WIDE`] marks one
+    /// held in `wide`.
+    narrow: Vec<u32>,
+    /// Samples of `u32::MAX` ns or more, in insertion order.
+    wide: Vec<u64>,
+    /// Sorted copy, built by the first quantile query after a mutation.
+    sorted: OnceCell<SortedDurations>,
+    /// Running sum of the samples in seconds, in insertion order.
+    sum: f64,
+}
+
+/// A [`DurationSummary`]'s samples in ascending order: the sorted narrow
+/// buffer, whose [`WIDE`] markers sort last, and the sorted wide buffer
+/// standing in for them.
+#[derive(Debug, Clone)]
+struct SortedDurations {
+    narrow: Vec<u32>,
+    wide: Vec<u64>,
+}
+
+impl SortedDurations {
+    /// The `q`-quantile in seconds; `0.0` when empty.
+    fn nearest_rank(&self, q: f64) -> f64 {
+        let Some(r) = rank(self.narrow.len(), q) else {
+            return 0.0;
+        };
+        let short = self.narrow.len() - self.wide.len();
+        let ns = if r <= short {
+            u64::from(self.narrow[r - 1])
+        } else {
+            self.wide[r - 1 - short]
+        };
+        SimDuration::from_nanos(ns).as_secs_f64()
+    }
+}
+
+impl PartialEq for DurationSummary {
+    fn eq(&self, other: &Self) -> bool {
+        self.narrow == other.narrow && self.wide == other.wide
+    }
+}
+
+impl DurationSummary {
+    /// Creates an empty summary.
+    pub fn new() -> Self {
+        DurationSummary::default()
+    }
+
+    /// Creates an empty summary with room for `n` samples under
+    /// `u32::MAX` ns, so a caller that knows its sample count never
+    /// regrows the buffer.
+    pub fn with_capacity(n: usize) -> Self {
+        DurationSummary {
+            narrow: Vec::with_capacity(n),
+            ..DurationSummary::default()
+        }
+    }
+
+    /// Records one sample.
+    pub fn record(&mut self, d: SimDuration) {
+        let ns = d.as_nanos();
+        match u32::try_from(ns) {
+            Ok(n) if n != WIDE => self.narrow.push(n),
+            _ => {
+                self.narrow.push(WIDE);
+                self.wide.push(ns);
+            }
+        }
+        self.sum += d.as_secs_f64();
+        self.sorted.take();
+    }
+
+    /// Every sample in insertion order, in nanoseconds.
+    fn nanos(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut wide = self.wide.iter();
+        self.narrow.iter().map(move |&n| {
+            if n == WIDE {
+                *wide.next().expect("one wide sample per marker")
+            } else {
+                u64::from(n)
+            }
+        })
+    }
+
+    /// Number of samples recorded.
+    pub fn len(&self) -> usize {
+        self.narrow.len()
+    }
+
+    /// Whether no samples have been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.narrow.is_empty()
+    }
+
+    /// Arithmetic mean in seconds; `0.0` when empty.
+    pub fn mean(&self) -> f64 {
+        if self.narrow.is_empty() {
+            0.0
+        } else {
+            self.sum / self.narrow.len() as f64
+        }
+    }
+
+    /// The samples in ascending order. Equal `u32`s and `u64`s are
+    /// indistinguishable, so the unstable sorts (which need no scratch
+    /// buffer) give the one sorted order.
+    fn sorted_copy(&self) -> SortedDurations {
+        let mut narrow = self.narrow.clone();
+        narrow.sort_unstable();
+        let mut wide = self.wide.clone();
+        wide.sort_unstable();
+        SortedDurations { narrow, wide }
+    }
+
+    /// Exact `q`-quantile (nearest-rank) in seconds; `0.0` when empty.
+    /// The first query after a mutation builds a sorted copy of the
+    /// samples, which later queries reuse.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0.0 <= q <= 1.0`.
+    pub fn quantile(&self, q: f64) -> f64 {
+        self.sorted
+            .get_or_init(|| self.sorted_copy())
+            .nearest_rank(q)
+    }
+
+    /// [`DurationSummary::quantile`] at each of `qs`, from one sorted
+    /// copy, which is dropped before returning unless a query had
+    /// already cached it, as [`Summary::quantiles`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every `q` is in `[0, 1]`.
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
+        let fresh;
+        let sorted = match self.sorted.get() {
+            Some(cached) => cached,
+            None => {
+                fresh = self.sorted_copy();
+                &fresh
+            }
+        };
+        qs.map(|q| sorted.nearest_rank(q))
+    }
+
+    /// Median (p50), in seconds.
+    pub fn median(&self) -> f64 {
+        self.quantile(0.5)
+    }
+
+    /// 99th percentile, in seconds.
+    pub fn p99(&self) -> f64 {
+        self.quantile(0.99)
+    }
+
+    /// Shortest sample in seconds; `0.0` when empty.
+    pub fn min(&self) -> f64 {
+        self.nanos()
+            .min()
+            .map_or(0.0, |ns| SimDuration::from_nanos(ns).as_secs_f64())
+    }
+
+    /// Longest sample in seconds; `0.0` when empty.
+    pub fn max(&self) -> f64 {
+        self.nanos()
+            .max()
+            .map_or(0.0, |ns| SimDuration::from_nanos(ns).as_secs_f64())
+    }
+
+    /// Merges another summary into this one, extending the running sum
+    /// sample by sample in `other`'s insertion order, as
+    /// [`Summary::merge`] does.
+    pub fn merge(&mut self, other: &DurationSummary) {
+        for ns in other.nanos() {
+            self.sum += SimDuration::from_nanos(ns).as_secs_f64();
+        }
+        self.narrow.extend_from_slice(&other.narrow);
+        self.wide.extend_from_slice(&other.wide);
+        self.sorted.take();
+    }
 }
 
 trait PipeFinite {

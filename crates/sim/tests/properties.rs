@@ -6,7 +6,7 @@ use hivemind_sim::overload::{
     BreakerConfig, BreakerDecision, BreakerEvent, BreakerState, CircuitBreaker,
 };
 use hivemind_sim::rng::RngForge;
-use hivemind_sim::stats::{Histogram, Meter, Summary};
+use hivemind_sim::stats::{DurationSummary, Histogram, Meter, Summary};
 use hivemind_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -398,4 +398,77 @@ fn from_secs_f64_matches_round_at_the_edges() {
         }
     }
     assert!(halves > 0, "no exact half-nanosecond input found");
+}
+
+/// A duration drawn across `DurationSummary`'s 4-byte/8-byte boundary:
+/// `kind` picks 0 ns, `u32::MAX - 1`, `u32::MAX`, `SimDuration::MAX`, a
+/// small value (so samples repeat), any value under `u32::MAX`, one just
+/// above it, or any value at all.
+fn boundary_duration((kind, bits): (u8, u64)) -> SimDuration {
+    let narrow_max = u64::from(u32::MAX);
+    SimDuration::from_nanos(match kind {
+        0 => 0,
+        1 => narrow_max - 1,
+        2 => narrow_max,
+        3 => u64::MAX,
+        4 => bits % 1_000,
+        5 => bits % narrow_max,
+        6 => narrow_max + bits % (1 << 40),
+        _ => bits,
+    })
+}
+
+/// Fails unless `d` and `s` agree bit for bit on every statistic.
+fn agree_bitwise(d: &DurationSummary, s: &Summary, qs: &[f64]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(d.len(), s.len());
+    prop_assert_eq!(d.is_empty(), s.is_empty());
+    prop_assert_eq!(d.mean().to_bits(), s.mean().to_bits());
+    prop_assert_eq!(d.min().to_bits(), s.min().to_bits());
+    prop_assert_eq!(d.max().to_bits(), s.max().to_bits());
+    for &q in qs {
+        let (dq, sq) = (d.quantile(q), s.quantile(q));
+        prop_assert_eq!(dq.to_bits(), sq.to_bits(), "q = {}: {} vs {}", q, dq, sq);
+    }
+    let qs = [0.5, 0.99];
+    prop_assert_eq!(
+        d.quantiles(qs).map(f64::to_bits),
+        s.quantiles(qs).map(f64::to_bits)
+    );
+    Ok(())
+}
+
+proptest! {
+    /// `DurationSummary` answers exactly what a `Summary` fed the same
+    /// durations in seconds answers, before and after a merge, including
+    /// samples at and past the 4-byte boundary.
+    #[test]
+    fn duration_summary_matches_summary_bit_for_bit(
+        a in prop::collection::vec((0u8..8, any::<u64>()), 0..120),
+        b in prop::collection::vec((0u8..8, any::<u64>()), 0..120),
+        qs in prop::collection::vec(0.0f64..1.0, 1..6),
+    ) {
+        let mut qs = qs;
+        qs.extend([0.0, 1.0]);
+        let (mut d, mut s) = (DurationSummary::new(), Summary::new());
+        for &x in &a {
+            d.record(boundary_duration(x));
+            s.record(boundary_duration(x).as_secs_f64());
+        }
+        agree_bitwise(&d, &s, &qs)?;
+        let (mut d2, mut s2) = (DurationSummary::new(), Summary::new());
+        for &x in &b {
+            d2.record(boundary_duration(x));
+            s2.record(boundary_duration(x).as_secs_f64());
+        }
+        agree_bitwise(&d2, &s2, &qs)?;
+        d.merge(&d2);
+        s.merge(&s2);
+        agree_bitwise(&d, &s, &qs)?;
+        // Merging equals recording everything into one.
+        let mut direct = DurationSummary::new();
+        for &x in a.iter().chain(&b) {
+            direct.record(boundary_duration(x));
+        }
+        prop_assert!(d == direct, "merge differs from one summary of both");
+    }
 }
