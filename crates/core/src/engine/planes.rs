@@ -17,7 +17,8 @@ use hivemind_sim::time::{SimDuration, SimTime};
 use hivemind_sim::trace::{ArgValue, TraceHandle};
 use hivemind_swarm::disconnect::{ReplayRing, ReplaySession};
 
-use super::{edge_service, transfer_tag, Action, Draw, Engine, EngineConfig, TagPurpose};
+use super::shard::{edge_service, Draw};
+use super::{transfer_tag, Action, Engine, EngineConfig, TagPurpose};
 use crate::dsl::PlacementSite;
 use crate::experiment::{ConfigError, RunPlan};
 use crate::metrics::{Outcome, ReconnectStats, RecoveryStats, ShedStats};
@@ -307,8 +308,9 @@ impl Engine {
         let service = edge_service(&mut self.rng, &self.ctx, app).mul_f64(1.0 / DEGRADED_SPEEDUP);
         let st = self.slot(slot);
         st.exec = st.exec.max(service);
-        self.hub_draw(device, Draw::Compute(service));
-        self.spill_inbox.push((at, device, slot, service));
+        let task = st.task;
+        self.shards.draw(device, Draw::Compute(service));
+        self.shards.spill(at, device, task, slot, service);
     }
 
     /// Schedules one reconnect session per distinct heal instant when the
@@ -429,7 +431,8 @@ impl Engine {
                     continue;
                 }
                 self.planes.reconnect.staleness_secs_sum += (t - u.at).as_secs_f64();
-                self.hub_draw(device, Draw::Radio(disconnect::SUMMARY_BYTES));
+                self.shards
+                    .draw(device, Draw::Radio(disconnect::SUMMARY_BYTES));
                 let server = self.pick_server();
                 self.fabric.send(
                     t,
