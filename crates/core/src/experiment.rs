@@ -269,6 +269,16 @@ pub enum ConfigError {
         /// Configured fleet size.
         fleet: u32,
     },
+    /// A numeric setting is outside the range a run can use: zero
+    /// devices, servers, cores per server or IaaS workers; a non-finite
+    /// or non-positive input scale, rate scale or duration; a fault rate
+    /// outside [0, 1].
+    InvalidNumber {
+        /// The setting, spelled as its [`ExperimentConfig`] field.
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -293,6 +303,9 @@ impl fmt::Display for ConfigError {
                 f,
                 "shard plan pins {shards} shards but the fleet has only {fleet} devices"
             ),
+            ConfigError::InvalidNumber { field, value } => {
+                write!(f, "{field} = {value} is out of range")
+            }
         }
     }
 }
@@ -440,9 +453,31 @@ impl ExperimentConfig {
     }
 
     /// Checks the configuration for inconsistencies that would make the
-    /// run meaningless, by cross-checking the attached [`RunPlan`]
-    /// against the workload (see [`RunPlan::validate`]).
+    /// run meaningless: numeric settings out of range
+    /// ([`ConfigError::InvalidNumber`]), then the attached [`RunPlan`]
+    /// cross-checked against the workload (see [`RunPlan::validate`]).
     pub fn validate(&self) -> Result<(), ConfigError> {
+        let invalid = |field, value| Err(ConfigError::InvalidNumber { field, value });
+        let counts = [
+            ("devices", self.devices),
+            ("servers", self.servers),
+            ("cores_per_server", self.cores_per_server),
+            ("iaas_workers", self.iaas_workers.unwrap_or(1)),
+        ];
+        if let Some(&(field, _)) = counts.iter().find(|c| c.1 == 0) {
+            return invalid(field, 0.0);
+        }
+        let scales = [
+            ("input_scale", self.input_scale),
+            ("rate_scale", self.rate_scale),
+            ("duration_secs", self.horizon_secs()),
+        ];
+        if let Some(&(field, value)) = scales.iter().find(|c| !(c.1.is_finite() && c.1 > 0.0)) {
+            return invalid(field, value);
+        }
+        if !(0.0..=1.0).contains(&self.fault_rate) {
+            return invalid("fault_rate", self.fault_rate);
+        }
         self.plan
             .validate(self.devices, self.servers, self.horizon_secs())
     }
@@ -559,16 +594,12 @@ impl Experiment {
     }
 
     /// Validates and wraps a configuration, surfacing inconsistencies
-    /// (out-of-range `fail_device` targets, failure times beyond the
-    /// workload horizon, malformed fault plans) as a [`ConfigError`].
+    /// (out-of-range numbers, `fail_device` targets or failure times
+    /// beyond the workload horizon, malformed fault plans) as a
+    /// [`ConfigError`].
     pub fn try_new(config: ExperimentConfig) -> Result<Experiment, ConfigError> {
         config.validate()?;
         Ok(Experiment { config })
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ExperimentConfig {
-        &self.config
     }
 
     /// Runs the experiment to completion.
@@ -615,7 +646,6 @@ impl Experiment {
                 t += period;
             }
         }
-        assert!(n_tasks > 0, "workload produced no tasks");
         let mut tally = TaskTally::new(cfg, n_tasks as usize);
         engine.run_until_with(SimTime::MAX, |r| tally.record(&r));
         assemble(
@@ -961,6 +991,47 @@ mod tests {
             }) => {}
             other => panic!("expected InvalidShardPlan, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn malformed_numbers_are_typed_errors() {
+        let base = || ExperimentConfig::single_app(App::FaceRecognition).duration_secs(2.0);
+        let mut coreless = base();
+        coreless.cores_per_server = 0;
+        let mission = ExperimentConfig::scenario(Scenario::StationaryItems);
+        let cases = [
+            (base().devices(0), "devices", 0.0),
+            (base().servers(0), "servers", 0.0),
+            (coreless, "cores_per_server", 0.0),
+            (base().input_scale(0.0), "input_scale", 0.0),
+            (base().input_scale(f64::NAN), "input_scale", f64::NAN),
+            (base().rate_scale(0.0), "rate_scale", 0.0),
+            (base().rate_scale(-1.0), "rate_scale", -1.0),
+            (mission.rate_scale(0.0), "rate_scale", 0.0),
+            (base().fault_rate(2.0), "fault_rate", 2.0),
+            (
+                base().platform(Platform::CentralizedIaaS).iaas_workers(0),
+                "iaas_workers",
+                0.0,
+            ),
+            (base().duration_secs(0.0), "duration_secs", 0.0),
+        ];
+        for (cfg, field, value) in cases {
+            match Experiment::try_new(cfg) {
+                Err(ConfigError::InvalidNumber { field: f, value: v }) => {
+                    assert_eq!(f, field);
+                    assert_eq!(v.to_bits(), value.to_bits(), "{field}");
+                }
+                other => panic!("{field} = {value}: expected InvalidNumber, got {other:?}"),
+            }
+        }
+        // A load profile that keeps every device idle is well-formed: it
+        // runs to a zero-task outcome.
+        let idle = Experiment::try_new(base().load_profile(vec![(0.0, 0)]))
+            .expect("an idle profile validates")
+            .run();
+        assert!(idle.tasks.is_empty());
+        assert!(idle.to_json().contains("\"tasks\""));
     }
 
     #[test]
