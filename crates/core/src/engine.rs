@@ -2,11 +2,11 @@
 //!
 //! The engine owns the network [`Fabric`], the serverless [`Cluster`] (or
 //! the IaaS [`FixedPool`]) and the device plane — one on-device
-//! [`fifo::FifoServer`] and battery per edge device — and routes events
-//! between them in global time order. Experiment harnesses inject *tasks*
-//! (one sensor frame batch to process) and receive [`TaskRecord`]s with
-//! the same latency decomposition the paper reports: network, management,
-//! instantiation, data I/O, execution.
+//! [`FifoServer`](hivemind_sim::fifo::FifoServer) and battery per edge
+//! device — and routes events between them in global time order.
+//! Experiment harnesses inject *tasks* (one sensor frame batch to process)
+//! and receive [`TaskRecord`]s with the same latency decomposition the
+//! paper reports: network, management, instantiation, data I/O, execution.
 //!
 //! ## Task pipelines
 //!
@@ -51,7 +51,6 @@
 //! and so the overlap moves no output byte either.
 
 mod captures;
-pub mod fifo;
 pub(crate) mod planes;
 mod shard;
 mod worker;
@@ -301,14 +300,13 @@ struct Progress {
 }
 
 /// Per-phase cost breakdown of a run, for profiling harnesses
-/// (`hivebench --trace 1`, `HIVEMIND_PROFILE=1`).
+/// (`hivebench --trace 1`).
 ///
 /// The operation counters (`queue_ops`, `rng_draws`, `merge_elems`,
 /// `exchange_effects`) are exact and deterministic — they count the same
 /// way on every machine and never feed back into scheduling. The
 /// `*_ns` wall-clock timers are only accumulated while profiling is
-/// enabled ([`Engine::enable_profiling`] or `HIVEMIND_PROFILE=1`) and
-/// vary run to run.
+/// enabled ([`Engine::enable_profiling`]) and vary run to run.
 ///
 /// On multi-core hosts the shard phase of the next epoch runs on a
 /// phase worker while the hub runs (see the module docs), so `shard_ns`
@@ -383,8 +381,8 @@ pub struct Engine {
     hub_events: u64,
     /// RNG sampling calls made by the hub (profiling breakdown).
     rng_draws: u64,
-    /// Whether the per-phase wall-clock timers run (`HIVEMIND_PROFILE=1`
-    /// or [`Engine::enable_profiling`]). Counters are always on.
+    /// Whether the per-phase wall-clock timers run
+    /// ([`Engine::enable_profiling`]). Counters are always on.
     profile: bool,
     /// Accumulated phase timers and exchange counters.
     breakdown: PhaseBreakdown,
@@ -478,13 +476,11 @@ impl Engine {
                 c
             });
         let mut pool = if cfg.platform.uses_fixed_pool() {
-            let mut params = cfg
-                .platform
-                .fixed_pool_params(cfg.servers * cfg.cores_per_server);
-            if let Some(workers) = cfg.iaas_workers {
-                params.workers = workers;
-            }
-            let mut p = FixedPool::new(params, forge.child("pool"));
+            let workers = cfg.iaas_workers.unwrap_or_else(|| {
+                cfg.platform
+                    .fixed_pool_workers(cfg.servers * cfg.cores_per_server)
+            });
+            let mut p = FixedPool::new(workers, forge.child("pool"));
             p.set_tracer(tracer.clone());
             Some(p)
         } else {
@@ -547,7 +543,7 @@ impl Engine {
             tracer,
             hub_events: 0,
             rng_draws: 0,
-            profile: std::env::var_os("HIVEMIND_PROFILE").is_some_and(|v| v != "0"),
+            profile: false,
             breakdown: PhaseBreakdown::default(),
             phase_budget: available_cores(),
             worker: None,
@@ -591,9 +587,8 @@ impl Engine {
         self.hub_events + self.shards.counters().events
     }
 
-    /// Turns on the per-phase wall-clock timers (equivalent to running
-    /// with `HIVEMIND_PROFILE=1`). The operation counters in
-    /// [`PhaseBreakdown`] accumulate regardless.
+    /// Turns on the per-phase wall-clock timers. The operation counters
+    /// in [`PhaseBreakdown`] accumulate regardless.
     pub fn enable_profiling(&mut self) {
         self.profile = true;
     }

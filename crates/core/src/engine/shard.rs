@@ -32,6 +32,7 @@ use std::collections::BinaryHeap;
 use hivemind_apps::suite::App;
 use hivemind_faas::types::AppProfile;
 use hivemind_net::rpc::RpcProfile;
+use hivemind_sim::fifo::{self, FifoServer};
 use hivemind_sim::rng::RngForge;
 use hivemind_sim::shard::{merge_keyed_into, shards_from_env, EffectKey, ShardMap};
 use hivemind_sim::time::{SimDuration, SimTime};
@@ -40,7 +41,6 @@ use hivemind_swarm::{Battery, BatteryBlock};
 use rand::rngs::SmallRng;
 
 use super::captures::CaptureRun;
-use super::fifo::{self, FifoServer};
 use super::{earliest, EngineConfig, PhaseBreakdown};
 use crate::dsl::PlacementSite;
 
@@ -391,29 +391,33 @@ impl Shards {
     /// through one k-way merge into the next pending run — a single
     /// buffer swap per epoch instead of a per-event heap handoff. The
     /// result is the same unique `(time, device, seq)` order a global
-    /// heap would produce, independent of the shard count. Counts into
-    /// `b`'s exchange counters.
+    /// heap would produce, independent of the shard count. An epoch with
+    /// no fresh effect exchanges nothing; when one shard's batch is the
+    /// only non-empty run, it becomes the pending run by a swap, at any
+    /// shard count. Counts into `b`'s exchange counters.
     pub(super) fn exchange(&mut self, b: &mut PhaseBreakdown) {
         let fresh: usize = self.list.iter().map(|s| s.out.len()).sum();
-        let leftover = self.pending_cursor < self.pending.len();
-        if fresh == 0 && (!leftover || self.list.len() == 1) {
+        if fresh == 0 {
             return;
         }
         b.exchange_epochs += 1;
         b.exchange_effects += fresh as u64;
         let left = &self.pending[self.pending_cursor..];
-        match &mut self.list[..] {
-            // No leftovers: the fresh batch *is* the next pending run;
-            // swap buffers and reuse the old one for emission.
-            [sh] if !leftover => std::mem::swap(&mut self.pending, &mut sh.out),
-            list => {
+        let mut batches = self.list.iter_mut().filter(|s| !s.out.is_empty());
+        match (left.is_empty(), batches.next(), batches.next()) {
+            // One shard's batch is the only run: it *is* the next pending
+            // run; swap buffers and reuse the old one for emission.
+            (true, Some(sh), None) => std::mem::swap(&mut self.pending, &mut sh.out),
+            _ => {
                 self.pending_scratch.clear();
-                if let [sh] = list {
+                if let [sh] = &self.list[..] {
+                    // Leftovers and one batch merge without allocating.
                     merge_keyed_into(&[left, &sh.out], &mut self.pending_scratch);
                 } else {
-                    let mut runs: Vec<&[(EffectKey, Effect)]> = Vec::with_capacity(list.len() + 1);
-                    runs.push(left);
-                    runs.extend(list.iter().map(|s| &s.out[..]));
+                    let runs: Vec<&[(EffectKey, Effect)]> = std::iter::once(left)
+                        .chain(self.list.iter().map(|s| &s.out[..]))
+                        .filter(|run| !run.is_empty())
+                        .collect();
                     merge_keyed_into(&runs, &mut self.pending_scratch);
                 }
                 std::mem::swap(&mut self.pending, &mut self.pending_scratch);

@@ -1,9 +1,11 @@
 //! The coordination protocols lifted into the model checker.
 //!
 //! `hivemind_sim::mc` provides the engine-agnostic checker; this module
-//! provides the three protocol models it exhaustively explores — the
-//! paper's riskiest coordination logic, behind the same step functions
-//! the DES engine drives:
+//! provides the protocol models it exhaustively explores — the paper's
+//! riskiest coordination logic. Most of them drive the same step
+//! functions the DES engine drives; the data-exchange sessions
+//! ([`ExchangeSession`]) run only here, since the engine prices an
+//! exchange with the data plane's latency models and never steps one:
 //!
 //! * [`FailoverModel`] — heartbeat-based failure detection and geometric
 //!   load repartitioning ([`SwarmController`]/`swarm::failover`),

@@ -8,7 +8,6 @@
 use hivemind_accel::rpc_accel::accelerated_rpc_profile;
 use hivemind_faas::cluster::ClusterParams;
 use hivemind_faas::dataplane::ExchangeProtocol;
-use hivemind_faas::iaas::FixedPoolParams;
 use hivemind_net::rpc::RpcProfile;
 
 /// A swarm-coordination platform configuration.
@@ -149,17 +148,12 @@ impl Platform {
         })
     }
 
-    /// Fixed-pool parameters for the IaaS platform: reserved cores of
-    /// "equal cost" to the FaaS deployment — we give it a fixed fraction
-    /// of the cluster (the FaaS deployment's average occupancy).
-    pub fn fixed_pool_params(self, total_cores: u32) -> FixedPoolParams {
-        FixedPoolParams {
-            // "Equal cost" to the FaaS deployment's average occupancy:
-            // a small reserved slice of the cluster, which saturates under
-            // swarm-scale load exactly as Fig. 5a/5b's fixed deployments do.
-            workers: (total_cores / 160).max(2),
-            exchange: ExchangeProtocol::DirectRpc,
-        }
+    /// Fixed-pool size for the IaaS platform: reserved cores of "equal
+    /// cost" to the FaaS deployment's average occupancy — a small
+    /// reserved slice of the cluster, which saturates under swarm-scale
+    /// load exactly as Fig. 5a/5b's fixed deployments do.
+    pub fn fixed_pool_workers(self, total_cores: u32) -> u32 {
+        (total_cores / 160).max(2)
     }
 
     /// The fraction of sensor payload shipped to the cloud for
@@ -249,7 +243,7 @@ mod tests {
 
     #[test]
     fn iaas_pool_sized_below_cluster() {
-        let pool = Platform::CentralizedIaaS.fixed_pool_params(480);
-        assert!(pool.workers >= 2 && pool.workers < 480);
+        let workers = Platform::CentralizedIaaS.fixed_pool_workers(480);
+        assert!((2..480).contains(&workers));
     }
 }

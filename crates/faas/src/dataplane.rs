@@ -224,9 +224,10 @@ pub enum ExchangeInput {
 ///
 /// The latency models above price an exchange; this machine captures its
 /// *logic* — store, ack, fetch, retransmit, give-up — as a step function
-/// with no RNG and no clock, so the same protocol code runs under the
-/// DES engine and under exhaustive exploration by the model checker
-/// (`hivemind_sim::mc`). The invariant that matters is exactly-once
+/// with no RNG and no clock, so the model checker (`hivemind_sim::mc`,
+/// through `hivemind_core::mc`) can explore it exhaustively; the DES
+/// engine prices exchanges with the latency models and does not run
+/// this machine. The invariant that matters is exactly-once
 /// execution: however the environment interleaves, duplicates or drops
 /// messages and crashes the store, the child must run at most once (and,
 /// absent give-up, at least once eventually).

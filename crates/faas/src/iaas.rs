@@ -8,9 +8,7 @@
 //! queue and latency explodes — exactly the saturation behaviour of the
 //! "Avg Res" deployment in Fig. 5b.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
+use hivemind_sim::fifo::{Done, FifoServer};
 use hivemind_sim::hash::DetHashMap;
 use hivemind_sim::rng::RngForge;
 use hivemind_sim::stats::TimeSeries;
@@ -21,39 +19,36 @@ use rand::rngs::SmallRng;
 use crate::dataplane::{DataPlane, ExchangeProtocol};
 use crate::types::{AppId, AppProfile, Completion, Invocation, LatencyBreakdown, Outcome};
 
-/// Fixed-pool configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FixedPoolParams {
-    /// Number of long-lived worker slots (reserved cores).
-    pub workers: u32,
-    /// Data-exchange protocol between stages (reserved deployments talk
-    /// over the same CouchDB/RPC substrate).
-    pub exchange: ExchangeProtocol,
+/// How reserved workers hand data between stages. Its cost never reads
+/// the clock, so an invocation's whole service time is drawn when it is
+/// submitted.
+const EXCHANGE: ExchangeProtocol = ExchangeProtocol::DirectRpc;
+
+/// What an invocation carries through the worker queue: the parts of its
+/// [`Completion`] that the queue does not time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Job {
+    tag: u64,
+    app: AppId,
+    arrived: SimTime,
+    data_io: SimDuration,
+    exec: SimDuration,
 }
 
-impl Default for FixedPoolParams {
-    fn default() -> Self {
-        FixedPoolParams {
-            workers: 40,
-            exchange: ExchangeProtocol::DirectRpc,
-        }
-    }
-}
-
-/// A statically provisioned worker pool.
+/// A statically provisioned worker pool: a [`FifoServer`] over its
+/// long-lived workers. Calls must come in non-decreasing `now` order (as
+/// the engine makes them): the pool records its occupancy at every
+/// submission and completion hand-out.
 ///
 /// # Examples
 ///
 /// ```rust
-/// use hivemind_faas::iaas::{FixedPool, FixedPoolParams};
+/// use hivemind_faas::iaas::FixedPool;
 /// use hivemind_faas::types::{AppId, AppProfile, Invocation};
 /// use hivemind_sim::rng::RngForge;
 /// use hivemind_sim::time::SimTime;
 ///
-/// let mut pool = FixedPool::new(
-///     FixedPoolParams { workers: 1, ..FixedPoolParams::default() },
-///     RngForge::new(1),
-/// );
+/// let mut pool = FixedPool::new(1, RngForge::new(1));
 /// pool.register_app(AppId(0), AppProfile::test_profile(1000.0));
 /// pool.submit(SimTime::ZERO, Invocation::root(AppId(0), 1));
 /// pool.submit(SimTime::ZERO, Invocation::root(AppId(0), 2));
@@ -66,55 +61,58 @@ impl Default for FixedPoolParams {
 /// ```
 #[derive(Debug)]
 pub struct FixedPool {
-    params: FixedPoolParams,
+    workers: u32,
     apps: DetHashMap<AppId, AppProfile>,
     dataplane: DataPlane,
     rng: SmallRng,
-    /// Completion times of busy workers.
-    busy: BinaryHeap<Reverse<(SimTime, u64)>>,
-    seq: u64,
-    wait_queue: VecDeque<(SimTime, Invocation)>,
-    /// Finished-but-undelivered completions, ordered by `(finished, seq)`
-    /// — matching the old stable sort on finish time.
-    pending: BinaryHeap<Reverse<PendingCompletion>>,
+    /// The workers and their wait queue; a job's id is its submission
+    /// index, so same-instant finishes hand out in submission order.
+    fifo: FifoServer<Job>,
+    submitted: u64,
+    /// Reusable hand-out buffer.
+    done_scratch: Vec<Done<Job>>,
     active_series: TimeSeries,
     tracer: TraceHandle,
 }
 
 impl FixedPool {
-    /// Creates the pool.
+    /// Creates a pool of `workers` long-lived worker slots (reserved
+    /// cores).
     ///
     /// # Panics
     ///
-    /// Panics if `params.workers == 0`.
-    pub fn new(params: FixedPoolParams, forge: RngForge) -> Self {
-        assert!(params.workers > 0, "pool needs at least one worker");
+    /// Panics if `workers == 0`.
+    pub fn new(workers: u32, forge: RngForge) -> Self {
+        assert!(workers > 0, "pool needs at least one worker");
         FixedPool {
-            params,
+            workers,
             apps: DetHashMap::default(),
             dataplane: DataPlane::new(),
             rng: forge.stream("iaas-pool"),
-            busy: BinaryHeap::new(),
-            seq: 0,
-            wait_queue: VecDeque::new(),
-            pending: BinaryHeap::new(),
+            fifo: FifoServer::new(workers),
+            submitted: 0,
+            done_scratch: Vec::new(),
             active_series: TimeSeries::new(),
             tracer: TraceHandle::disabled(),
         }
     }
 
     /// Installs a tracing handle; the pool then samples `iaas/active` and
-    /// `iaas/queued` counters at every occupancy change.
+    /// `iaas/queued` counters at every submission and completion
+    /// hand-out.
     pub fn set_tracer(&mut self, tracer: TraceHandle) {
         self.tracer = tracer;
     }
 
-    fn sample_occupancy(&self, now: SimTime) {
+    /// Records the running and waiting task counts at `now`.
+    fn record_occupancy(&mut self, now: SimTime) {
+        let load = self.fifo.load();
+        let active = load.min(self.workers as usize);
+        self.active_series.record(now, active as f64);
         if self.tracer.is_enabled() {
+            self.tracer.counter("iaas", "active", 0, now, active as f64);
             self.tracer
-                .counter("iaas", "active", 0, now, self.busy.len() as f64);
-            self.tracer
-                .counter("iaas", "queued", 0, now, self.wait_queue.len() as f64);
+                .counter("iaas", "queued", 0, now, (load - active) as f64);
         }
     }
 
@@ -123,130 +121,81 @@ impl FixedPool {
         self.apps.insert(app, profile);
     }
 
-    /// The pool parameters.
-    pub fn params(&self) -> &FixedPoolParams {
-        &self.params
-    }
-
-    fn retire(&mut self, now: SimTime) {
-        while self.busy.peek().is_some_and(|Reverse((t, _))| *t <= now) {
-            self.busy.pop();
-        }
-    }
-
-    fn start(&mut self, now: SimTime, arrived: SimTime, inv: Invocation) {
-        let profile = &self.apps[&inv.app];
-        let data_in = if profile.input_bytes > 0 {
-            self.dataplane.exchange(
-                now,
-                self.params.exchange,
-                profile.input_bytes,
-                &mut self.rng,
-            )
-        } else {
-            SimDuration::ZERO
-        };
-        let exec = profile.exec.sample(&mut self.rng);
-        let t_exec_done = now + data_in + exec;
-        let data_out = if profile.output_bytes > 0 {
-            self.dataplane.exchange(
-                t_exec_done,
-                self.params.exchange,
-                profile.output_bytes,
-                &mut self.rng,
-            )
-        } else {
-            SimDuration::ZERO
-        };
-        let finish = t_exec_done + data_out;
-        let seq = self.seq;
-        self.seq += 1;
-        self.busy.push(Reverse((finish, seq)));
-        self.active_series.record(now, self.busy.len() as f64);
-        self.push_pending(
-            seq,
-            Completion {
-                tag: inv.tag,
-                app: inv.app,
-                server: 0,
-                arrived,
-                finished: finish,
-                breakdown: LatencyBreakdown {
-                    queueing: now - arrived,
-                    management: SimDuration::ZERO,
-                    instantiation: SimDuration::ZERO,
-                    data_io: data_in + data_out,
-                    exec,
-                },
-                cold_start: false,
-                in_memory_exchange: false,
-                outcome: Outcome::Ok,
-            },
-        );
-    }
-
-    /// Submits an invocation.
+    /// Submits an invocation. Its data-in, execution and data-out costs
+    /// are drawn now, in that order; it runs once a worker is free.
     ///
     /// # Panics
     ///
     /// Panics if the app was never registered.
     pub fn submit(&mut self, now: SimTime, inv: Invocation) {
-        assert!(
-            self.apps.contains_key(&inv.app),
-            "app {:?} not registered",
-            inv.app
-        );
-        self.retire(now);
-        if (self.busy.len() as u32) < self.params.workers {
-            self.start(now, now, inv);
+        let Some(profile) = self.apps.get(&inv.app) else {
+            panic!("app {:?} not registered", inv.app);
+        };
+        let data_in = if profile.input_bytes > 0 {
+            self.dataplane
+                .exchange(now, EXCHANGE, profile.input_bytes, &mut self.rng)
         } else {
-            self.wait_queue.push_back((now, inv));
-        }
-        self.sample_occupancy(now);
+            SimDuration::ZERO
+        };
+        let exec = profile.exec.sample(&mut self.rng);
+        let data_out = if profile.output_bytes > 0 {
+            self.dataplane
+                .exchange(now, EXCHANGE, profile.output_bytes, &mut self.rng)
+        } else {
+            SimDuration::ZERO
+        };
+        let job = Job {
+            tag: inv.tag,
+            app: inv.app,
+            arrived: now,
+            data_io: data_in + data_out,
+            exec,
+        };
+        self.fifo
+            .submit(now, self.submitted, data_in + exec + data_out, job);
+        self.submitted += 1;
+        self.record_occupancy(now);
     }
 
     /// The earliest instant at which a worker frees or a result is due.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        self.busy.peek().map(|Reverse((t, _))| *t)
+        self.fifo.next_wakeup()
     }
 
-    /// Advances to `now`, appending finished completions to `out`.
-    #[allow(clippy::while_let_loop)] // the loop also breaks on `t > now`
+    /// Advances to `now`, appending finished completions to `out` in
+    /// `(finished, submission)` order.
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<Completion>) {
-        // Free workers as their tasks finish, starting queued work at the
-        // exact instant each worker frees (not at `now`).
-        loop {
-            let Some(&Reverse((t, _))) = self.busy.peek() else {
-                break;
-            };
-            if t > now {
-                break;
-            }
-            self.busy.pop();
-            if let Some((arrived, inv)) = self.wait_queue.pop_front() {
-                self.start(t, arrived, inv);
-            }
-            self.sample_occupancy(t);
+        // One finish instant at a time, so occupancy is recorded at the
+        // instant each worker frees (not at `now`).
+        while let Some(t) = self.fifo.next_wakeup().filter(|&t| t <= now) {
+            self.fifo.advance_into(t, &mut self.done_scratch);
+            out.extend(
+                self.done_scratch
+                    .drain(..)
+                    .map(|(finished, _, queued, job)| Completion {
+                        tag: job.tag,
+                        app: job.app,
+                        server: 0,
+                        arrived: job.arrived,
+                        finished,
+                        breakdown: LatencyBreakdown {
+                            queueing: queued,
+                            data_io: job.data_io,
+                            exec: job.exec,
+                            ..LatencyBreakdown::default()
+                        },
+                        cold_start: false,
+                        in_memory_exchange: false,
+                        outcome: Outcome::Ok,
+                    }),
+            );
+            self.record_occupancy(t);
         }
-        while let Some(Reverse(p)) = self.pending.peek() {
-            if p.completion.finished > now {
-                break;
-            }
-            let Some(Reverse(p)) = self.pending.pop() else {
-                unreachable!("peeked completion vanished");
-            };
-            out.push(p.completion);
-        }
-    }
-
-    fn push_pending(&mut self, seq: u64, completion: Completion) {
-        self.pending
-            .push(Reverse(PendingCompletion { seq, completion }));
     }
 
     /// Tasks waiting for a worker.
     pub fn queued(&self) -> usize {
-        self.wait_queue.len()
+        self.fifo.load().saturating_sub(self.workers as usize)
     }
 
     /// Concurrently running tasks over time, sampled once per second,
@@ -259,34 +208,6 @@ impl FixedPool {
     /// caller assembling a finished run, which then owns the only copy.
     pub fn take_active_series(&mut self) -> TimeSeries {
         std::mem::take(&mut self.active_series)
-    }
-}
-
-/// Heap entry ordering pending completions by `(finished, seq)`; `seq` is
-/// the start order, reproducing the old stable sort's tie-breaking.
-#[derive(Debug)]
-struct PendingCompletion {
-    seq: u64,
-    completion: Completion,
-}
-
-impl PartialEq for PendingCompletion {
-    fn eq(&self, other: &Self) -> bool {
-        self.completion.finished == other.completion.finished && self.seq == other.seq
-    }
-}
-
-impl Eq for PendingCompletion {}
-
-impl PartialOrd for PendingCompletion {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PendingCompletion {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.completion.finished, self.seq).cmp(&(other.completion.finished, other.seq))
     }
 }
 
@@ -303,13 +224,7 @@ mod tests {
     }
 
     fn pool(workers: u32) -> FixedPool {
-        let mut p = FixedPool::new(
-            FixedPoolParams {
-                workers,
-                exchange: ExchangeProtocol::InMemory,
-            },
-            RngForge::new(5),
-        );
+        let mut p = FixedPool::new(workers, RngForge::new(5));
         p.register_app(AppId(0), AppProfile::test_profile(100.0));
         p
     }
@@ -340,10 +255,13 @@ mod tests {
     #[test]
     fn underload_matches_serverless_free_of_overheads() {
         let mut p = pool(8);
+        let mut done = Vec::new();
         for tag in 0..8 {
-            p.submit(SimTime::from_secs(tag), Invocation::root(AppId(0), tag));
+            let at = SimTime::from_secs(tag);
+            p.advance_into(at, &mut done);
+            p.submit(at, Invocation::root(AppId(0), tag));
         }
-        let done = drain(&mut p);
+        done.extend(drain(&mut p));
         for c in &done {
             assert!(
                 c.latency() < SimDuration::from_millis(110),
@@ -364,6 +282,35 @@ mod tests {
             (gap - 100.0).abs() < 2.0,
             "back-to-back execution, gap {gap}"
         );
+    }
+
+    #[test]
+    fn same_instant_arrival_queues_behind_waiting_work() {
+        let mut p = pool(1);
+        p.submit(SimTime::ZERO, Invocation::root(AppId(0), 0));
+        p.submit(SimTime::ZERO, Invocation::root(AppId(0), 1));
+        // Job 2 arrives at the instant job 0 frees the worker; job 1 has
+        // waited for that worker since 0 and starts first.
+        let first_free = p.next_wakeup().unwrap();
+        p.submit(first_free, Invocation::root(AppId(0), 2));
+        let done = drain(&mut p);
+        let tags: Vec<u64> = done.iter().map(|c| c.tag).collect();
+        assert_eq!(tags, [0, 1, 2]);
+        assert_eq!(done[0].finished, first_free);
+        assert_eq!(done[1].breakdown.queueing, first_free - SimTime::ZERO);
+    }
+
+    #[test]
+    fn active_series_falls_to_zero_after_drain() {
+        let mut p = pool(2);
+        for tag in 0..5 {
+            p.submit(SimTime::ZERO, Invocation::root(AppId(0), tag));
+        }
+        let done = drain(&mut p);
+        let last = done.last().unwrap().finished;
+        assert_eq!(p.active_series().max(), 2.0);
+        assert_eq!(p.active_series().value_at(last), Some(0.0));
+        assert_eq!(p.queued(), 0);
     }
 
     #[test]

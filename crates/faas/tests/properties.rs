@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use hivemind_faas::cluster::{Cluster, ClusterParams};
 use hivemind_faas::container::{ContainerParams, WarmPool};
-use hivemind_faas::iaas::{FixedPool, FixedPoolParams};
+use hivemind_faas::iaas::FixedPool;
 use hivemind_faas::types::{AppId, AppProfile, Completion, Invocation, Outcome};
 use hivemind_sim::faults::RetryPolicy;
 use hivemind_sim::overload::OverloadPolicy;
@@ -329,21 +329,14 @@ proptest! {
     ) {
         let mut arrivals = arrivals;
         arrivals.sort_unstable();
-        let mut pool = FixedPool::new(
-            FixedPoolParams {
-                workers,
-                ..FixedPoolParams::default()
-            },
-            RngForge::new(3),
-        );
+        let mut pool = FixedPool::new(workers, RngForge::new(3));
         pool.register_app(AppId(0), AppProfile::test_profile(50.0));
-        for (i, &t_ms) in arrivals.iter().enumerate() {
-            pool.submit(
-                SimTime::ZERO + SimDuration::from_millis(t_ms),
-                Invocation::root(AppId(0), i as u64),
-            );
-        }
         let mut done = Vec::new();
+        for (i, &t_ms) in arrivals.iter().enumerate() {
+            let at = SimTime::ZERO + SimDuration::from_millis(t_ms);
+            pool.advance_into(at, &mut done);
+            pool.submit(at, Invocation::root(AppId(0), i as u64));
+        }
         while let Some(t) = pool.next_wakeup() {
             pool.advance_into(t, &mut done);
         }

@@ -1,16 +1,20 @@
-//! A small multi-server FIFO queue used for on-device execution.
+//! A c-server FIFO queue with caller-supplied service times.
 //!
-//! Each edge device exposes `cores` logical cores (one on the drones'
-//! Cortex-A8, four on the cars' Raspberry Pi); on-board tasks queue FIFO
-//! behind them. This is the mechanism that makes distributed execution
-//! "poor and unpredictable" for heavy apps in Fig. 4: a 2.5 s on-board
-//! recognition task arriving once per second grows the queue without
-//! bound.
+//! The reproduction queues work FIFO behind a fixed set of servers in two
+//! places, and both run on this one queue:
+//!
+//! * each edge device's `cores` logical cores (one on the drones'
+//!   Cortex-A8, four on the cars' Raspberry Pi). This is the mechanism
+//!   that makes distributed execution "poor and unpredictable" for heavy
+//!   apps in Fig. 4: a 2.5 s on-board recognition task arriving once per
+//!   second grows the queue without bound;
+//! * the reserved IaaS baseline's long-lived workers (Figs. 1, 5), which
+//!   saturate when offered load exceeds the provisioned capacity.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use hivemind_sim::time::{SimDuration, SimTime};
+use crate::time::{SimDuration, SimTime};
 
 /// A finished job as [`FifoServer::advance_into`] hands it out:
 /// `(finish, id, queue_delay, payload)`.
@@ -26,7 +30,7 @@ type Running<P> = (SimTime, u64, u64, SimDuration, P);
 /// # Examples
 ///
 /// ```rust
-/// use hivemind_core::engine::fifo::FifoServer;
+/// use hivemind_sim::fifo::FifoServer;
 /// use hivemind_sim::time::{SimDuration, SimTime};
 ///
 /// let mut q = FifoServer::new(1);

@@ -13,8 +13,10 @@
 //!   one subsystem never perturbs another.
 //! * [`dist`] — service-time distributions (constant, uniform, exponential,
 //!   log-normal, bounded Pareto, empirical).
-//! * [`stats`] — streaming summaries, percentile estimation, histograms,
-//!   time series and bandwidth meters used by every experiment harness.
+//! * [`fifo`] — the c-server FIFO queue ([`fifo::FifoServer`]) behind
+//!   every edge device's cores and the reserved IaaS worker pool.
+//! * [`stats`] — streaming summaries, exact percentiles, time series and
+//!   bandwidth meters used by every experiment harness.
 //! * [`hash`] — fixed-seed hashing ([`hash::DetHashMap`]) so hot maps with
 //!   insert/remove churn rehash and resize at workload-determined (not
 //!   process-seed-determined) instants.
@@ -77,6 +79,7 @@
 pub mod disconnect;
 pub mod dist;
 pub mod faults;
+pub mod fifo;
 pub mod hash;
 pub mod mc;
 pub mod overload;

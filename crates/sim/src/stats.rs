@@ -7,7 +7,6 @@
 //!   sample, used for latency distributions (Figs. 4, 5a, 6, 11, 13, 16).
 //! * [`Summary`] — a sample reservoir of any scalar with exact quantiles
 //!   (battery levels, model predictions, replicate statistics).
-//! * [`Histogram`] — fixed-bin counts for PDF-style violin data.
 //! * [`TimeSeries`] — a step-valued load/active-task curve sampled once
 //!   per second of virtual time, with its exact maximum (Figs. 5b, 5c).
 //! * [`Meter`] — windowed byte/event accounting for bandwidth figures
@@ -105,17 +104,6 @@ impl Summary {
         }
     }
 
-    /// Population standard deviation; `0.0` when empty.
-    pub fn std_dev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var = self.samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>()
-            / self.samples.len() as f64;
-        var.sqrt()
-    }
-
     /// A sorted copy of the samples. Values that `total_cmp` ranks equal
     /// have equal bits, so the unstable sort (which needs no scratch
     /// buffer) gives the one sorted order.
@@ -186,11 +174,6 @@ impl Summary {
             .pipe_finite()
     }
 
-    /// All samples, in insertion order.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
     /// Merges another summary into this one.
     ///
     /// The running sum is extended sample-by-sample in buffer order,
@@ -201,12 +184,6 @@ impl Summary {
         }
         self.samples.extend_from_slice(&other.samples);
         self.sorted.take();
-    }
-
-    /// Builds a [`Histogram`] of the samples with `bins` equal-width bins
-    /// spanning `[min, max]`.
-    pub fn histogram(&self, bins: usize) -> Histogram {
-        Histogram::from_samples(&self.samples, bins)
     }
 }
 
@@ -628,56 +605,6 @@ impl QuantileTracker {
     }
 }
 
-/// Fixed-bin histogram over `[min, max]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    min: f64,
-    max: f64,
-    counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// Builds a histogram from raw samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0`.
-    pub fn from_samples(samples: &[f64], bins: usize) -> Histogram {
-        assert!(bins > 0, "histogram needs at least one bin");
-        if samples.is_empty() {
-            return Histogram {
-                min: 0.0,
-                max: 0.0,
-                counts: vec![0; bins],
-            };
-        }
-        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let mut counts = vec![0u64; bins];
-        let width = (max - min).max(f64::MIN_POSITIVE);
-        for &s in samples {
-            let idx = (((s - min) / width) * bins as f64) as usize;
-            counts[idx.min(bins - 1)] += 1;
-        }
-        Histogram { min, max, counts }
-    }
-
-    /// Bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// The `(low, high)` range covered.
-    pub fn range(&self) -> (f64, f64) {
-        (self.min, self.max)
-    }
-
-    /// Total number of samples binned.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
 /// A step-valued scalar (a load or active-task count) sampled once per
 /// [`TimeSeries::PERIOD`] of virtual time.
 ///
@@ -897,7 +824,6 @@ mod tests {
         let s = Summary::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.median(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
         assert!(s.is_empty());
     }
 
@@ -927,31 +853,6 @@ mod tests {
         assert_eq!(uncached, qs.map(|q| s.quantile(q)));
         assert_eq!(s.quantiles(qs), uncached, "read through the cache");
         assert_eq!(Summary::new().quantiles([0.5]), [0.0]);
-    }
-
-    #[test]
-    fn summary_std_dev() {
-        let s: Summary = vec![2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-            .into_iter()
-            .collect();
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_bins_cover_samples() {
-        let samples: Vec<f64> = (0..100).map(|v| v as f64).collect();
-        let h = Histogram::from_samples(&samples, 10);
-        assert_eq!(h.total(), 100);
-        assert!(h.counts().iter().all(|&c| c == 10));
-        assert_eq!(h.range(), (0.0, 99.0));
-    }
-
-    #[test]
-    fn histogram_empty_and_single() {
-        let h = Histogram::from_samples(&[], 4);
-        assert_eq!(h.total(), 0);
-        let h = Histogram::from_samples(&[5.0, 5.0], 4);
-        assert_eq!(h.total(), 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use hivemind_sim::overload::{
     BreakerConfig, BreakerDecision, BreakerEvent, BreakerState, CircuitBreaker,
 };
 use hivemind_sim::rng::RngForge;
-use hivemind_sim::stats::{DurationSummary, Histogram, Meter, Summary};
+use hivemind_sim::stats::{DurationSummary, Meter, Summary};
 use hivemind_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -27,17 +27,6 @@ proptest! {
         let windowed: f64 = meter.rates_per_sec().iter().sum();
         prop_assert!((windowed - expected).abs() < 1e-6 * expected.max(1.0));
         prop_assert!((meter.total() - expected).abs() < 1e-6 * expected.max(1.0));
-    }
-
-    /// Histograms bin every sample exactly once.
-    #[test]
-    fn histogram_conserves_samples(
-        samples in prop::collection::vec(-1e6f64..1e6, 1..300),
-        bins in 1usize..40,
-    ) {
-        let h = Histogram::from_samples(&samples, bins);
-        prop_assert_eq!(h.total(), samples.len() as u64);
-        prop_assert_eq!(h.counts().len(), bins);
     }
 
     /// Merging summaries equals recording everything into one.
